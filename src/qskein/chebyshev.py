@@ -19,22 +19,23 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
+from .linear import SparseCombination, accumulate
 
-class Polynomial:
-    """Sparse univariate polynomial with Fraction coefficients."""
 
-    __slots__ = ("_c",)
+class Polynomial(SparseCombination):
+    """Sparse univariate polynomial with Fraction coefficients, keyed by exponent."""
+
+    __slots__ = ()
+    _identity = 0
 
     def __init__(self, coeffs: Mapping[int, Fraction | int] | Iterable | None = None):
         items = coeffs.items() if isinstance(coeffs, Mapping) else (coeffs or ())
-        c: dict[int, Fraction] = {}
+        terms: dict[int, Fraction] = {}
         for e, v in items:
             if e < 0:
                 raise ValueError("negative exponent")
-            v = Fraction(v)
-            if v:
-                c[e] = c.get(e, Fraction(0)) + v
-        self._c = {e: v for e, v in c.items() if v}
+            accumulate(terms, e, Fraction(v))
+        super().__init__(None, terms)
 
     @classmethod
     def constant(cls, v) -> "Polynomial":
@@ -44,111 +45,42 @@ class Polynomial:
     def x(cls) -> "Polynomial":
         return cls({1: 1})
 
-    def coefficient(self, e: int) -> Fraction:
-        return self._c.get(e, Fraction(0))
-
     def coefficients(self) -> dict[int, Fraction]:
-        return dict(self._c)
-
-    def is_zero(self) -> bool:
-        return not self._c
+        return dict(self.terms)
 
     def degree(self) -> int:
-        if not self._c:
+        if not self.terms:
             raise ValueError("degree of the zero polynomial is undefined")
-        return max(self._c)
+        return max(self.terms)
 
     def leading_coefficient(self) -> Fraction:
-        return self._c[self.degree()]
+        return self.terms[self.degree()]
 
-    def __add__(self, other):
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        acc = dict(self._c)
-        for e, v in other._c.items():
-            acc[e] = acc.get(e, Fraction(0)) + v
-        return Polynomial(acc)
+    @staticmethod
+    def _coerce(value) -> Fraction | None:
+        return Fraction(value) if isinstance(value, (int, Fraction)) else None
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial({e: -v for e, v in self._c.items()})
-
-    def __sub__(self, other):
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
+    def _mul_terms(self, other: "Polynomial") -> dict[int, Fraction]:
         acc: dict[int, Fraction] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                acc[e] = acc.get(e, Fraction(0)) + v1 * v2
-        return Polynomial(acc)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = Polynomial({0: 1})
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        for e1, v1 in self.terms.items():
+            for e2, v2 in other.terms.items():
+                accumulate(acc, e1 + e2, v1 * v2)
+        return acc
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """Substitute ``inner`` for the variable, exactly."""
-        out = Polynomial()
-        for e, v in self._c.items():
-            out = out + Polynomial({0: v}) * (inner ** e)
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        return self._c == other._c
+        return Polynomial().add_all(inner**e * v for e, v in self.terms.items())
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._c.items())))
+        return hash(tuple(sorted(self.terms.items())))
 
-    def __repr__(self) -> str:
-        if not self._c:
-            return "0"
-        parts = []
-        for e in sorted(self._c, reverse=True):
-            v = self._c[e]
-            if e == 0:
-                parts.append(str(v))
-            elif e == 1:
-                parts.append("x" if v == 1 else f"{v}*x")
-            else:
-                parts.append(f"x^{e}" if v == 1 else f"{v}*x^{e}")
-        return " + ".join(parts)
-
-
-def _as_poly(obj) -> Polynomial | None:
-    if isinstance(obj, Polynomial):
-        return obj
-    if isinstance(obj, (int, Fraction)):
-        return Polynomial({0: obj})
-    return None
+    @staticmethod
+    def _format_term(e: int, v: Fraction) -> str:
+        if e == 0:
+            return str(v)
+        if e == 1:
+            return "x" if v == 1 else f"{v}*x"
+        return f"x^{e}" if v == 1 else f"{v}*x^{e}"
 
 
 @lru_cache(maxsize=None)
@@ -196,11 +128,9 @@ class ChebyshevForm:
     def substitute(self) -> Polynomial:
         """Expand back to a plain polynomial (round-trip oracle)."""
         t_n = chebyshev_t(self.order)
-        out = Polynomial()
-        for j, col in enumerate(self.columns):
-            if not col.is_zero():
-                out = out + col.compose(t_n) * Polynomial({j: 1})
-        return out
+        return Polynomial().add_all(
+            col.compose(t_n) * Polynomial({j: 1}) for j, col in enumerate(self.columns)
+        )
 
 
 def chebyshev_reduce(p: Polynomial, order: int) -> ChebyshevForm:
@@ -223,17 +153,10 @@ def chebyshev_reduce(p: Polynomial, order: int) -> ChebyshevForm:
             break
         m, ydeg = top
         c = work.pop(top)
-        key = (m - order, ydeg + 1)
-        work[key] = work.get(key, Fraction(0)) + c
-        if work[key] == 0:
-            del work[key]
+        accumulate(work, (m - order, ydeg + 1), c)
         for t, lt in lam.items():
-            if t == order:
-                continue
-            key = (m - order + t, ydeg)
-            work[key] = work.get(key, Fraction(0)) - c * lt
-            if work[key] == 0:
-                del work[key]
+            if t != order:
+                accumulate(work, (m - order + t, ydeg), -c * lt)
     cols = []
     for j in range(order):
         cols.append(Polynomial({y: v for (xd, y), v in work.items() if xd == j}))

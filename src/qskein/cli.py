@@ -10,7 +10,8 @@ Two command families:
 Output is JSON on stdout (add --pretty for indentation).  Reports are
 deterministic for a fixed command line and seed apart from elapsed_ms.
 Exit codes: 0 all checks pass, 1 at least one failure, 2 usage or input
-error.  SKEIN_VERIFY_THREADS caps in-suite parallelism (default 1).
+error, including a bad SKEIN_VERIFY_THREADS and a dims count too large to
+print.  SKEIN_VERIFY_THREADS caps in-suite parallelism (default 1).
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ from .dimensions import (
 from .quantum_torus import Triangulation
 
 SUITES = ("bigon", "qtorus", "torus-skein", "chebyshev", "counts")
+
+# Python converts integers of at most 4300 decimal digits to text by default.
+MAX_PRINTED_DIGITS = 4300
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,6 +93,11 @@ def _cmd_dims(args) -> int:
         else:
             m = Marked3ManifoldDescriptor(args.genus, args.markings)
             payload = {"bound": module_bound(m, args.order)}
+        for name, value in payload.items():
+            if value >= 10**MAX_PRINTED_DIGITS:
+                raise ValueError(
+                    f"{name} has more than {MAX_PRINTED_DIGITS} decimal digits; refused"
+                )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -97,6 +106,7 @@ def _cmd_dims(args) -> int:
 
 
 def _load_suite(args) -> list:
+    suites.thread_count()
     order = args.order
     if order % 2 == 0 or order < 1:
         raise ValueError("N must be odd")

@@ -5,12 +5,20 @@ open boundary components.  The quantity r = -chi + b controls both the
 exact localized dimension N^(3r) and the bounds on the number of
 generators over the Frobenius image.  Marked 3-manifolds are described
 by Heegaard genus and marking count.  Everything is exact big-integer
-arithmetic; nothing here may overflow or round.
+arithmetic; nothing here may overflow or round.  Each count is a power
+base**exponent: the exponent is computed first, and the power is refused
+with ValueError, before it is computed, when exponent * base.bit_length()
+(a bound on its bit length) exceeds MAX_RESULT_BITS.  Powers of 1 are 1
+and are never refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+MAX_RESULT_BITS = 1 << 22
+"""Largest bit length a count may have: about 1.26 million decimal digits,
+computed in well under a second."""
 
 
 @dataclass(frozen=True)
@@ -65,6 +73,15 @@ def _check_order(order: int):
         raise ValueError("order must be odd")
 
 
+def _power(base: int, exponent: int) -> int:
+    if base > 1 and exponent * base.bit_length() > MAX_RESULT_BITS:
+        raise ValueError(
+            f"count refused: a power with a {base.bit_length()}-bit base and a "
+            f"{exponent.bit_length()}-bit exponent may exceed {MAX_RESULT_BITS} bits"
+        )
+    return base**exponent
+
+
 def localized_dimension(s: SurfaceDescriptor, order: int) -> int:
     """Dimension N^(3r) over the fraction field of the Frobenius image.
 
@@ -74,7 +91,7 @@ def localized_dimension(s: SurfaceDescriptor, order: int) -> int:
     _check_order(order)
     if s.boundary == 0 and euler_characteristic(s) >= 0:
         raise ValueError("closed surface needs negative Euler characteristic")
-    return order ** (3 * r_of_surface(s))
+    return _power(order, 3 * r_of_surface(s))
 
 
 def spanning_count_formula(order: int) -> int:
@@ -96,12 +113,14 @@ def lambda_bounds(s: SurfaceDescriptor, order: int) -> tuple[int, int]:
     g, p, b = s.genus, s.punctures, s.boundary
     if b > 0:
         r = r_of_surface(s)
-        return order ** (3 * r), spanning_count_formula(order) ** r
+        return _power(order, 3 * r), _power(spanning_count_formula(order), r)
     if euler_characteristic(s) >= 0:
         raise ValueError("closed surface needs negative Euler characteristic")
     if p >= 1:
-        return order ** (6 * g - 6 + 3 * p), order ** (2 ** (2 * g + p - 1) - 1)
-    return order ** (6 * g - 6), order ** (2 ** (2 * g) - 1)
+        lower, upper = 6 * g - 6 + 3 * p, _power(2, 2 * g + p - 1) - 1
+    else:
+        lower, upper = 6 * g - 6, _power(2, 2 * g) - 1
+    return _power(order, lower), _power(order, upper)
 
 
 def module_bound(m: Marked3ManifoldDescriptor, order: int) -> int:
@@ -112,5 +131,5 @@ def module_bound(m: Marked3ManifoldDescriptor, order: int) -> int:
     _check_order(order)
     g, k = m.genus, m.markings
     if k == 0:
-        return order ** (2**g - 1)
-    return spanning_count_formula(order) ** (2 * g + k - 1)
+        return _power(order, _power(2, g) - 1)
+    return _power(spanning_count_formula(order), 2 * g + k - 1)

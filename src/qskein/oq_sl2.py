@@ -22,10 +22,12 @@ witness linear independence.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .linear import SparseCombination, accumulate
 from .scalars import ROOT_OF_UNITY, Scalar, ScalarRing
 
 Index = tuple[int, int, int, int]
@@ -102,6 +104,7 @@ class OqAlgebra:
         self.ring = ring
         self._diag_ad: list[dict[int, Scalar]] = [{0: ring.one}]
         self._diag_da: list[dict[int, Scalar]] = [{0: ring.one}]
+        self._diag_lock = threading.Lock()
         self._wing_cache: dict[tuple[int, int, int], dict[Index, "OqElement"]] = {}
         self._rules: dict[str, tuple[tuple[Scalar, str], ...]] | None = None
 
@@ -135,9 +138,8 @@ class OqAlgebra:
                 v = self.ring.from_rational(v)
             elif v.ring != self.ring:
                 raise ValueError("coefficient from a different scalar ring")
-            if not v.is_zero():
-                clean[k] = clean.get(k, self.ring.zero) + v
-        return OqElement(self, {k: v for k, v in clean.items() if not v.is_zero()})
+            accumulate(clean, k, v)
+        return OqElement(self, clean)
 
     def basis_monomial(self, k: Sequence[int]) -> "OqElement":
         k = tuple(k)
@@ -154,39 +156,31 @@ class OqAlgebra:
 
     # -- structured multiplication ---------------------------------------------
 
-    def _diag(self, t: int, table: list[dict[int, Scalar]], forward: bool):
-        """Expansion of a^t d^t (forward) or d^t a^t as a bc-diagonal dict."""
-        while len(table) <= t:
-            prev = table[-1]
-            nxt: dict[int, Scalar] = {}
-            for g, coeff in prev.items():
-                if forward:
-                    lift = coeff * self.ring.q_pow(-4 * g - 2)
-                    stay = coeff * self.ring.q_pow(-4 * g)
-                else:
-                    lift = coeff * self.ring.q_pow(4 * g + 2)
-                    stay = coeff * self.ring.q_pow(4 * g)
-                acc = nxt.get(g + 1, self.ring.zero) + lift
-                if acc.is_zero():
-                    nxt.pop(g + 1, None)
-                else:
-                    nxt[g + 1] = acc
-                acc = nxt.get(g, self.ring.zero) + stay
-                if acc.is_zero():
-                    nxt.pop(g, None)
-                else:
-                    nxt[g] = acc
-            table.append(nxt)
+    def _diag(self, t: int, forward: bool = True) -> dict[int, Scalar]:
+        """Expansion of a^t d^t (forward) or d^t a^t as a bc-diagonal dict.
+
+        The tables are shared by every thread using this algebra: a level
+        that exists is read without locking, and missing levels are built
+        under the algebra's lock, each appended exactly once.
+        """
+        table = self._diag_ad if forward else self._diag_da
+        if t < len(table):
+            return table[t]
+        sign = -1 if forward else 1
+        with self._diag_lock:
+            while len(table) <= t:
+                nxt: dict[int, Scalar] = {}
+                for g, coeff in table[-1].items():
+                    accumulate(nxt, g + 1, coeff * self.ring.q_pow(sign * (4 * g + 2)))
+                    accumulate(nxt, g, coeff * self.ring.q_pow(sign * 4 * g))
+                table.append(nxt)
         return table[t]
 
     def diagonal_expansion(self, t: int, reversed_order: bool = False) -> "OqElement":
         """The element a^t d^t (or d^t a^t when reversed) in PBW form."""
         if t < 0:
             raise ValueError("power must be a natural number")
-        if reversed_order:
-            diag = self._diag(t, self._diag_da, forward=False)
-        else:
-            diag = self._diag(t, self._diag_ad, forward=True)
+        diag = self._diag(t, forward=not reversed_order)
         return OqElement(self, {(0, 0, g, g): s for g, s in diag.items()})
 
     def _core(self, ma: int, md: int, na: int, nd: int) -> dict[tuple[int, int, int], Scalar]:
@@ -197,7 +191,7 @@ class OqAlgebra:
                 return {(ma + na, 0, 0): one}
             m, n = ma + na, nd
             t = min(m, n)
-            diag = self._diag(t, self._diag_ad, forward=True)
+            diag = self._diag(t)
             if m > n:
                 return {(m - n, 0, g): s for g, s in diag.items()}
             if m < n:
@@ -214,7 +208,7 @@ class OqAlgebra:
         # na > 0 forces nd == 0
         m, n = md, na
         t = min(m, n)
-        diag = self._diag(t, self._diag_da, forward=False)
+        diag = self._diag(t, forward=False)
         if m > n:
             return {(0, m - n, g): s for g, s in diag.items()}
         if m < n:
@@ -264,28 +258,22 @@ class OqAlgebra:
         if strategy not in ("leftmost", "rightmost"):
             raise ValueError("strategy must be 'leftmost' or 'rightmost'")
         if isinstance(words, str):
-            agenda = {words: self.ring.one}
+            pairs = [(self.ring.one, words)]
         elif isinstance(words, Mapping):
-            agenda = {}
-            for w, c in words.items():
-                if not isinstance(c, Scalar):
-                    c = self.ring.from_rational(c)
-                agenda[w] = agenda.get(w, self.ring.zero) + c
+            pairs = [(c, w) for w, c in words.items()]
         else:
-            agenda = {}
-            for c, w in words:
-                if not isinstance(c, Scalar):
-                    c = self.ring.from_rational(c)
-                agenda[w] = agenda.get(w, self.ring.zero) + c
-        for w in agenda:
+            pairs = words
+        agenda: dict[str, Scalar] = {}
+        for c, w in pairs:
             if any(ch not in _RANK for ch in w):
                 raise ValueError(f"word {w!r} uses unknown generators")
+            if not isinstance(c, Scalar):
+                c = self.ring.from_rational(c)
+            accumulate(agenda, w, c)
         rules = self._rewrite_rules()
         out: dict[Index, Scalar] = {}
         while agenda:
             word, coeff = agenda.popitem()
-            if coeff.is_zero():
-                continue
             positions = range(len(word) - 1)
             if strategy == "rightmost":
                 positions = range(len(word) - 2, -1, -1)
@@ -302,20 +290,11 @@ class OqAlgebra:
                     word.count("c"),
                 )
                 assert word == "a" * idx[0] + "d" * idx[1] + "b" * idx[2] + "c" * idx[3]
-                acc = out.get(idx, self.ring.zero) + coeff
-                if acc.is_zero():
-                    out.pop(idx, None)
-                else:
-                    out[idx] = acc
+                accumulate(out, idx, coeff)
                 continue
             head, tail = word[:hit], word[hit + 2 :]
             for factor, repl in rules[word[hit : hit + 2]]:
-                new_word = head + repl + tail
-                acc = agenda.get(new_word, self.ring.zero) + coeff * factor
-                if acc.is_zero():
-                    agenda.pop(new_word, None)
-                else:
-                    agenda[new_word] = acc
+                accumulate(agenda, head + repl + tail, coeff * factor)
         return OqElement(self, out)
 
     # -- degree bookkeeping --------------------------------------------------------
@@ -420,7 +399,6 @@ class OqAlgebra:
         if not coeff_map:
             raise ValueError("empty coefficient map")
         lifted: list[Index] = []
-        total = self.zero()
         for v, coeff in coeff_map.items():
             v = tuple(v)
             if not (is_pbw_index(v) and v[0] == 0 and max(v) < n):
@@ -433,7 +411,7 @@ class OqAlgebra:
                 )
             for w in coeff.terms:
                 lifted.append(leading_index(tuple(a + b for a, b in zip(w, v))))
-            total = total + coeff * self.basis_monomial(v)
+        total = self._combine(coeff_map)
         distinct = len(set(lifted)) == len(lifted)
         nonzero = not total.is_zero()
         return IndependenceCertificate(
@@ -468,22 +446,17 @@ class OqAlgebra:
             coeffs[(0, r2, r3, r4)] = self.frobenius_monomial((u, g2, g3, g4))
         else:
             power = 1
-            diag = self._diag(v, self._diag_ad, forward=True)
+            diag = self._diag(v)
             for g, e in diag.items():
                 scal = e * self.ring.q_pow(-4 * g * (n - v))
                 g3, r3 = divmod(g + k3, n)
                 g4, r4 = divmod(g + k4, n)
-                idx = (0, n - v, r3, r4)
                 term = scal * self.frobenius_monomial((u, 0, g3, g4))
-                coeffs[idx] = coeffs.get(idx, self.zero()) + term
-            coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
+                accumulate(coeffs, (0, n - v, r3, r4), term)
         lhs = self.basis_monomial(m)
         if power:
             lhs = self.basis_monomial((0, n, 0, 0)) * lhs
-        rhs = self.zero()
-        for idx, c in coeffs.items():
-            rhs = rhs + c * self.basis_monomial(idx)
-        if lhs != rhs:
+        if lhs != self._combine(coeffs):
             raise ArithmeticError("localized expression failed re-expansion")
         return LocalizedExpression(power=power, coefficients=coeffs)
 
@@ -497,7 +470,7 @@ class OqAlgebra:
         if r3 < j or r4 < j:
             out = {(n - j, 0, r3, r4): self.one()}
         else:
-            diag = self._diag(j, self._diag_ad, forward=True)
+            diag = self._diag(j)
             inv_top = diag[j].inverse()
             alpha, beta = r3 - j, r4 - j
             out = {
@@ -508,9 +481,7 @@ class OqAlgebra:
                     continue
                 factor = -(e_i * inv_top)
                 for idx, c in self._wing_reduce(j, alpha + i, beta + i).items():
-                    term = factor * c
-                    out[idx] = out.get(idx, self.zero()) + term
-            out = {idx: c for idx, c in out.items() if not c.is_zero()}
+                    accumulate(out, idx, factor * c)
         self._wing_cache[key] = out
         return out
 
@@ -538,31 +509,25 @@ class OqAlgebra:
                 idx: outer * c
                 for idx, c in self._wing_reduce(n - w, r3, r4).items()
             }
-        rhs = self.zero()
-        for idx, c in coeffs.items():
-            rhs = rhs + c * self.basis_monomial(idx)
-        if rhs != self.basis_monomial(m):
+        if self._combine(coeffs) != self.basis_monomial(m):
             raise ArithmeticError("spanning expression failed re-expansion")
         return SpanningExpression(coefficients=coeffs)
 
+    def _combine(self, coeffs: Mapping[Index, "OqElement"]) -> "OqElement":
+        """The element sum_idx coeffs[idx] * O_idx, accumulated in place."""
+        return self.zero().add_all(c * self.basis_monomial(idx) for idx, c in coeffs.items())
 
-class OqElement:
+
+class OqElement(SparseCombination):
     """Linear combination of PBW basis monomials with Scalar coefficients."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ()
+    _identity = (0, 0, 0, 0)
+    _mismatch = "elements from different algebras"
 
-    def __init__(self, algebra: OqAlgebra, terms: dict[Index, Scalar]):
-        self.algebra = algebra
-        self.terms = terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def support(self) -> list[Index]:
-        return sorted(self.terms)
-
-    def coefficient(self, k: Index) -> Scalar:
-        return self.terms.get(tuple(k), self.algebra.ring.zero)
+    @property
+    def algebra(self) -> OqAlgebra:
+        return self.parent
 
     def deg(self) -> Index:
         """Lexicographically largest support index; undefined for zero."""
@@ -570,97 +535,19 @@ class OqElement:
             raise ValueError("degree of the zero element is undefined")
         return max(self.terms)
 
-    def _check_same(self, other: "OqElement"):
-        if self.algebra != other.algebra:
-            raise ValueError("elements from different algebras")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = _scalar_elt(self.algebra, other)
-        if not isinstance(other, OqElement):
-            return NotImplemented
-        self._check_same(other)
-        acc = dict(self.terms)
-        zero = self.algebra.ring.zero
-        for k, v in other.terms.items():
-            s = acc.get(k, zero) + v
-            if s.is_zero():
-                acc.pop(k, None)
-            else:
-                acc[k] = s
-        return OqElement(self.algebra, acc)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return OqElement(self.algebra, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = _scalar_elt(self.algebra, other)
-        if not isinstance(other, OqElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            s = other if isinstance(other, Scalar) else self.algebra.ring.from_rational(other)
-            if s.is_zero():
-                return self.algebra.zero()
-            return OqElement(self.algebra, {k: v * s for k, v in self.terms.items()})
-        if not isinstance(other, OqElement):
-            return NotImplemented
-        self._check_same(other)
+    def _mul_terms(self, other: "OqElement") -> dict[Index, Scalar]:
         acc: dict[Index, Scalar] = {}
-        zero = self.algebra.ring.zero
+        mul_basis = self.parent._mul_basis
         for u, cu in self.terms.items():
             for v, cv in other.terms.items():
                 cuv = cu * cv
-                for k, s in self.algebra._mul_basis(u, v).items():
-                    t = acc.get(k, zero) + cuv * s
-                    if t.is_zero():
-                        acc.pop(k, None)
-                    else:
-                        acc[k] = t
-        return OqElement(self.algebra, acc)
+                for k, s in mul_basis(u, v).items():
+                    accumulate(acc, k, cuv * s)
+        return acc
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = self.algebra.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = _scalar_elt(self.algebra, other)
-        if not isinstance(other, OqElement):
-            return NotImplemented
-        return self.algebra == other.algebra and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for k in sorted(self.terms, reverse=True):
-            parts.append(f"({self.terms[k]})*O{k}")
-        return " + ".join(parts)
-
-
-def _scalar_elt(algebra: OqAlgebra, value) -> OqElement:
-    s = value if isinstance(value, Scalar) else algebra.ring.from_rational(value)
-    if s.is_zero():
-        return algebra.zero()
-    return OqElement(algebra, {(0, 0, 0, 0): s})
+    @staticmethod
+    def _format_term(k: Index, coeff: Scalar) -> str:
+        return f"({coeff})*O{k}"
 
 
 @dataclass(frozen=True)
@@ -680,102 +567,3 @@ class LocalizedExpression:
 @dataclass(frozen=True)
 class SpanningExpression:
     coefficients: dict[Index, OqElement]
-
-
-class TensorElement:
-    """Linear combination of pure tensors of PBW basis monomials."""
-
-    __slots__ = ("algebra", "arity", "terms")
-
-    def __init__(self, algebra: OqAlgebra, arity: int, terms: dict[tuple[Index, ...], Scalar]):
-        self.algebra = algebra
-        self.arity = arity
-        self.terms = terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "TensorElement"):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        if self.algebra != other.algebra or self.arity != other.arity:
-            raise ValueError("tensor elements are incompatible")
-        acc = dict(self.terms)
-        zero = self.algebra.ring.zero
-        for k, v in other.terms.items():
-            s = acc.get(k, zero) + v
-            if s.is_zero():
-                acc.pop(k, None)
-            else:
-                acc[k] = s
-        return TensorElement(self.algebra, self.arity, acc)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TensorElement)
-            and self.algebra == other.algebra
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        return f"TensorElement(arity={self.arity}, terms={len(self.terms)})"
-
-
-def tensor_product(factors: Sequence[OqElement]) -> TensorElement:
-    """Expand a pure tensor of algebra elements into basis tensors."""
-    if not factors:
-        raise ValueError("tensor product of no factors")
-    algebra = factors[0].algebra
-    terms: dict[tuple[Index, ...], Scalar] = {(): algebra.ring.one}
-    for x in factors:
-        if x.algebra != algebra:
-            raise ValueError("factors from different algebras")
-        nxt: dict[tuple[Index, ...], Scalar] = {}
-        for key, coeff in terms.items():
-            for k, v in x.terms.items():
-                nxt[key + (k,)] = coeff * v
-        terms = nxt
-        if not terms:
-            break
-    return TensorElement(algebra, len(factors), terms)
-
-
-def tensor_mul(xs: Sequence[OqElement], ys: Sequence[OqElement]) -> TensorElement:
-    """Componentwise product of two pure tensors, expanded over basis tensors."""
-    if len(xs) != len(ys):
-        raise ValueError("tensor factors have different arities")
-    return tensor_product([x * y for x, y in zip(xs, ys)])
-
-
-def tensor_independence_certificate(
-    algebra: OqAlgebra,
-    coeff_map: Mapping[tuple[Index, ...], Sequence[OqElement]],
-) -> bool:
-    """Componentwise degree certificate for tensors of box monomials.
-
-    Keys are tuples of basis box indices; values are pure tensors of
-    N-th power subalgebra coefficients (one factor per slot).  Certifies
-    that all componentwise lifted leading indices are pairwise distinct,
-    which forces the corresponding combination to be nonzero.
-    """
-    n = algebra.order
-    seen: list[tuple[Index, ...]] = []
-    for key, coeffs in coeff_map.items():
-        if len(coeffs) != len(key):
-            raise ValueError("coefficient tensor has wrong arity")
-        for v in key:
-            if not (is_pbw_index(v) and v[0] == 0 and max(v) < n):
-                raise ValueError(f"{v} is not in the basis box")
-        pools = []
-        for v, coeff in zip(key, coeffs):
-            if coeff.is_zero() or not algebra.is_frobenius_element(coeff):
-                raise ValueError("bad tensor coefficient")
-            pools.append(
-                [leading_index(tuple(a + b for a, b in zip(w, v))) for w in coeff.terms]
-            )
-        combos = [()]
-        for pool in pools:
-            combos = [c + (p,) for c in combos for p in pool]
-        seen.extend(combos)
-    return len(set(seen)) == len(seen)

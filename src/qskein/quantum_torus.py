@@ -17,10 +17,11 @@ certificate used to rule out central elements in the localized algebra.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .linear import SparseCombination, accumulate, row_reduce
 from .scalars import Scalar, ScalarRing
 
 Vector = tuple[int, ...]
@@ -60,6 +61,17 @@ class Triangulation:
                 slots[e] += 1
         if any(c != 2 for c in slots):
             raise ValueError("every edge must bound exactly two triangle slots")
+        # each corner of a triangle is one consecutive pair in some fan
+        corners = Counter(
+            _edge_pair(x, y) for a, b, c in self.triangles for x, y in ((a, b), (b, c), (a, c))
+        )
+        fan_pairs = Counter(
+            _edge_pair(fan[i], fan[(i + 1) % len(fan)])
+            for _, fan in self.fans
+            for i in range(len(fan))
+        )
+        if corners != fan_pairs:
+            raise ValueError("consecutive fan entries do not match the triangle corners")
 
     @property
     def punctures(self) -> tuple[str, ...]:
@@ -107,6 +119,10 @@ class Triangulation:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
+
+
+def _edge_pair(x: int, y: int) -> tuple[int, int]:
+    return (x, y) if x <= y else (y, x)
 
 
 def once_punctured_torus() -> Triangulation:
@@ -259,43 +275,6 @@ def balanced_lattice_basis(tri: Triangulation) -> list[Vector]:
     return [tuple(r) for r in basis]
 
 
-def _solve_row_combination(basis: Sequence[Vector], target: Sequence[int]) -> Vector:
-    """Integer x with sum_i x_i basis_i = target, else ValueError."""
-    n = len(target)
-    aug = [[Fraction(basis[i][j]) for i in range(len(basis))] + [Fraction(target[j])]
-           for j in range(n)]
-    m = len(basis)
-    piv_rows: list[int] = []
-    r = 0
-    for c in range(m):
-        pivot = None
-        for i in range(r, n):
-            if aug[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c] / aug[r][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_rows.append(c)
-        r += 1
-    x = [Fraction(0)] * m
-    for row_idx, c in enumerate(piv_rows):
-        x[c] = aug[row_idx][m] / aug[row_idx][c]
-    for i in range(r, n):
-        if aug[i][m]:
-            raise ValueError("target vector is not in the lattice")
-    out = []
-    for v in x:
-        if v.denominator != 1:
-            raise ValueError("target vector is not in the lattice")
-        out.append(int(v))
-    return tuple(out)
-
-
 def _complete_unimodular_rows(crows: list[Vector], n: int) -> list[Vector]:
     """Complete primitive integer rows to an n x n matrix of determinant +-1."""
     p = len(crows)
@@ -343,30 +322,6 @@ def _complete_unimodular_rows(crows: list[Vector], n: int) -> list[Vector]:
     return [tuple(r) for r in crows] + [tuple(r_mat[i]) for i in range(p, n)]
 
 
-def _det_int(rows: Sequence[Sequence[int]]) -> int:
-    mat = [[Fraction(x) for x in row] for row in rows]
-    n = len(mat)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if mat[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            return 0
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            det = -det
-        det *= mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c]:
-                f = mat[i][c] / mat[c][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
-    assert det.denominator == 1
-    return int(det)
-
-
 class ZBasis:
     """Basis of the balanced lattice whose first p rows are the puncture
     monomial exponents; grades elements by their first p coordinates."""
@@ -376,8 +331,12 @@ class ZBasis:
         self.vectors = vectors
         self.p = len(tri.punctures)
         n = len(vectors)
-        mat = [[Fraction(vectors[i][j]) for j in range(n)] for i in range(n)]
-        self._inv = _invert_fraction_matrix(mat)
+        rows, pivots, _ = row_reduce(
+            [list(v) + [int(i == j) for j in range(n)] for i, v in enumerate(vectors)]
+        )
+        if pivots != list(range(n)):
+            raise ArithmeticError("singular matrix")
+        self._inv = [row[n:] for row in rows]
 
     def coordinates(self, k: Sequence[int]) -> Vector:
         """Integer coordinates of a balanced vector over this basis."""
@@ -386,7 +345,7 @@ class ZBasis:
             raise ValueError("vector has wrong length")
         out = []
         for i in range(n):
-            val = sum(Fraction(k[j]) * self._inv[j][i] for j in range(n))
+            val = sum(k[j] * self._inv[j][i] for j in range(n))
             if val.denominator != 1:
                 raise ValueError("vector is not in the balanced lattice")
             out.append(int(val))
@@ -394,28 +353,6 @@ class ZBasis:
 
     def grading(self, k: Sequence[int]) -> Vector:
         return self.coordinates(k)[: self.p]
-
-
-def _invert_fraction_matrix(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(mat)
-    aug = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if aug[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            raise ArithmeticError("singular matrix")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        f = aug[c][c]
-        aug[c] = [x / f for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                g = aug[i][c]
-                aug[i] = [x - g * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
 
 
 def balanced_puncture_basis(tri: Triangulation) -> ZBasis:
@@ -427,12 +364,20 @@ def balanced_puncture_basis(tri: Triangulation) -> ZBasis:
     """
     n = tri.edge_count
     basis = balanced_lattice_basis(tri)
+    exponents = [central_puncture_exponent(tri, name) for name in tri.punctures]
+    # solve sum_i x_i basis_i = h for every puncture exponent h at once; the
+    # full-rank basis makes the reduced left block the identity
+    rows, _, _ = row_reduce(
+        [[b[j] for b in basis] + [h[j] for h in exponents] for j in range(n)]
+    )
     coords = []
-    for name in tri.punctures:
-        h = central_puncture_exponent(tri, name)
-        coords.append(_solve_row_combination(basis, h))
+    for col in range(n, n + len(exponents)):
+        x = [row[col] for row in rows]
+        if any(v.denominator != 1 for v in x):
+            raise ValueError("target vector is not in the lattice")
+        coords.append(tuple(int(v) for v in x))
     completed = _complete_unimodular_rows(coords, n)
-    if abs(_det_int(completed)) != 1:
+    if abs(row_reduce(completed)[2]) != 1:
         raise ArithmeticError("completion produced a non-unimodular matrix")
     vectors = []
     for w in completed:
@@ -569,104 +514,33 @@ class QuantumTorus:
         return total
 
 
-class QTElement:
+class QTElement(SparseCombination):
     """Linear combination of ordered quantum torus monomials."""
 
-    __slots__ = ("torus", "terms")
+    __slots__ = ()
+    _mismatch = "elements from different quantum tori"
 
-    def __init__(self, torus: QuantumTorus, terms: dict[Vector, Scalar]):
-        self.torus = torus
-        self.terms = terms
+    @property
+    def torus(self) -> QuantumTorus:
+        return self.parent
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def _identity(self) -> Vector:
+        return (0,) * self.parent.rank
 
-    def support(self) -> list[Vector]:
-        return sorted(self.terms)
-
-    def coefficient(self, k: Sequence[int]) -> Scalar:
-        return self.terms.get(tuple(k), self.torus.ring.zero)
-
-    def _check_same(self, other: "QTElement"):
-        if self.torus != other.torus:
-            raise ValueError("elements from different quantum tori")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = self.torus.ordered_monomial((0,) * self.torus.rank, other)
-        if not isinstance(other, QTElement):
-            return NotImplemented
-        self._check_same(other)
-        acc = dict(self.terms)
-        zero = self.torus.ring.zero
-        for k, v in other.terms.items():
-            s = acc.get(k, zero) + v
-            if s.is_zero():
-                acc.pop(k, None)
-            else:
-                acc[k] = s
-        return QTElement(self.torus, acc)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QTElement(self.torus, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = self.torus.ordered_monomial((0,) * self.torus.rank, other)
-        if not isinstance(other, QTElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            s = other if isinstance(other, Scalar) else self.torus.ring.from_rational(other)
-            if s.is_zero():
-                return self.torus.zero()
-            return QTElement(self.torus, {k: v * s for k, v in self.terms.items()})
-        if not isinstance(other, QTElement):
-            return NotImplemented
-        self._check_same(other)
+    def _mul_terms(self, other: "QTElement") -> dict[Vector, Scalar]:
         acc: dict[Vector, Scalar] = {}
-        zero = self.torus.ring.zero
-        par = self.torus.parameter
+        torus = self.parent
+        par = torus.parameter
         for k, ck in self.terms.items():
             for l, cl in other.terms.items():
                 key = tuple(a + b for a, b in zip(k, l))
-                factor = par ** self.torus._mul_exponent(k, l)
-                s = acc.get(key, zero) + ck * cl * factor
-                if s.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
-        return QTElement(self.torus, acc)
+                accumulate(acc, key, ck * cl * par ** torus._mul_exponent(k, l))
+        return acc
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = self.torus.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = self.torus.ordered_monomial((0,) * self.torus.rank, other)
-        if not isinstance(other, QTElement):
-            return NotImplemented
-        return self.torus == other.torus and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = [f"({self.terms[k]})*Y{k}" for k in sorted(self.terms, reverse=True)]
-        return " + ".join(parts)
+    @staticmethod
+    def _format_term(k: Vector, coeff: Scalar) -> str:
+        return f"({coeff})*Y{k}"
 
 
 def central_puncture_element(torus: QuantumTorus, name: str) -> QTElement:
@@ -768,7 +642,7 @@ def center_free_certificate(
         z = target.weyl_monomial(zbasis.vectors[i])
         z_inv = target.weyl_monomial(tuple(-e for e in zbasis.vectors[i]))
         z_half.append(z + z_inv)
-    total = target.zero()
+    images = []
     for k, elt in elements.items():
         k = tuple(int(e) for e in k)
         if k not in combined:
@@ -778,7 +652,8 @@ def center_free_certificate(
         image = frobenius_map(elt, target, order)
         for i, ki in enumerate(k):
             image = image * (z_half[i] ** ki)
-        total = total + image
+        images.append(image)
+    total = target.zero().add_all(images)
     nonzero = not total.is_zero()
     deg_matches = nonzero and qt_deg(total, zbasis) == max(
         combined[k] for k in elements

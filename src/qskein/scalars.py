@@ -22,6 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
+from .linear import accumulate
+
 Rational = Union[int, Fraction]
 
 ROOT_OF_UNITY = "root-of-unity"
@@ -110,6 +112,16 @@ class ScalarRing:
             rep = (value,) + (Fraction(0),) * (self._degree - 1)
             return Scalar(self, rep)
         return Scalar(self, ((0, value),) if value else ())
+
+    def coerce(self, value) -> "Scalar | None":
+        """``value`` as a scalar of this ring if it is a Scalar, int or Fraction."""
+        if isinstance(value, Scalar):
+            if value.ring is not self and value.ring != self:
+                raise ValueError("scalars from different rings")
+            return value
+        if isinstance(value, (int, Fraction)):
+            return self.from_rational(value)
+        return None
 
     @property
     def zero(self) -> "Scalar":
@@ -207,23 +219,14 @@ class Scalar:
             rep = tuple(sorted((e, c) for e, c in rep if c))
         self._rep = rep
 
-    # -- coercion ------------------------------------------------------------
-
-    def _coerce(self, other) -> "Scalar | None":
-        if isinstance(other, Scalar):
-            if other.ring != self.ring:
-                raise ValueError("scalars from different rings")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ring.from_rational(other)
-        return None
-
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self.ring.mode == GENERIC:
-            return not self._rep
-        return all(c == 0 for c in self._rep)
+        return not self
+
+    def __bool__(self) -> bool:
+        # a root-mode rep holds coefficients, a generic one (exponent, coeff) pairs
+        return any(self._rep)
 
     def is_one(self) -> bool:
         return self == self.ring.one
@@ -231,13 +234,13 @@ class Scalar:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other = self.ring.coerce(other)
         if other is None:
             return NotImplemented
         if self.ring.mode == GENERIC:
             acc = dict(self._rep)
             for e, c in other._rep:
-                acc[e] = acc.get(e, Fraction(0)) + c
+                accumulate(acc, e, c)
             return Scalar(self.ring, acc.items())
         return Scalar(self.ring, tuple(a + b for a, b in zip(self._rep, other._rep)))
 
@@ -249,27 +252,26 @@ class Scalar:
         return Scalar(self.ring, tuple(-a for a in self._rep))
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = self.ring.coerce(other)
         if other is None:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = self.ring.coerce(other)
         if other is None:
             return NotImplemented
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = self.ring.coerce(other)
         if other is None:
             return NotImplemented
         if self.ring.mode == GENERIC:
             acc: dict[int, Fraction] = {}
             for e1, c1 in self._rep:
                 for e2, c2 in other._rep:
-                    e = e1 + e2
-                    acc[e] = acc.get(e, Fraction(0)) + c1 * c2
+                    accumulate(acc, e1 + e2, c1 * c2)
             return Scalar(self.ring, acc.items())
         d = self.ring._degree
         prod = [Fraction(0)] * (2 * d - 1)
@@ -312,7 +314,7 @@ class Scalar:
         return Scalar(self.ring, self.ring._reduce([Fraction(c) for c in inv]))
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = self.ring.coerce(other)
         if other is None:
             return NotImplemented
         return self * other.inverse()

@@ -59,6 +59,18 @@ class CheckResult:
 Check = tuple[str, Callable[[random.Random], str]]
 
 
+def thread_count() -> int:
+    """Worker threads for run_checks, read from SKEIN_VERIFY_THREADS.
+
+    Unset or empty means 1; anything but decimal digits for a number >= 1
+    raises ValueError.
+    """
+    raw = os.environ.get("SKEIN_VERIFY_THREADS") or "1"
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"SKEIN_VERIFY_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def run_checks(checks: Sequence[Check], seed: int) -> list[CheckResult]:
     """Run every check with a per-check seeded RNG; sorted by id."""
 
@@ -78,7 +90,7 @@ def run_checks(checks: Sequence[Check], seed: int) -> list[CheckResult]:
         elapsed = (time.perf_counter() - start) * 1000.0
         return CheckResult(check_id, status, detail, round(elapsed, 3))
 
-    threads = int(os.environ.get("SKEIN_VERIFY_THREADS", "1") or "1")
+    threads = thread_count()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_one, checks))

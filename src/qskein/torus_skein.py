@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chebyshev import Polynomial, chebyshev_a, chebyshev_t
+from .linear import accumulate, row_reduce
 
 
 def a_basis_expand(p: Polynomial) -> tuple[Fraction, dict[int, Fraction]]:
@@ -32,27 +33,19 @@ def a_basis_expand(p: Polynomial) -> tuple[Fraction, dict[int, Fraction]]:
         if d == 0:
             break
         c = work.pop(d)
-        if not c:
-            continue
         coeffs[d] = c
-        for e, a in chebyshev_a(d).coefficients().items():
-            if e == d:
-                continue
-            s = work.get(e, Fraction(0)) - c * a
-            if s:
-                work[e] = s
-            else:
-                work.pop(e, None)
+        for e, a in chebyshev_a(d).terms.items():
+            if e != d:
+                accumulate(work, e, -c * a)
     constant = work.get(0, Fraction(0))
     return constant, coeffs
 
 
 def a_basis_build(constant, coeffs: dict[int, Fraction]) -> Polynomial:
     """Inverse of a_basis_expand: rebuild the polynomial."""
-    out = Polynomial.constant(constant)
-    for i, c in coeffs.items():
-        out = out + chebyshev_a(i) * Polynomial.constant(c)
-    return out
+    return Polynomial.constant(constant).add_all(
+        chebyshev_a(i) * c for i, c in coeffs.items()
+    )
 
 
 @dataclass(frozen=True)
@@ -136,29 +129,6 @@ def s1s2_frobenius_matrix(order: int, kmax: int) -> list[list[Fraction]]:
                 raise ArithmeticError(
                     f"reduction of T_{k * order} leaves index {i} outside the basis"
                 )
-    if not _determinant(matrix):
+    if not row_reduce(matrix)[2]:
         raise ArithmeticError("Frobenius matrix is singular at this truncation")
     return matrix
-
-
-def _determinant(matrix: list[list[Fraction]]) -> Fraction:
-    mat = [row[:] for row in matrix]
-    n = len(mat)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if mat[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            det = -det
-        det *= mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c]:
-                f = mat[i][c] / mat[c][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
-    return det

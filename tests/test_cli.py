@@ -1,8 +1,10 @@
 """Command line behavior: payload shapes, determinism, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +55,18 @@ def test_dims_closed_torus_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("genus", [14, 10**9])
+def test_dims_oversized_count_refused(capsys, genus):
+    # genus 14 gives 3^16383 (over 4300 digits); 10^9 would never finish
+    code, out, err = run_cli(
+        capsys,
+        ["dims", "manifold", "--genus", str(genus), "--markings", "0", "--N", "3"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_verify_counts_report_shape(capsys):
     code, out, err = run_cli(capsys, ["verify", "counts", "--N", "5"])
     assert code == 0
@@ -98,6 +112,15 @@ def test_verify_threaded_matches_sequential(capsys, monkeypatch):
     assert _strip_timing(seq) == _strip_timing(par)
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_verify_bad_thread_setting_rejected(capsys, monkeypatch, value):
+    monkeypatch.setenv("SKEIN_VERIFY_THREADS", value)
+    code, out, err = run_cli(capsys, ["verify", "counts", "--N", "3"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: SKEIN_VERIFY_THREADS")
+
+
 def test_verify_even_order_rejected(capsys):
     code, out, err = run_cli(capsys, ["verify", "bigon", "--N", "4"])
     assert code == 2
@@ -130,6 +153,35 @@ def test_verify_triangulation_from_file(tmp_path, capsys):
     report = json.loads(out)
     assert all(c["status"] == "pass" for c in report["checks"])
     assert any("input" in c["id"] for c in report["checks"])
+
+
+def test_verify_inconsistent_fans_rejected(tmp_path, capsys):
+    # edge counts are right, but the fan pairs are not the triangle corners
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(
+        {"edges": 3, "triangles": [[0, 1, 2], [0, 1, 2]],
+         "fans": {"v0": [0, 0, 1, 1, 2, 2]}}
+    ))
+    code, out, err = run_cli(
+        capsys, ["verify", "qtorus", "--N", "3", "--triangulation", str(path)]
+    )
+    assert code == 2
+    assert out == ""
+    assert "fan" in err
+
+
+def test_readme_triangulation_example_runs(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("### Triangulation files"):]
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    path = tmp_path / "readme.json"
+    path.write_text(example)
+    code, out, err = run_cli(
+        capsys,
+        ["verify", "qtorus", "--N", "3", "--trials", "5", "--triangulation", str(path)],
+    )
+    assert code == 0
+    assert json.loads(out)["summary"]["fail"] == 0
 
 
 def test_failing_check_sets_exit_code(capsys, monkeypatch):

@@ -134,6 +134,15 @@ def test_module_bound_no_overflow():
     assert big == 3 ** (2 ** 20 - 1)
 
 
+def test_oversized_count_refused_before_computing():
+    with pytest.raises(ValueError):
+        module_bound(Marked3ManifoldDescriptor(22, 0), 3)
+    with pytest.raises(ValueError):
+        lambda_bounds(SurfaceDescriptor(10**9, 1, 0), 3)
+    # a power of 1 cannot grow, however large its exponent
+    assert module_bound(Marked3ManifoldDescriptor(40, 0), 1) == 1
+
+
 def test_descriptor_validation():
     with pytest.raises(ValueError):
         SurfaceDescriptor(-1, 0, 0)

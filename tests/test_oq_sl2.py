@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -13,9 +15,6 @@ from qskein.oq_sl2 import (
     leading_index,
     spanning_set,
     spanning_wing,
-    tensor_independence_certificate,
-    tensor_mul,
-    tensor_product,
 )
 from qskein.scalars import ScalarRing
 
@@ -447,29 +446,44 @@ def test_localized_rejected_in_generic_mode():
         alg.express_in_spanning((1, 0, 0, 0))
 
 
-# -- tensor layer ----------------------------------------------------------------
+# -- shared tables under threads ------------------------------------------------
 
 
-def test_tensor_product_multiplication():
-    alg = OqAlgebra(ROOT3)
-    a = alg.generator("a")
-    b = alg.generator("b")
-    z = tensor_mul([a, b], [b, a])
-    assert z == tensor_product([a * b, b * a])
-    assert tensor_product([a + b, b]) == tensor_product([a, b]) + tensor_product([b, b])
+def test_diagonal_tables_grow_once_under_threads():
+    """Threads racing on a fresh algebra's diagonal tables see every level right."""
+    ring = ScalarRing.root_of_unity(7)
+    levels = range(15)
+    sequential = OqAlgebra(ring)
+    want = [
+        (sequential.diagonal_expansion(t), sequential.diagonal_expansion(t, True))
+        for t in levels
+    ]
+    workers = 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(50):
+            alg = OqAlgebra(ring)
+            barrier = threading.Barrier(workers)
+            seen = [None] * workers
 
+            def work(i, alg=alg, barrier=barrier, seen=seen):
+                barrier.wait(timeout=30)
+                seen[i] = [
+                    (alg.diagonal_expansion(t), alg.diagonal_expansion(t, True))
+                    for t in levels
+                ]
 
-def test_tensor_independence_certificate():
-    rng = random.Random(31337)
-    alg = OqAlgebra(ROOT3)
-    box = basis_box(3)
-    for _ in range(15):
-        n_keys = rng.randint(1, 4)
-        cmap = {}
-        for _ in range(n_keys):
-            key = (rng.choice(box), rng.choice(box))
-            cmap[key] = (
-                random_frobenius_coeff(alg, rng, cap=1),
-                random_frobenius_coeff(alg, rng, cap=1),
-            )
-        assert tensor_independence_certificate(alg, cmap)
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert all(got == want for got in seen)
+            assert [
+                (alg.diagonal_expansion(t), alg.diagonal_expansion(t, True))
+                for t in levels
+            ] == want
+    finally:
+        sys.setswitchinterval(interval)
