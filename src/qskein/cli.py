@@ -10,8 +10,7 @@ Two command families:
 Output is JSON on stdout (add --pretty for indentation).  Reports are
 deterministic for a fixed command line and seed apart from elapsed_ms.
 Exit codes: 0 all checks pass, 1 at least one failure, 2 usage or input
-error, including a bad SKEIN_VERIFY_THREADS and a dims count too large to
-print.  SKEIN_VERIFY_THREADS caps in-suite parallelism (default 1).
+error, including a dims count too large to print.
 """
 
 from __future__ import annotations
@@ -106,7 +105,6 @@ def _cmd_dims(args) -> int:
 
 
 def _load_suite(args) -> list:
-    suites.thread_count()
     order = args.order
     if order % 2 == 0 or order < 1:
         raise ValueError("N must be odd")
@@ -117,7 +115,9 @@ def _load_suite(args) -> list:
     if args.trials < 1:
         raise ValueError("--trials must be positive")
     if args.suite == "bigon":
-        return suites.bigon_suite(order, args.trials, max(1, args.max_exp))
+        if args.max_exp < 1:
+            raise ValueError("--max-exp must be positive")
+        return suites.bigon_suite(order, args.trials, args.max_exp)
     if args.suite == "qtorus":
         tri = None
         if args.triangulation:

@@ -457,7 +457,7 @@ class OqAlgebra:
         if power:
             lhs = self.basis_monomial((0, n, 0, 0)) * lhs
         if lhs != self._combine(coeffs):
-            raise ArithmeticError("localized expression failed re-expansion")
+            raise ArithmeticError(f"localized expression failed re-expansion at {m}")
         return LocalizedExpression(power=power, coefficients=coeffs)
 
     def _wing_reduce(self, j: int, r3: int, r4: int) -> dict[Index, "OqElement"]:
@@ -510,7 +510,7 @@ class OqAlgebra:
                 for idx, c in self._wing_reduce(n - w, r3, r4).items()
             }
         if self._combine(coeffs) != self.basis_monomial(m):
-            raise ArithmeticError("spanning expression failed re-expansion")
+            raise ArithmeticError(f"spanning expression failed re-expansion at {m}")
         return SpanningExpression(coefficients=coeffs)
 
     def _combine(self, coeffs: Mapping[Index, "OqElement"]) -> "OqElement":

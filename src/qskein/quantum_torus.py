@@ -43,8 +43,16 @@ class Triangulation:
         n = self.edge_count
         if n < 1:
             raise ValueError("triangulation needs at least one edge")
+        # every edge has two fan ends and two triangle slots; check the
+        # totals before allocating per-edge counters
+        if 2 * n != sum(len(fan) for _, fan in self.fans):
+            raise ValueError("fan lengths must add up to twice the edge count")
+        if 2 * n != 3 * len(self.triangles):
+            raise ValueError("triangle slots must number twice the edge count")
         ends = [0] * n
         for name, fan in self.fans:
+            if not fan:
+                raise ValueError(f"fan of {name!r} is empty")
             for e in fan:
                 if not 0 <= e < n:
                     raise ValueError(f"fan of {name!r} uses unknown edge {e}")
@@ -96,10 +104,10 @@ class Triangulation:
     @classmethod
     def from_dict(cls, data: Mapping) -> "Triangulation":
         try:
-            edges = int(data["edges"])
-            triangles = tuple(tuple(int(e) for e in t) for t in data["triangles"])
+            edges = _integer(data["edges"])
+            triangles = tuple(tuple(_integer(e) for e in t) for t in data["triangles"])
             fans = tuple(
-                (str(name), tuple(int(e) for e in fan))
+                (str(name), tuple(_integer(e) for e in fan))
                 for name, fan in data["fans"].items()
             )
         except (KeyError, TypeError, AttributeError) as exc:
@@ -119,6 +127,12 @@ class Triangulation:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _edge_pair(x: int, y: int) -> tuple[int, int]:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from qskein import cli, suites
+from qskein.oq_sl2 import OqAlgebra
 from qskein.quantum_torus import once_punctured_torus
 
 
@@ -103,28 +104,27 @@ def test_verify_seed_changes_details(capsys):
     assert json.loads(first)["summary"] == json.loads(second)["summary"]
 
 
-def test_verify_threaded_matches_sequential(capsys, monkeypatch):
-    argv = ["verify", "torus-skein", "--N", "3", "--kmax", "3", "--trials", "5",
-            "--seed", "4"]
-    _, seq, _ = run_cli(capsys, argv)
-    monkeypatch.setenv("SKEIN_VERIFY_THREADS", "4")
-    _, par, _ = run_cli(capsys, argv)
-    assert _strip_timing(seq) == _strip_timing(par)
+def test_run_checks_independent_of_order():
+    checks = suites.bigon_suite(3, 5, 2) + suites.qtorus_suite(3, 5)
 
+    def untimed(results):
+        return [(r.id, r.status, r.detail) for r in results]
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_verify_bad_thread_setting_rejected(capsys, monkeypatch, value):
-    monkeypatch.setenv("SKEIN_VERIFY_THREADS", value)
-    code, out, err = run_cli(capsys, ["verify", "counts", "--N", "3"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: SKEIN_VERIFY_THREADS")
+    forward = suites.run_checks(checks, 7)
+    backward = suites.run_checks(checks[::-1], 7)
+    assert untimed(forward) == untimed(backward)
+    assert all(r.status == "pass" for r in forward)
 
 
 def test_verify_even_order_rejected(capsys):
     code, out, err = run_cli(capsys, ["verify", "bigon", "--N", "4"])
     assert code == 2
     assert "error" in err
+    # an exponent cap below 1 is refused like --trials and --kmax
+    code, out, err = run_cli(capsys, ["verify", "bigon", "--max-exp", "0"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max-exp must be positive\n"
 
 
 def test_verify_unknown_suite_rejected(capsys):
@@ -156,18 +156,26 @@ def test_verify_triangulation_from_file(tmp_path, capsys):
 
 
 def test_verify_inconsistent_fans_rejected(tmp_path, capsys):
-    # edge counts are right, but the fan pairs are not the triangle corners
+    torus = {"edges": 3, "triangles": [[0, 1, 2], [0, 1, 2]],
+             "fans": {"v0": [0, 1, 2, 0, 1, 2]}}
+    cases = [
+        # edge counts are right, but the fan pairs are not the triangle corners
+        ({"fans": {"v0": [0, 0, 1, 1, 2, 2]}}, "fan"),
+        ({"fans": {"v0": [0, 1, 2, 0, 1, 2], "v1": []}}, "empty"),
+        ({"edges": 3.7}, "integer"),
+        # refused before any per-edge list is allocated
+        ({"edges": 10**12}, "edge count"),
+    ]
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(
-        {"edges": 3, "triangles": [[0, 1, 2], [0, 1, 2]],
-         "fans": {"v0": [0, 0, 1, 1, 2, 2]}}
-    ))
-    code, out, err = run_cli(
-        capsys, ["verify", "qtorus", "--N", "3", "--triangulation", str(path)]
-    )
-    assert code == 2
-    assert out == ""
-    assert "fan" in err
+    for change, phrase in cases:
+        path.write_text(json.dumps({**torus, **change}))
+        code, out, err = run_cli(
+            capsys, ["verify", "qtorus", "--N", "3", "--triangulation", str(path)]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert phrase in err
 
 
 def test_readme_triangulation_example_runs(tmp_path, capsys):
@@ -196,6 +204,24 @@ def test_failing_check_sets_exit_code(capsys, monkeypatch):
     report = json.loads(out)
     assert report["summary"]["fail"] == 1
     assert report["checks"][0]["detail"] == "forced for the exit-code test"
+
+
+def test_false_degree_formula_reported_as_fail(monkeypatch):
+    real = OqAlgebra.power_product
+
+    def skewed(self, k):
+        # a lex-larger stray term moves the expansion's degree off the formula
+        out = real(self, k)
+        if tuple(k) == (1, 0, 1, 0):
+            out = out + self.basis_monomial((5, 0, 0, 0))
+        return out
+
+    monkeypatch.setattr(OqAlgebra, "power_product", skewed)
+    checks = [c for c in suites.bigon_suite(3, 1, 1)
+              if c[0] == "bigon-degree-formula-vs-oracle"]
+    [result] = suites.run_checks(checks, 0)
+    assert result.status == "fail"
+    assert result.detail == "degree mismatch at (1, 0, 1, 0)"
 
 
 def test_error_in_check_reported(capsys, monkeypatch):

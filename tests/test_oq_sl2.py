@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -444,6 +445,17 @@ def test_localized_rejected_in_generic_mode():
         alg.localized_express((1, 0, 0, 0))
     with pytest.raises(ValueError):
         alg.express_in_spanning((1, 0, 0, 0))
+
+
+@pytest.mark.parametrize("method", ["localized_express", "express_in_spanning"])
+def test_failed_re_expansion_names_the_index(monkeypatch, method):
+    real = OqAlgebra._combine
+    monkeypatch.setattr(
+        OqAlgebra, "_combine", lambda self, coeffs: real(self, coeffs) + self.one()
+    )
+    alg = OqAlgebra(ROOT3)
+    with pytest.raises(ArithmeticError, match=re.escape("re-expansion at (4, 0, 1, 2)")):
+        getattr(alg, method)((4, 0, 1, 2))
 
 
 # -- shared tables under threads ------------------------------------------------

@@ -80,6 +80,17 @@ def test_triangulation_validation():
         Triangulation(2, ((0, 1, 5),), (("v", (0, 0, 1, 1)),))
     with pytest.raises(ValueError):
         Triangulation.from_dict({"edges": 3, "triangles": []})
+    torus = once_punctured_torus().to_dict()
+    for bad in (
+        {"edges": 10**12},  # totals disagree; refused before allocating
+        {"fans": {"v0": [0, 1, 2, 0, 1, 2], "v1": []}},
+        {"edges": 3.7},
+        {"edges": True},
+        {"triangles": [[0, 1, 2.0], [0, 1, 2]]},
+        {"fans": {"v0": [0, 1, 2, 0, 1, False]}},
+    ):
+        with pytest.raises(ValueError):
+            Triangulation.from_dict({**torus, **bad})
     tri = once_punctured_torus()
     with pytest.raises(ValueError):
         tri.check_euler_count(genus=2, punctures=1)
