@@ -4,7 +4,8 @@ A triangulation is recorded combinatorially: an edge count, triangles as
 edge triples, and for each puncture the counterclockwise cyclic fan of
 edge ends around it.  The fan data yields an antisymmetric exchange
 matrix sigma, and the quantum torus has generators Y_1..Y_n with
-Y_i Y_j = mu^(2 sigma_ij) Y_j Y_i for a chosen invertible parameter mu.
+Y_i Y_j = mu^(2 sigma_ij) Y_j Y_i for a power mu of the root; other
+parameters are refused.
 
 Elements are stored over ordered monomials Y_1^k1 ... Y_n^kn with exact
 scalar coefficients.  Weyl-normalised monomials, the balanced sublattice
@@ -116,7 +117,10 @@ class Triangulation:
 
     @classmethod
     def from_json(cls, text: str) -> "Triangulation":
-        return cls.from_dict(json.loads(text))
+        try:
+            return cls.from_dict(json.loads(text))
+        except RecursionError as exc:
+            raise ValueError(f"malformed triangulation data: {exc}") from exc
 
     def to_dict(self) -> dict:
         return {
@@ -434,6 +438,9 @@ class QuantumTorus:
         self.parameter = parameter if parameter is not None else ring.zeta_pow(1)
         if self.parameter.ring != ring:
             raise ValueError("parameter from a different scalar ring")
+        self._exponent = ring.root_exponent(self.parameter)
+        if self._exponent is None:
+            raise ValueError("torus parameter must be a power of the root")
         self.triangulation = triangulation
 
     @classmethod
@@ -486,12 +493,7 @@ class QuantumTorus:
         times the ordered monomial.  Its product rule is
         [Y^k][Y^l] = parameter^(k^T sigma l) [Y^(k+l)]."""
         k = tuple(int(e) for e in k)
-        w = 0
-        for i in range(self.rank):
-            if k[i]:
-                for j in range(i + 1, self.rank):
-                    w += self.sigma[i][j] * k[i] * k[j]
-        return self.ordered_monomial(k, self.parameter ** (-w))
+        return self.ordered_monomial(k, self._twist(self._low(k, k)))
 
     def weyl_word(self, word: Sequence[int]) -> "QTElement":
         """Weyl bracket of a word of generator indices (repeats allowed)."""
@@ -506,26 +508,26 @@ class QuantumTorus:
         counts = [0] * self.rank
         for i in word:
             counts[i] += 1
-        return self.ordered_monomial(counts, self.parameter ** (corr + inv))
+        return self.ordered_monomial(counts, self._twist(corr + inv))
 
     def pairing(self, k: Sequence[int], l: Sequence[int]) -> int:
         """The antisymmetric form k^T sigma l."""
+        return self._low(k, l) - self._low(l, k)
+
+    def _low(self, k: Sequence[int], l: Sequence[int]) -> int:
+        """The lower-triangular form sum_{i>j} sigma_ij k_i l_j."""
         total = 0
         for i in range(self.rank):
             if k[i]:
-                for j in range(self.rank):
-                    if self.sigma[i][j] and l[j]:
-                        total += k[i] * self.sigma[i][j] * l[j]
+                row = self.sigma[i]
+                for j in range(i):
+                    if row[j] and l[j]:
+                        total += row[j] * k[i] * l[j]
         return total
 
-    def _mul_exponent(self, k: Vector, l: Vector) -> int:
-        total = 0
-        for i in range(self.rank):
-            if k[i]:
-                for j in range(i):
-                    if self.sigma[i][j] and l[j]:
-                        total += 2 * self.sigma[i][j] * k[i] * l[j]
-        return total
+    def _twist(self, e: int) -> Scalar:
+        """parameter**e, read from the ring's table of root powers."""
+        return self.ring.zeta_pow(self._exponent * e)
 
 
 class QTElement(SparseCombination):
@@ -545,11 +547,10 @@ class QTElement(SparseCombination):
     def _mul_terms(self, other: "QTElement") -> dict[Vector, Scalar]:
         acc: dict[Vector, Scalar] = {}
         torus = self.parent
-        par = torus.parameter
         for k, ck in self.terms.items():
             for l, cl in other.terms.items():
                 key = tuple(a + b for a, b in zip(k, l))
-                accumulate(acc, key, ck * cl * par ** torus._mul_exponent(k, l))
+                accumulate(acc, key, ck * cl * torus._twist(2 * torus._low(k, l)))
         return acc
 
     @staticmethod
@@ -575,14 +576,14 @@ def is_central(torus: QuantumTorus, x: QTElement) -> bool:
 def frobenius_map(x: QTElement, target: QuantumTorus, order: int) -> QTElement:
     """Multiply every exponent vector by ``order``.
 
-    The source torus parameter must be target.parameter ** order**2 (same
-    scalar ring, same exchange matrix); on Weyl monomials the map sends
-    [Y^k] to [Y^(order k)] and is an algebra embedding.
+    The source torus parameter must be the target's parameter to the power
+    order**2 (same scalar ring, same exchange matrix); on Weyl monomials
+    the map sends [Y^k] to [Y^(order k)] and is an algebra embedding.
     """
     source = x.torus
     if source.ring != target.ring or source.sigma != target.sigma:
         raise ValueError("source and target tori are incompatible")
-    if source.parameter != target.parameter ** (order * order):
+    if source.parameter != target._twist(order * order):
         raise ValueError("source parameter is not the expected power")
     return QTElement(
         target,

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .linear import accumulate
+from .linear import accumulate, row_reduce
 
 Rational = Union[int, Fraction]
 
@@ -88,6 +88,7 @@ class ScalarRing:
             self._phi = phi
             self._degree = len(phi) - 1
             self._zeta_cache: dict[int, tuple[Fraction, ...]] = {}
+            self._zeta_exponents: dict[tuple[Fraction, ...], int] | None = None
         elif mode == GENERIC:
             if order is not None:
                 raise ValueError("generic mode takes no order")
@@ -166,24 +167,25 @@ class ScalarRing:
         coeffs.extend([Fraction(0)] * (d - len(coeffs)))
         return tuple(coeffs)
 
-    def is_q_power(self, s: "Scalar", allow_sign: bool = False) -> bool:
-        """Whether s equals q**m for some integer m (optionally +-q**m)."""
+    def root_exponent(self, s: "Scalar") -> int | None:
+        """The m with s == zeta**m, 0 <= m < N (v**m in generic mode), or None."""
         if s.ring != self:
             raise ValueError("scalar from a different ring")
         if self.mode == GENERIC:
-            if len(s._rep) != 1:
-                return False
-            (exp, coeff), = s._rep
-            if exp % 2 != 0:
-                return False
-            return coeff == 1 or (allow_sign and coeff == -1)
-        for m in range(self.order):
-            cand = self.q_pow(m)
-            if s == cand:
-                return True
-            if allow_sign and s == -cand:
-                return True
-        return False
+            if len(s._rep) == 1 and s._rep[0][1] == 1:
+                return s._rep[0][0]
+            return None
+        if self._zeta_exponents is None:
+            self._zeta_exponents = {self.zeta_pow(m)._rep: m for m in range(self.order)}
+        return self._zeta_exponents.get(s._rep)
+
+    def is_q_power(self, s: "Scalar", allow_sign: bool = False) -> bool:
+        """Whether s equals q**m for some integer m (optionally +-q**m)."""
+        m = self.root_exponent(s)
+        if m is None and allow_sign:
+            m = self.root_exponent(-s)
+        # N is odd, so every power of zeta is a power of q = zeta**2
+        return m is not None and (self.mode == ROOT_OF_UNITY or m % 2 == 0)
 
     # -- structural equality --------------------------------------------------
 
@@ -295,23 +297,19 @@ class Scalar:
                 )
             (e, c), = self._rep
             return Scalar(self.ring, ((-e, Fraction(1) / c),))
-        # extended Euclid in Q[t] against Phi_N (irreducible over Q)
-        phi = [Fraction(c) for c in self.ring._phi]
-        r0, r1 = phi, list(self._rep)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            q, rem = _rational_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        while r0 and r0[-1] == 0:
-            r0.pop()
-        if len(r0) != 1:
-            raise ArithmeticError("gcd with the cyclotomic polynomial is not 1")
-        lead = r0[0]
-        inv = [c / lead for c in s0]
-        return Scalar(self.ring, self.ring._reduce([Fraction(c) for c in inv]))
+        # solve self * x = 1 over 1, zeta, ..., zeta**(d-1); column j of the
+        # system holds the coefficients of self * zeta**j
+        ring = self.ring
+        d = ring._degree
+        cols = [self._rep]
+        for _ in range(d - 1):
+            cols.append(ring._reduce([Fraction(0), *cols[-1]]))
+        rows, pivots, _ = row_reduce(
+            [[c[i] for c in cols] + [int(i == 0)] for i in range(d)]
+        )
+        if pivots != list(range(d)):
+            raise ArithmeticError("multiplication by the scalar is not invertible")
+        return Scalar(ring, tuple(row[d] for row in rows))
 
     def __truediv__(self, other):
         other = self.ring.coerce(other)
@@ -369,35 +367,3 @@ class Scalar:
                     parts.append(f"{c}*z^{i}" if c != 1 else f"z^{i}")
         return " + ".join(parts) if parts else "0"
 
-
-def _rational_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    dd = len(den) - 1
-    if dd < 0 or den[-1] == 0:
-        raise ZeroDivisionError
-    q = [Fraction(0)] * max(len(num) - dd, 1)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] / den[-1]
-        if c:
-            q[i - dd] = c
-            for j, dj in enumerate(den):
-                num[i - dd + j] -= c * dj
-    return q, num[:dd] if dd else [Fraction(0)]
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out

@@ -287,26 +287,29 @@ def qtorus_suite(
         def check_frobenius(
             rng, tri=tri, target=target, source=source, lattice=lattice
         ) -> str:
-            for _ in range(trials):
+            for t in range(trials):
                 x = _random_balanced_element(source, tri, lattice, rng)
                 y = _random_balanced_element(source, tri, lattice, rng)
                 lhs = frobenius_map(x * y, target, order)
                 rhs = frobenius_map(x, target, order) * frobenius_map(y, target, order)
-                _require(lhs == rhs, "power map is not multiplicative")
+                _require(lhs == rhs, f"power map is not multiplicative at trial {t}")
             return f"{trials} random balanced pairs map multiplicatively"
 
         def check_deg_additive(rng, tri=tri, target=target, lattice=lattice) -> str:
             zb = balanced_puncture_basis(tri)
-            for _ in range(trials):
+            for t in range(trials):
                 x = _random_balanced_element(target, tri, lattice, rng)
                 y = _random_balanced_element(target, tri, lattice, rng)
                 prod = x * y
-                _require(not prod.is_zero(), "product of nonzero elements vanished")
+                _require(
+                    not prod.is_zero(),
+                    f"product of nonzero elements vanished at trial {t}",
+                )
                 _require(
                     qt_deg(prod, zb) == tuple(
                         a + b for a, b in zip(qt_deg(x, zb), qt_deg(y, zb))
                     ),
-                    "degree is not additive",
+                    f"degree is not additive at trial {t}",
                 )
             return f"degree additive on {trials} random pairs"
 
@@ -364,12 +367,12 @@ def _residue_box(order: int, p: int) -> list[tuple[int, ...]]:
 
 def torus_skein_suite(order: int, kmax: int, trials: int) -> list[Check]:
     def check_round_trip(rng: random.Random) -> str:
-        for _ in range(trials):
+        for t in range(trials):
             p = _random_polynomial(rng, rng.randint(0, 20))
             constant, coeffs = torus_skein.a_basis_expand(p)
             _require(
                 torus_skein.a_basis_build(constant, coeffs) == p,
-                "A-basis expansion does not round-trip",
+                f"A-basis expansion does not round-trip at trial {t}",
             )
         return f"{trials} random polynomials round-trip through the A-basis"
 
@@ -448,10 +451,12 @@ def chebyshev_suite(order: int, trials: int) -> list[Check]:
         return "T_m o T_n = T_(mn) for m, n <= 6"
 
     def check_reduce(rng: random.Random) -> str:
-        for _ in range(trials):
+        for t in range(trials):
             p = _random_polynomial(rng, rng.randint(0, 5 * order))
             form = chebyshev_reduce(p, order)
-            _require(form.substitute() == p, "reduction does not round-trip")
+            _require(
+                form.substitute() == p, f"reduction does not round-trip at trial {t}"
+            )
         return f"{trials} random polynomials of degree <= {5 * order} round-trip"
 
     return [

@@ -1,6 +1,7 @@
 """Command line behavior: payload shapes, determinism, exit codes."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from qskein import cli, suites
+from qskein.chebyshev import Polynomial
 from qskein.oq_sl2 import OqAlgebra
 from qskein.quantum_torus import once_punctured_torus
 
@@ -158,7 +160,7 @@ def test_verify_triangulation_from_file(tmp_path, capsys):
 def test_verify_inconsistent_fans_rejected(tmp_path, capsys):
     torus = {"edges": 3, "triangles": [[0, 1, 2], [0, 1, 2]],
              "fans": {"v0": [0, 1, 2, 0, 1, 2]}}
-    cases = [
+    changes = [
         # edge counts are right, but the fan pairs are not the triangle corners
         ({"fans": {"v0": [0, 0, 1, 1, 2, 2]}}, "fan"),
         ({"fans": {"v0": [0, 1, 2, 0, 1, 2], "v1": []}}, "empty"),
@@ -166,9 +168,13 @@ def test_verify_inconsistent_fans_rejected(tmp_path, capsys):
         # refused before any per-edge list is allocated
         ({"edges": 10**12}, "edge count"),
     ]
+    cases = [(json.dumps({**torus, **change}), phrase) for change, phrase in changes]
+    # nested too deeply for the JSON decoder; json.dumps cannot build it
+    nested = '{"edges": 3, "triangles": ' + "[" * 5000 + "]" * 5000 + ', "fans": {}}'
+    cases.append((nested, "malformed"))
     path = tmp_path / "bad.json"
-    for change, phrase in cases:
-        path.write_text(json.dumps({**torus, **change}))
+    for text, phrase in cases:
+        path.write_text(text)
         code, out, err = run_cli(
             capsys, ["verify", "qtorus", "--N", "3", "--triangulation", str(path)]
         )
@@ -224,6 +230,21 @@ def test_false_degree_formula_reported_as_fail(monkeypatch):
     assert result.detail == "degree mismatch at (1, 0, 1, 0)"
 
 
+def test_failed_round_trip_names_the_trial(monkeypatch):
+    real = suites.chebyshev_reduce
+
+    def off_by_one(p, order):
+        # reduces p + 1 instead of p, so no round trip can succeed
+        return real(p + Polynomial({0: 1}), order)
+
+    monkeypatch.setattr(suites, "chebyshev_reduce", off_by_one)
+    checks = [c for c in suites.chebyshev_suite(3, 5)
+              if c[0] == "chebyshev-reduce-round-trip"]
+    [result] = suites.run_checks(checks, 0)
+    assert result.status == "fail"
+    assert result.detail.endswith("at trial 0")
+
+
 def test_error_in_check_reported(capsys, monkeypatch):
     def exploding(order):
         def check(rng):
@@ -245,10 +266,13 @@ def test_pretty_flag_is_indented(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the package under test, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qskein", "dims", "manifold",
          "--genus", "0", "--markings", "0", "--N", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"bound": 1}

@@ -247,6 +247,9 @@ def test_frobenius_parameter_check():
     x = wrong_source.ordered_monomial((1, 0, 0))
     with pytest.raises(ValueError):
         frobenius_map(x, target, 3)
+    # only powers of the root are accepted as torus parameters
+    with pytest.raises(ValueError):
+        QuantumTorus.from_triangulation(RING, tri, RING.one + RING.zeta_pow(1))
 
 
 def test_frobenius_sends_generators_to_powers():

@@ -63,18 +63,20 @@ def test_parameter_power_n_squared_is_one():
         assert (ring.zeta_pow(1) ** (2 * order * order)).is_one()
 
 
-def test_field_arithmetic_axioms_random():
+@pytest.mark.parametrize("order", [5, 9, 15, 21])
+def test_field_arithmetic_axioms_random(order):
     rng = random.Random(91)
-    ring = ScalarRing.root_of_unity(5)
+    trials = 300 // order
+    ring = ScalarRing.root_of_unity(order)
 
     def rand_scalar():
         s = ring.zero
-        for m in range(4):
+        for m in range(order):
             if rng.random() < 0.5:
                 s = s + ring.zeta_pow(m) * Fraction(rng.randint(-4, 4))
         return s
 
-    for _ in range(60):
+    for _ in range(trials):
         x, y, z = rand_scalar(), rand_scalar(), rand_scalar()
         assert x + y == y + x
         assert (x + y) + z == x + (y + z)
@@ -134,11 +136,17 @@ def test_is_q_power_detection():
     assert not root.is_q_power(root.q_pow(1) + root.one)
     assert not root.is_q_power(-root.q_pow(2))
     assert root.is_q_power(-root.q_pow(2), allow_sign=True)
+    for m in range(5):
+        assert root.root_exponent(root.zeta_pow(m)) == m
+    assert root.root_exponent(-root.zeta_pow(1)) is None
+    assert root.root_exponent(root.one + root.zeta_pow(1)) is None
 
     gen = ScalarRing.generic()
     assert gen.is_q_power(gen.q_pow(-4))
     assert not gen.is_q_power(gen.zeta_pow(1))
     assert not gen.is_q_power(gen.q_pow(2) * 2)
+    assert gen.root_exponent(gen.zeta_pow(-3)) == -3
+    assert gen.root_exponent(gen.zeta_pow(1) * 2) is None
 
 
 def test_ring_equality_and_mode_mixing():
