@@ -316,7 +316,7 @@ class OqAlgebra:
         oracle = expanded.deg()
         if formula != oracle:
             raise ArithmeticError(
-                f"leading-index formula {formula} disagrees with expansion {oracle}"
+                f"leading-index formula {formula} disagrees with expansion {oracle} at {k}"
             )
         return formula
 

@@ -309,11 +309,6 @@ def _complete_unimodular_rows(crows: list[Vector], n: int) -> list[Vector]:
             row[i], row[j] = row[j], row[i]
         r_mat[i], r_mat[j] = r_mat[j], r_mat[i]
 
-    def col_negate(i: int):
-        for row in c_mat:
-            row[i] = -row[i]
-        r_mat[i] = [-a for a in r_mat[i]]
-
     det = 1
     for r in range(p):
         while True:
@@ -325,15 +320,15 @@ def _complete_unimodular_rows(crows: list[Vector], n: int) -> list[Vector]:
             if not rest:
                 if jmin != r:
                     col_swap(jmin, r)
-                if c_mat[r][r] < 0:
-                    col_negate(r)
                 break
             for j in rest:
                 t = c_mat[r][j] // c_mat[r][jmin]
                 if t:
                     col_addmul(j, jmin, -t)
-        det *= c_mat[r][r]
-    if abs(det) != 1:
+        # later steps touch only columns and r_mat rows past r, and rows
+        # before p are not returned, so the pivot's sign needs no fixing
+        det *= abs(c_mat[r][r])
+    if det != 1:
         raise ValueError(
             f"completion failure: puncture vectors are not primitive (pivot {det})"
         )

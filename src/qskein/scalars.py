@@ -6,11 +6,16 @@ both with exact rational arithmetic (no floats anywhere):
 * root-of-unity mode: the cyclotomic field Q[t]/(Phi_N(t)) for odd N >= 1,
   where the class of t is a primitive N-th root of unity ``zeta``.  We take
   ``zeta`` as the square root of the quantum parameter, so q = zeta**2 also
-  has exact order N (N is odd).
+  has exact order N (N is odd).  A scalar is a tuple of Python int
+  numerators, the coefficients of 1, zeta, ..., zeta**(d-1) (d = deg Phi_N),
+  over one positive int denominator, in lowest terms.  A scalar known by
+  construction to be c * zeta**k carries that as a tag, and its products
+  read zeta**k from a table of the N root powers instead of convolving.
 * generic mode: Laurent polynomials Q[v, 1/v] in a formal square root v,
-  with q = v**2.  Nothing collapses here, which makes this mode useful as a
-  stress test for rewriting identities that should hold before
-  specialisation.
+  with q = v**2 and ``fractions.Fraction`` coefficients.  Nothing collapses
+  here, which makes this mode useful as a stress test for rewriting
+  identities that should hold before specialisation, and as an exactness
+  oracle for the root-mode arithmetic.
 
 Scalars are immutable and tagged with their ring; mixing rings raises.
 Python ints and Fractions coerce into either ring.
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Union
 
 from .linear import accumulate, row_reduce
@@ -85,15 +91,25 @@ class ScalarRing:
             self.mode = mode
             self.order = order
             phi = cyclotomic_coefficients(order)
-            self._phi = phi
-            self._degree = len(phi) - 1
-            self._zeta_cache: dict[int, tuple[Fraction, ...]] = {}
-            self._zeta_exponents: dict[tuple[Fraction, ...], int] | None = None
+            d = len(phi) - 1
+            self._degree = d
+            # Phi_N is monic, so zeta**d = -sum phi[j] zeta**j over these j < d
+            self._phi_low = tuple((j, c) for j, c in enumerate(phi[:d]) if c)
+            # the root-power table: self._powers[m] is zeta**m, 0 <= m < N
+            self._powers = [
+                Scalar(self, (self._reduce([0] * m + [1] + [0] * d), 1), (m, 1))
+                for m in range(order)
+            ]
+            self._exponents = {s._rep: m for m, s in enumerate(self._powers)}
+            self.one = self._powers[0]
+            self.zero = Scalar(self, ((0,) * d, 1), (0, 0))
         elif mode == GENERIC:
             if order is not None:
                 raise ValueError("generic mode takes no order")
             self.mode = mode
             self.order = None
+            self.one = Scalar(self, ((0, Fraction(1)),))
+            self.zero = Scalar(self, ())
         else:
             raise ValueError(f"unknown scalar mode {mode!r}")
 
@@ -108,11 +124,12 @@ class ScalarRing:
     # -- basic constructors -------------------------------------------------
 
     def from_rational(self, value: Rational) -> "Scalar":
-        value = Fraction(value)
+        if not isinstance(value, int):
+            value = Fraction(value)
         if self.mode == ROOT_OF_UNITY:
-            rep = (value,) + (Fraction(0),) * (self._degree - 1)
-            return Scalar(self, rep)
-        return Scalar(self, ((0, value),) if value else ())
+            c, den = value.numerator, value.denominator
+            return Scalar(self, ((c,) + (0,) * (self._degree - 1), den), (0, c))
+        return Scalar(self, ((0, Fraction(value)),) if value else ())
 
     def coerce(self, value) -> "Scalar | None":
         """``value`` as a scalar of this ring if it is a Scalar, int or Fraction."""
@@ -124,48 +141,57 @@ class ScalarRing:
             return self.from_rational(value)
         return None
 
-    @property
-    def zero(self) -> "Scalar":
-        return self.from_rational(0)
-
-    @property
-    def one(self) -> "Scalar":
-        return self.from_rational(1)
-
     def zeta_pow(self, m: int) -> "Scalar":
         """The scalar zeta**m (root mode) or v**m (generic mode)."""
         if self.mode == GENERIC:
             return Scalar(self, ((m, Fraction(1)),))
-        m %= self.order
-        rep = self._zeta_cache.get(m)
-        if rep is None:
-            coeffs = [Fraction(0)] * (m + 1)
-            coeffs[m] = Fraction(1)
-            rep = self._reduce(coeffs)
-            self._zeta_cache[m] = rep
-        return Scalar(self, rep)
+        return self._powers[m % self.order]
 
     def q_pow(self, m: int) -> "Scalar":
         """The scalar q**m where q = zeta**2 (resp. v**2)."""
         return self.zeta_pow(2 * m)
 
-    # -- internal representation helpers ------------------------------------
+    # -- root-mode constructors and reduction -----------------------------------
 
-    def _reduce(self, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-        """Reduce a rational polynomial in zeta modulo Phi_N; fixed length."""
-        d = self._degree
-        phi = self._phi
-        for i in range(len(coeffs) - 1, d - 1, -1):
+    def _monomial(self, k: int, c: int, den: int) -> "Scalar":
+        """The scalar (c / den) * zeta**k, for ints c and den > 0."""
+        k %= self.order
+        if den != 1:
+            g = gcd(c, den)
+            if g != 1:
+                c //= g
+                den //= g
+        power = self._powers[k]
+        if c == 1 and den == 1:
+            return power
+        # the numerators of zeta**k have no common factor: it is a unit of Z[zeta]
+        return Scalar(self, (tuple([c * x for x in power._rep[0]]), den), (k, c))
+
+    def _lowest(self, nums: tuple[int, ...], den: int) -> "Scalar":
+        """The scalar with numerators ``nums`` over ``den`` > 0, in lowest terms."""
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = tuple([x // g for x in nums])
+        return Scalar(self, (nums, den))
+
+    def _reduce(self, coeffs: list[int]) -> tuple[int, ...]:
+        """Numerators of sum coeffs[i] * zeta**i over 1, zeta, ..., zeta**(d-1).
+
+        ``coeffs`` needs at least d entries and is overwritten.
+        """
+        n, d = self.order, self._degree
+        for i in range(len(coeffs) - 1, n - 1, -1):  # zeta**N = 1
+            if coeffs[i]:
+                coeffs[i - n] += coeffs[i]
+        for i in range(min(len(coeffs), n) - 1, d - 1, -1):  # Phi_N(zeta) = 0
             c = coeffs[i]
             if c:
-                coeffs[i] = Fraction(0)
                 base = i - d
-                for j in range(d):
-                    if phi[j]:
-                        coeffs[base + j] -= c * phi[j]
-        coeffs = coeffs[:d]
-        coeffs.extend([Fraction(0)] * (d - len(coeffs)))
-        return tuple(coeffs)
+                for j, p in self._phi_low:
+                    coeffs[base + j] -= c * p
+        return tuple(coeffs[:d])
 
     def root_exponent(self, s: "Scalar") -> int | None:
         """The m with s == zeta**m, 0 <= m < N (v**m in generic mode), or None."""
@@ -175,9 +201,7 @@ class ScalarRing:
             if len(s._rep) == 1 and s._rep[0][1] == 1:
                 return s._rep[0][0]
             return None
-        if self._zeta_exponents is None:
-            self._zeta_exponents = {self.zeta_pow(m)._rep: m for m in range(self.order)}
-        return self._zeta_exponents.get(s._rep)
+        return self._exponents.get(s._rep)
 
     def is_q_power(self, s: "Scalar", allow_sign: bool = False) -> bool:
         """Whether s equals q**m for some integer m (optionally +-q**m)."""
@@ -208,18 +232,26 @@ class ScalarRing:
 class Scalar:
     """Immutable element of a :class:`ScalarRing`.
 
-    Root mode representation: tuple of Fractions, coefficients of
-    1, zeta, ..., zeta**(deg Phi_N - 1).  Generic mode: tuple of
-    (exponent, coefficient) pairs sorted by exponent, zeros dropped.
+    Root mode: ``_rep`` is ``(nums, den)``, a tuple of d = deg Phi_N int
+    numerators (the coefficients of 1, zeta, ..., zeta**(d-1)) over one int
+    ``den`` > 0 with gcd(den, *nums) == 1, so equal values have equal
+    ``_rep`` and hash.  ``_mono`` is None or ``(k, c)`` with 0 <= k < N and
+    an int c, meaning the scalar is exactly (c / den) * zeta**k; it is set
+    only where that is known by construction and never takes part in
+    equality or hashing.
+
+    Generic mode: ``_rep`` is a tuple of (exponent, Fraction) pairs sorted
+    by exponent, zeros dropped; ``_mono`` is None.
     """
 
-    __slots__ = ("ring", "_rep")
+    __slots__ = ("ring", "_rep", "_mono")
 
-    def __init__(self, ring: ScalarRing, rep):
+    def __init__(self, ring: ScalarRing, rep, mono: tuple[int, int] | None = None):
         self.ring = ring
         if ring.mode == GENERIC:
             rep = tuple(sorted((e, c) for e, c in rep if c))
         self._rep = rep
+        self._mono = mono
 
     # -- predicates ----------------------------------------------------------
 
@@ -227,8 +259,9 @@ class Scalar:
         return not self
 
     def __bool__(self) -> bool:
-        # a root-mode rep holds coefficients, a generic one (exponent, coeff) pairs
-        return any(self._rep)
+        if self.ring.mode == GENERIC:
+            return bool(self._rep)
+        return any(self._rep[0])
 
     def is_one(self) -> bool:
         return self == self.ring.one
@@ -236,22 +269,33 @@ class Scalar:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        other = self.ring.coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.ring.mode == GENERIC:
+        ring = self.ring
+        if type(other) is not Scalar or other.ring is not ring:
+            other = ring.coerce(other)
+            if other is None:
+                return NotImplemented
+        if ring.mode == GENERIC:
             acc = dict(self._rep)
             for e, c in other._rep:
                 accumulate(acc, e, c)
-            return Scalar(self.ring, acc.items())
-        return Scalar(self.ring, tuple(a + b for a, b in zip(self._rep, other._rep)))
+            return Scalar(ring, acc.items())
+        (a, da), (b, db) = self._rep, other._rep
+        if da == db:
+            return ring._lowest(tuple([x + y for x, y in zip(a, b)]), da)
+        return ring._lowest(tuple([x * db + y * da for x, y in zip(a, b)]), da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.ring.mode == GENERIC:
             return Scalar(self.ring, tuple((e, -c) for e, c in self._rep))
-        return Scalar(self.ring, tuple(-a for a in self._rep))
+        nums, den = self._rep
+        mono = self._mono
+        return Scalar(
+            self.ring,
+            (tuple([-x for x in nums]), den),
+            None if mono is None else (mono[0], -mono[1]),
+        )
 
     def __sub__(self, other):
         other = self.ring.coerce(other)
@@ -266,23 +310,48 @@ class Scalar:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self.ring.coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.ring.mode == GENERIC:
+        ring = self.ring
+        if type(other) is not Scalar or other.ring is not ring:
+            other = ring.coerce(other)
+            if other is None:
+                return NotImplemented
+        if ring.mode == GENERIC:
             acc: dict[int, Fraction] = {}
             for e1, c1 in self._rep:
                 for e2, c2 in other._rep:
                     accumulate(acc, e1 + e2, c1 * c2)
-            return Scalar(self.ring, acc.items())
-        d = self.ring._degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self._rep):
-            if a:
-                for j, b in enumerate(other._rep):
-                    if b:
-                        prod[i + j] += a * b
-        return Scalar(self.ring, self.ring._reduce(prod))
+            return Scalar(ring, acc.items())
+        ma, mb = self._mono, other._mono
+        if ma is None:
+            if mb is None:
+                # dense times dense: integer convolution, reduced mod Phi_N
+                (a, da), (b, db) = self._rep, other._rep
+                prod = [0] * (2 * ring._degree - 1)
+                for i, x in enumerate(a):
+                    if x:
+                        for j, y in enumerate(b, i):
+                            if y:
+                                prod[j] += x * y
+                return ring._lowest(ring._reduce(prod), da * db)
+            tagged, dense = other, self
+        elif mb is None:
+            tagged, dense = self, other
+        else:
+            # both tagged: one look-up in the root-power table
+            return ring._monomial(
+                ma[0] + mb[0], ma[1] * mb[1], self._rep[1] * other._rep[1]
+            )
+        # c * zeta**k times dense: shift by k, reduce mod Phi_N, scale by c
+        k, c = tagged._mono
+        den = tagged._rep[1]
+        if c == den == 1 and not k:
+            return dense
+        nums, dense_den = dense._rep
+        if k:
+            nums = ring._reduce([0] * k + list(nums))
+        if c != 1:
+            nums = tuple([c * x for x in nums])
+        return ring._lowest(nums, den * dense_den)
 
     __rmul__ = __mul__
 
@@ -290,26 +359,35 @@ class Scalar:
         """Multiplicative inverse; generic mode inverts monomials only."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        if self.ring.mode == GENERIC:
+        ring = self.ring
+        if ring.mode == GENERIC:
             if len(self._rep) != 1:
                 raise ZeroDivisionError(
                     "only monomials are invertible in generic mode"
                 )
             (e, c), = self._rep
-            return Scalar(self.ring, ((-e, Fraction(1) / c),))
-        # solve self * x = 1 over 1, zeta, ..., zeta**(d-1); column j of the
-        # system holds the coefficients of self * zeta**j
-        ring = self.ring
+            return Scalar(ring, ((-e, Fraction(1) / c),))
+        nums, den = self._rep
+        if self._mono is not None:
+            # ((c / den) * zeta**k)**-1 = (den / c) * zeta**-k
+            k, c = self._mono
+            return ring._monomial(-k, den if c > 0 else -den, abs(c))
+        # solve nums * x = 1 over 1, zeta, ..., zeta**(d-1); column j of the
+        # system holds the numerators of nums * zeta**j
         d = ring._degree
-        cols = [self._rep]
+        cols = [nums]
         for _ in range(d - 1):
-            cols.append(ring._reduce([Fraction(0), *cols[-1]]))
+            cols.append(ring._reduce([0, *cols[-1]]))
         rows, pivots, _ = row_reduce(
             [[c[i] for c in cols] + [int(i == 0)] for i in range(d)]
         )
         if pivots != list(range(d)):
             raise ArithmeticError("multiplication by the scalar is not invertible")
-        return Scalar(ring, tuple(row[d] for row in rows))
+        coeffs = [den * row[d] for row in rows]
+        common = lcm(*(c.denominator for c in coeffs))
+        return Scalar(
+            ring, (tuple(c.numerator * (common // c.denominator) for c in coeffs), common)
+        )
 
     def __truediv__(self, other):
         other = self.ring.coerce(other)
@@ -327,8 +405,9 @@ class Scalar:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     # -- comparison / hashing --------------------------------------------------
@@ -338,7 +417,8 @@ class Scalar:
             other = self.ring.from_rational(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.ring == other.ring and self._rep == other._rep
+        same_ring = self.ring is other.ring or self.ring == other.ring
+        return same_ring and self._rep == other._rep
 
     def __hash__(self) -> int:
         return hash((self.ring, self._rep))
@@ -356,9 +436,11 @@ class Scalar:
                 else:
                     parts.append(f"{c}*v^{e}" if c != 1 else f"v^{e}")
             return " + ".join(parts)
+        nums, den = self._rep
         parts = []
-        for i, c in enumerate(self._rep):
-            if c:
+        for i, n in enumerate(nums):
+            if n:
+                c = Fraction(n, den)
                 if i == 0:
                     parts.append(str(c))
                 elif i == 1:
@@ -366,4 +448,3 @@ class Scalar:
                 else:
                     parts.append(f"{c}*z^{i}" if c != 1 else f"z^{i}")
         return " + ".join(parts) if parts else "0"
-

@@ -458,6 +458,13 @@ def test_failed_re_expansion_names_the_index(monkeypatch, method):
         getattr(alg, method)((4, 0, 1, 2))
 
 
+def test_false_degree_formula_names_the_input(monkeypatch):
+    monkeypatch.setattr(OqAlgebra, "power_product", lambda self, k: self.one())
+    alg = OqAlgebra(ROOT3)
+    with pytest.raises(ArithmeticError, match=re.escape("at (1, 2, 0, 3)")):
+        alg.monomial_degree((1, 2, 0, 3))
+
+
 # -- shared tables under threads ------------------------------------------------
 
 

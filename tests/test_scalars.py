@@ -1,5 +1,6 @@
 """Exact scalar arithmetic in both coefficient modes."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -84,6 +85,86 @@ def test_field_arithmetic_axioms_random(order):
         assert (x * y) * z == x * (y * z)
         if not x.is_zero():
             assert (x * x.inverse()).is_one()
+
+
+def _reference_coefficients(ring, poly):
+    """Fraction coefficients of poly(zeta) over 1, ..., zeta**(d-1), by long division."""
+    phi = cyclotomic_coefficients(ring.order)
+    d = len(phi) - 1
+    work = [Fraction(c) for c in poly] + [Fraction(0)] * d
+    for i in range(len(work) - 1, d - 1, -1):
+        c = work[i]
+        if c:
+            for j in range(d + 1):
+                work[i - d + j] -= c * phi[j]
+    return work[:d]
+
+
+def _coefficients(s):
+    """Fraction coefficients of a root-mode scalar, checking its representation."""
+    nums, den = s._rep
+    assert den > 0 and math.gcd(den, *nums) == 1
+    values = [Fraction(n, den) for n in nums]
+    if s._mono is not None:
+        k, c = s._mono
+        power = _reference_coefficients(s.ring, [0] * k + [1])
+        assert values == [Fraction(c, den) * x for x in power]
+    return values
+
+
+def _reference_product(ring, x, y):
+    prod = [Fraction(0)] * (len(x) + len(y))
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                prod[i + j] += a * b
+    return _reference_coefficients(ring, prod)
+
+
+@pytest.mark.parametrize("order", [5, 9, 15, 21])
+def test_products_of_every_operand_shape(order):
+    """One, +-c*zeta**k for every k, dense and zero, paired both ways and inverted."""
+    ring = ScalarRing.root_of_unity(order)
+    rng = random.Random(order)
+    operands = [ring.one, ring.zero]
+    for k in range(order):
+        c = Fraction((-1) ** k * rng.randint(1, 9), rng.randint(2, 5))
+        operands.append(ring.zeta_pow(k) * c)
+    for _ in range(2):
+        dense = ring.zero
+        for m in range(order):
+            dense = dense + ring.zeta_pow(m) * Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        operands.append(dense)
+    assert operands[-1]._mono is None and operands[2]._mono is not None
+    coeffs = [_coefficients(x) for x in operands]
+    for x, cx in zip(operands, coeffs):
+        for y, cy in zip(operands, coeffs):
+            assert _coefficients(x * y) == _reference_product(ring, cx, cy)
+        if x:
+            inv = x.inverse()
+            one = [Fraction(1)] + [Fraction(0)] * (len(cx) - 1)
+            assert _reference_product(ring, cx, _coefficients(inv)) == one
+
+
+@pytest.mark.parametrize("order", [5, 9, 15, 21])
+def test_equal_values_have_one_representation(order):
+    ring = ScalarRing.root_of_unity(order)
+    z = ring.zeta_pow
+    for a in range(order):
+        for b in range(-order, order):
+            same = {z(a + b), z(a) * z(b), (2 * z(a + b)) / 2, -(-z(a + b))}
+            assert len(same) == 1
+    half = (z(0) + z(1)) * Fraction(1, 2)
+    dense = z(0) + z(1) + z(order - 1) * Fraction(1, 3)
+    sums = [
+        half + half,
+        half + z(0) * Fraction(1, 2) + z(1) * Fraction(1, 2),
+        dense - z(order - 1) * Fraction(1, 3),
+        (dense * 3 - z(order - 1)) / 3,
+    ]
+    assert len(set(sums)) == 1 and all(s == z(0) + z(1) for s in sums)
+    assert sums[2]._rep[1] == 1
+    assert hash(dense * dense.inverse()) == hash(ring.one)
 
 
 def test_inverse_of_zeta():
