@@ -56,7 +56,6 @@ from .quantum_torus import (
     exchange_matrix,
     four_punctured_sphere,
     frobenius_map,
-    grade_decomposition,
     is_central,
     once_punctured_torus,
     qt_deg,
@@ -68,7 +67,6 @@ from .torus_skein import (
     a_basis_expand,
     s1s2_frobenius_matrix,
     s1s2_reduce,
-    torus_frobenius,
 )
 
 __all__ = [
@@ -106,7 +104,6 @@ __all__ = [
     "exchange_matrix",
     "four_punctured_sphere",
     "frobenius_map",
-    "grade_decomposition",
     "is_central",
     "once_punctured_torus",
     "qt_deg",
@@ -117,7 +114,6 @@ __all__ = [
     "a_basis_expand",
     "s1s2_frobenius_matrix",
     "s1s2_reduce",
-    "torus_frobenius",
 ]
 
 __version__ = "0.1.0"

@@ -10,7 +10,8 @@ Two command families:
 Output is JSON on stdout (add --pretty for indentation).  Reports are
 deterministic for a fixed command line and seed apart from elapsed_ms.
 Exit codes: 0 all checks pass, 1 at least one failure, 2 usage or input
-error, including a dims count too large to print.
+error, including a dims count too large to print and verify work above
+suites.MAX_WORK.
 """
 
 from __future__ import annotations

@@ -85,9 +85,6 @@ class SparseCombination:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def support(self) -> list:
-        return sorted(self.terms)
-
     def coefficient(self, key):
         return self.terms.get(key, self._coerce(0))
 

@@ -9,8 +9,8 @@ The monomials a^k1 d^k2 b^k3 c^k4 with k1*k2 = 0 form a linear basis; we
 write their exponents as 4-tuples and call such tuples PBW indices.  Two
 independent multiplication routes are provided and cross-checked in the
 test suite: a rewriting engine on generator words, and a structured
-product that merges exponents through cached diagonal expansions of
-a^t d^t and d^t a^t.
+product that merges a/d exponents by one rule (``OqAlgebra._core``) over
+cached diagonal expansions of a^t d^t and d^t a^t.
 
 On top of the arithmetic sit the finite-spanning and independence
 certificates used at odd roots of unity: the N^3 index box with first
@@ -60,16 +60,13 @@ def leading_index(k: Sequence[int]) -> Index:
     """Lex-leading PBW index of the expansion of a^k1 d^k2 b^k3 c^k4.
 
     Defined for arbitrary natural exponent vectors, not only PBW indices:
-    mixed a/d powers reduce and the leading term survives as below.
+    a^t d^t with t = min(k1, k2) leads with (bc)^t.
     """
     k1, k2, k3, k4 = k
     if min(k) < 0:
         raise ValueError("exponents must be natural numbers")
-    if k1 == k2:
-        return (0, 0, k3 + k1, k4 + k1)
-    if k1 > k2:
-        return (k1 - k2, 0, k3 + k2, k4 + k2)
-    return (0, k2 - k1, k3 + k1, k4 + k1)
+    t = min(k1, k2)
+    return (k1 - t, k2 - t, k3 + t, k4 + t)
 
 
 def basis_box(n: int) -> list[Index]:
@@ -176,55 +173,25 @@ class OqAlgebra:
                 table.append(nxt)
         return table[t]
 
-    def diagonal_expansion(self, t: int, reversed_order: bool = False) -> "OqElement":
-        """The element a^t d^t (or d^t a^t when reversed) in PBW form."""
-        if t < 0:
-            raise ValueError("power must be a natural number")
-        diag = self._diag(t, forward=not reversed_order)
-        return OqElement(self, {(0, 0, g, g): s for g, s in diag.items()})
-
     def _core(self, ma: int, md: int, na: int, nd: int) -> dict[tuple[int, int, int], Scalar]:
-        """PBW form of the word a^ma d^md a^na d^nd as {(a, d, bc-diag): scalar}."""
-        one = self.ring.one
-        if md == 0:
-            if nd == 0:
-                return {(ma + na, 0, 0): one}
-            m, n = ma + na, nd
-            t = min(m, n)
-            diag = self._diag(t)
-            if m > n:
-                return {(m - n, 0, g): s for g, s in diag.items()}
-            if m < n:
-                return {
-                    (0, n - m, g): s * self.ring.q_pow(-4 * g * (n - m))
-                    for g, s in diag.items()
-                }
-            return {(0, 0, g): s for g, s in diag.items()}
-        # md > 0 forces ma == 0 for callers; guard anyway
-        if ma != 0:
-            raise ValueError("mixed a/d exponents on the left factor")
-        if na == 0:
-            return {(0, md + nd, 0): one}
-        # na > 0 forces nd == 0
-        m, n = md, na
-        t = min(m, n)
-        diag = self._diag(t, forward=False)
-        if m > n:
-            return {(0, m - n, g): s for g, s in diag.items()}
-        if m < n:
-            return {
-                (n - m, 0, g): s * self.ring.q_pow(4 * g * (n - m))
-                for g, s in diag.items()
-            }
-        return {(0, 0, g): s for g, s in diag.items()}
+        """PBW form of the word a^ma d^md a^na d^nd as {(a, d, bc-diag): scalar}.
 
-    def _mul_basis(self, u: Index, v: Index) -> dict[Index, Scalar]:
-        swap = self.ring.q_pow(2 * (u[2] + u[3]) * (v[0] - v[1]))
-        core = self._core(u[0], u[1], v[0], v[1])
-        b0, c0 = u[2] + v[2], u[3] + v[3]
+        Each factor has a zero a- or d-exponent, so the word is x^m y^n with
+        (x, y) = (a, d), or (d, a) if it reads d^md a^na.  It equals
+        x^(m-t) (x^t y^t) y^(n-t), t = min(m, n), and y^(n-t) moves left past
+        (bc)^g at the cost q^(-4g(n-m)) for y = d and q^(4g(n-m)) for y = a.
+        """
+        if ma and md:
+            raise ValueError("mixed a/d exponents on the left factor")
+        forward = not (md and na)
+        m, n = (ma + na, md + nd) if forward else (md, na)
+        t = min(m, n)
+        slots = (m - t, n - t) if forward else (n - t, m - t)
+        step = (-4 if forward else 4) * (n - t)
+        q_pow = self.ring.q_pow
         return {
-            (alpha, beta, g + b0, g + c0): s * swap
-            for (alpha, beta, g), s in core.items()
+            slots + (g,): s * q_pow(step * g) if step * g else s
+            for g, s in self._diag(t, forward).items()
         }
 
     def power_product(self, k: Sequence[int]) -> "OqElement":
@@ -232,7 +199,7 @@ class OqAlgebra:
         k1, k2, k3, k4 = k
         if min(k1, k2, k3, k4) < 0:
             raise ValueError("exponents must be natural numbers")
-        core = self._core(k1, 0, 0, k2) if k2 else {(k1, 0, 0): self.ring.one}
+        core = self._core(k1, 0, 0, k2)
         return OqElement(
             self,
             {(a, d, g + k3, g + k4): s for (a, d, g), s in core.items()},
@@ -248,15 +215,13 @@ class OqAlgebra:
             }
         return self._rules
 
-    def normal_form(self, words, strategy: str = "leftmost") -> "OqElement":
+    def normal_form(self, words) -> "OqElement":
         """PBW form of a word (or scalar combination of words) in a, b, c, d.
 
-        ``strategy`` picks which reducible pair is rewritten first
-        ("leftmost" or "rightmost"); the result is the same either way,
-        which the test suite checks exhaustively on short words.
+        The leftmost reducible pair is rewritten first.  This engine shares
+        no code with the structured product; the test suite compares the
+        two on every word of up to six letters.
         """
-        if strategy not in ("leftmost", "rightmost"):
-            raise ValueError("strategy must be 'leftmost' or 'rightmost'")
         if isinstance(words, str):
             pairs = [(self.ring.one, words)]
         elif isinstance(words, Mapping):
@@ -274,22 +239,10 @@ class OqAlgebra:
         out: dict[Index, Scalar] = {}
         while agenda:
             word, coeff = agenda.popitem()
-            positions = range(len(word) - 1)
-            if strategy == "rightmost":
-                positions = range(len(word) - 2, -1, -1)
-            hit = None
-            for i in positions:
-                if word[i : i + 2] in rules:
-                    hit = i
-                    break
+            hit = next((i for i in range(len(word) - 1) if word[i : i + 2] in rules), None)
             if hit is None:
-                idx = (
-                    word.count("a"),
-                    word.count("d"),
-                    word.count("b"),
-                    word.count("c"),
-                )
-                assert word == "a" * idx[0] + "d" * idx[1] + "b" * idx[2] + "c" * idx[3]
+                idx = tuple(word.count(letter) for letter in _LETTERS)
+                assert word == "".join(letter * e for letter, e in zip(_LETTERS, idx))
                 accumulate(out, idx, coeff)
                 continue
             head, tail = word[:hit], word[hit + 2 :]
@@ -299,21 +252,15 @@ class OqAlgebra:
 
     # -- degree bookkeeping --------------------------------------------------------
 
-    def monomial_degree(self, k: Sequence[int], use_word_engine: bool = False) -> Index:
+    def monomial_degree(self, k: Sequence[int]) -> Index:
         """Leading index of a^k1 d^k2 b^k3 c^k4, checked against an expansion.
 
-        Computes the closed-form answer and independently normal-forms the
-        monomial (structured product by default, the word engine on request),
-        raising if the two disagree.
+        Computes the closed-form answer and independently expands the
+        monomial with the structured product, raising if the two disagree.
         """
         k = tuple(k)
         formula = leading_index(k)
-        if use_word_engine:
-            word = "a" * k[0] + "d" * k[1] + "b" * k[2] + "c" * k[3]
-            expanded = self.normal_form(word)
-        else:
-            expanded = self.power_product(k)
-        oracle = expanded.deg()
+        oracle = self.power_product(k).deg()
         if formula != oracle:
             raise ArithmeticError(
                 f"leading-index formula {formula} disagrees with expansion {oracle} at {k}"
@@ -338,12 +285,8 @@ class OqAlgebra:
 
     # -- diagonal tower membership ----------------------------------------------
 
-    def in_diagonal_tower(self, x: "OqElement", t: int, allow_sign: bool = False) -> bool:
-        """Whether x = 1 + k_1 bc + ... + k_t (bc)^t with k_t a power of q.
-
-        With ``allow_sign`` the top coefficient may also be minus a power
-        of q; by default the literal shape is required.  t = 0 means x = 1.
-        """
+    def in_diagonal_tower(self, x: "OqElement", t: int) -> bool:
+        """Whether x = 1 + k_1 bc + ... + k_t (bc)^t, k_t a power of q; x = 1 if t = 0."""
         if x.algebra is not self and x.algebra != self:
             raise ValueError("element from a different algebra")
         if t < 0:
@@ -358,7 +301,7 @@ class OqAlgebra:
         top = x.coefficient((0, 0, t, t))
         if top.is_zero():
             return False
-        return self.ring.is_q_power(top, allow_sign=allow_sign)
+        return self.ring.is_q_power(top)
 
     # -- the N-th power subalgebra -------------------------------------------------
 
@@ -446,13 +389,12 @@ class OqAlgebra:
             coeffs[(0, r2, r3, r4)] = self.frobenius_monomial((u, g2, g3, g4))
         else:
             power = 1
-            diag = self._diag(v)
-            for g, e in diag.items():
-                scal = e * self.ring.q_pow(-4 * g * (n - v))
+            # d^N is central, so d^N O_m = a^(uN) (a^v d^N) b^k3 c^k4
+            for (_, rest, g), scal in self._core(v, 0, 0, n).items():
                 g3, r3 = divmod(g + k3, n)
                 g4, r4 = divmod(g + k4, n)
                 term = scal * self.frobenius_monomial((u, 0, g3, g4))
-                accumulate(coeffs, (0, n - v, r3, r4), term)
+                accumulate(coeffs, (0, rest, r3, r4), term)
         lhs = self.basis_monomial(m)
         if power:
             lhs = self.basis_monomial((0, n, 0, 0)) * lhs
@@ -536,13 +478,16 @@ class OqElement(SparseCombination):
         return max(self.terms)
 
     def _mul_terms(self, other: "OqElement") -> dict[Index, Scalar]:
+        """O_u O_v: b^u3 c^u4 moves right past a^v1 d^v2, then a/d merge."""
         acc: dict[Index, Scalar] = {}
-        mul_basis = self.parent._mul_basis
+        alg = self.parent
+        q_pow = alg.ring.q_pow
         for u, cu in self.terms.items():
             for v, cv in other.terms.items():
-                cuv = cu * cv
-                for k, s in mul_basis(u, v).items():
-                    accumulate(acc, k, cuv * s)
+                factor = cu * cv * q_pow(2 * (u[2] + u[3]) * (v[0] - v[1]))
+                b0, c0 = u[2] + v[2], u[3] + v[3]
+                for (alpha, beta, g), s in alg._core(u[0], u[1], v[0], v[1]).items():
+                    accumulate(acc, (alpha, beta, g + b0, g + c0), factor * s)
         return acc
 
     @staticmethod

@@ -505,10 +505,6 @@ class QuantumTorus:
             counts[i] += 1
         return self.ordered_monomial(counts, self._twist(corr + inv))
 
-    def pairing(self, k: Sequence[int], l: Sequence[int]) -> int:
-        """The antisymmetric form k^T sigma l."""
-        return self._low(k, l) - self._low(l, k)
-
     def _low(self, k: Sequence[int], l: Sequence[int]) -> int:
         """The lower-triangular form sum_{i>j} sigma_ij k_i l_j."""
         total = 0
@@ -591,15 +587,6 @@ def qt_deg(x: QTElement, zbasis: ZBasis) -> Vector:
     if x.is_zero():
         raise ValueError("degree of the zero element is undefined")
     return max(zbasis.grading(k) for k in x.terms)
-
-
-def grade_decomposition(x: QTElement, zbasis: ZBasis) -> dict[Vector, QTElement]:
-    """Split an element into its graded pieces by grading vector."""
-    pieces: dict[Vector, dict[Vector, Scalar]] = {}
-    for k, v in x.terms.items():
-        g = zbasis.grading(k)
-        pieces.setdefault(g, {})[k] = v
-    return {g: QTElement(x.torus, terms) for g, terms in pieces.items()}
 
 
 @dataclass(frozen=True)

@@ -203,11 +203,9 @@ class ScalarRing:
             return None
         return self._exponents.get(s._rep)
 
-    def is_q_power(self, s: "Scalar", allow_sign: bool = False) -> bool:
-        """Whether s equals q**m for some integer m (optionally +-q**m)."""
+    def is_q_power(self, s: "Scalar") -> bool:
+        """Whether s equals q**m for some integer m."""
         m = self.root_exponent(s)
-        if m is None and allow_sign:
-            m = self.root_exponent(-s)
         # N is odd, so every power of zeta is a power of q = zeta**2
         return m is not None and (self.mode == ROOT_OF_UNITY or m % 2 == 0)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -40,6 +40,12 @@ from .quantum_torus import (
     qt_deg,
 )
 from .scalars import ScalarRing
+
+
+MAX_WORK = 3 * 10**7
+"""Largest work size a suite accepts, checked before it builds anything: the
+entries of its index sets, tables and matrices, and the coefficient pairs of
+its largest polynomial product.  It bounds memory, not time."""
 
 
 class CheckFailure(Exception):
@@ -80,6 +86,17 @@ def run_checks(checks: Sequence[Check], seed: int) -> list[CheckResult]:
 def _require(cond: bool, message: str):
     if not cond:
         raise CheckFailure(message)
+
+
+def _false_fields(cert) -> str:
+    """Names of a certificate's False fields, ``certified`` aside."""
+    names = [f.name for f in fields(cert) if f.name != "certified"]
+    return ", ".join(name for name in names if getattr(cert, name) is False)
+
+
+def _refuse_oversized(suite: str, size: int):
+    if size > MAX_WORK:
+        raise ValueError(f"{suite} work size {size} exceeds {MAX_WORK}; refused")
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +163,7 @@ def _random_balanced_element(
 
 
 def bigon_suite(order: int, trials: int, max_exp: int) -> list[Check]:
+    _refuse_oversized("bigon", order**3 + dimensions.spanning_count_formula(order))
     ring = ScalarRing.root_of_unity(order)
     alg = OqAlgebra(ring)
 
@@ -206,7 +224,10 @@ def bigon_suite(order: int, trials: int, max_exp: int) -> list[Check]:
             keys = rng.sample(box, size)
             coeff_map = {k: _random_frobenius_element(alg, rng) for k in keys}
             cert = alg.independence_certificate(coeff_map)
-            _require(cert.certified, f"certificate refused on keys {sorted(keys)}")
+            _require(
+                cert.certified,
+                f"certificate refused on keys {sorted(keys)}: {_false_fields(cert)} false",
+            )
         return f"{trials} random coefficient maps certified independent"
 
     def check_localized(rng: random.Random) -> str:
@@ -248,7 +269,6 @@ def bigon_suite(order: int, trials: int, max_exp: int) -> list[Check]:
 def qtorus_suite(
     order: int, trials: int, triangulation: Triangulation | None = None
 ) -> list[Check]:
-    ring = ScalarRing.root_of_unity(order)
     if triangulation is None:
         fixtures = [
             ("once-punctured-torus", once_punctured_torus()),
@@ -256,6 +276,12 @@ def qtorus_suite(
         ]
     else:
         fixtures = [("input", triangulation)]
+    # root powers, exchange matrices, and the center-free check's residue box
+    size = order * order + sum(
+        tri.edge_count**2 + (order if len(tri.punctures) == 1 else 0) for _, tri in fixtures
+    )
+    _refuse_oversized("qtorus", size)
+    ring = ScalarRing.root_of_unity(order)
 
     checks: list[Check] = []
     for label, tri in fixtures:
@@ -270,8 +296,9 @@ def qtorus_suite(
             n = len(sigma)
             for i in range(n):
                 for j in range(n):
-                    _require(sigma[i][j] == -sigma[j][i], "not antisymmetric")
-                    _require(-2 <= sigma[i][j] <= 2, "entry out of range")
+                    where = f"({i}, {j})"
+                    _require(sigma[i][j] == -sigma[j][i], f"not antisymmetric at {where}")
+                    _require(-2 <= sigma[i][j] <= 2, f"entry {where} is out of range")
             return f"{n}x{n} exchange matrix is antisymmetric with entries in -2..2"
 
         def check_central(rng, tri=tri, target=target) -> str:
@@ -336,7 +363,7 @@ def qtorus_suite(
             cert = center_free_certificate(
                 order, x_map, target=target, zbasis=zb, elements=elements
             )
-            _require(cert.certified, "combined degrees collided or the sum vanished")
+            _require(cert.certified, f"certificate refused: {_false_fields(cert)} false")
             return f"certified over the full residue box of size {len(box)}"
 
         suffix = label
@@ -366,6 +393,7 @@ def _residue_box(order: int, p: int) -> list[tuple[int, ...]]:
 
 
 def torus_skein_suite(order: int, kmax: int, trials: int) -> list[Check]:
+    _refuse_oversized("torus-skein", max(5 * order, kmax * order) ** 2)
     def check_round_trip(rng: random.Random) -> str:
         for t in range(trials):
             p = _random_polynomial(rng, rng.randint(0, 20))
@@ -433,6 +461,7 @@ def torus_skein_suite(order: int, kmax: int, trials: int) -> list[Check]:
 
 
 def chebyshev_suite(order: int, trials: int) -> list[Check]:
+    _refuse_oversized("chebyshev", (5 * order) ** 2)
     def check_t_minus_s(rng: random.Random) -> str:
         for n in range(2, 13):
             _require(
@@ -471,6 +500,7 @@ def chebyshev_suite(order: int, trials: int) -> list[Check]:
 
 
 def counts_suite(order: int) -> list[Check]:
+    _refuse_oversized("counts", order**3 + dimensions.spanning_count_formula(order))
     def check_formula(rng: random.Random) -> str:
         got = len(spanning_set(order))
         want = dimensions.spanning_count_formula(order)

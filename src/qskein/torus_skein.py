@@ -96,11 +96,6 @@ def s1s2_reduce(p: Polynomial, order: int) -> S1S2Element:
     return S1S2Element(order, constant, tuple(kept))
 
 
-def torus_frobenius(p: Polynomial, order: int) -> Polynomial:
-    """Frobenius on the solid torus: substitute T_order(x) for x."""
-    return p.compose(chebyshev_t(order))
-
-
 def s1s2_frobenius_matrix(order: int, kmax: int) -> list[list[Fraction]]:
     """Matrix of the reduced Frobenius images of T_0, T_order, ..., T_(kmax*order).
 

@@ -1,10 +1,13 @@
 """Command line behavior: payload shapes, determinism, exit codes."""
 
+import dataclasses
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,7 @@ import pytest
 from qskein import cli, suites
 from qskein.chebyshev import Polynomial
 from qskein.oq_sl2 import OqAlgebra
-from qskein.quantum_torus import once_punctured_torus
+from qskein.quantum_torus import exchange_matrix, once_punctured_torus
 
 
 def run_cli(capsys, argv):
@@ -212,6 +215,58 @@ def test_failing_check_sets_exit_code(capsys, monkeypatch):
     assert report["checks"][0]["detail"] == "forced for the exit-code test"
 
 
+def run_check(checks, check_id):
+    [result] = suites.run_checks([c for c in checks if c[0] == check_id], 0)
+    return result
+
+
+@pytest.mark.parametrize(
+    "entry,detail",
+    [((1, 2), "not antisymmetric at (0, 1)"), ((3, -3), "entry (0, 1) is out of range")],
+)
+def test_bad_exchange_matrix_entry_named(monkeypatch, entry, detail):
+    def skewed(tri):
+        sigma = [list(row) for row in exchange_matrix(tri)]
+        sigma[0][1], sigma[1][0] = entry
+        return sigma
+
+    monkeypatch.setattr(suites, "exchange_matrix", skewed)
+    result = run_check(
+        suites.qtorus_suite(3, 1), "qtorus-once-punctured-torus-exchange-matrix"
+    )
+    assert result.status == "fail"
+    assert result.detail == detail
+
+
+def test_refused_center_free_certificate_names_the_field(monkeypatch):
+    real = suites.center_free_certificate
+
+    def collided(*args, **kwargs):
+        cert = real(*args, **kwargs)
+        return dataclasses.replace(cert, certified=False, distinct=False)
+
+    monkeypatch.setattr(suites, "center_free_certificate", collided)
+    result = run_check(
+        suites.qtorus_suite(3, 1), "qtorus-once-punctured-torus-center-free"
+    )
+    assert result.status == "fail"
+    assert result.detail == "certificate refused: distinct false"
+
+
+def test_refused_independence_certificate_names_the_field(monkeypatch):
+    real = OqAlgebra.independence_certificate
+
+    def vanished(self, coeff_map):
+        cert = real(self, coeff_map)
+        return dataclasses.replace(cert, certified=False, combination_nonzero=False)
+
+    monkeypatch.setattr(OqAlgebra, "independence_certificate", vanished)
+    result = run_check(suites.bigon_suite(3, 1, 1), "bigon-independence-certificates")
+    assert result.status == "fail"
+    assert result.detail.startswith("certificate refused on keys [")
+    assert result.detail.endswith("]: combination_nonzero false")
+
+
 def test_false_degree_formula_reported_as_fail(monkeypatch):
     real = OqAlgebra.power_product
 
@@ -259,6 +314,50 @@ def test_error_in_check_reported(capsys, monkeypatch):
     assert "RuntimeError" in report["checks"][0]["detail"]
 
 
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_module(*argv, **kwargs):
+    """Run ``python -m qskein`` on the package under test, installed or not."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "qskein", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        **kwargs,
+    )
+
+
+@pytest.mark.parametrize("argv", [("counts", "--N", "3001"), ("bigon", "--N", "1001")])
+def test_verify_oversized_work_refused(argv):
+    # a 1 GiB address-space cap and a timeout make a broken guard fail fast
+    start = time.perf_counter()
+    proc = run_module("verify", *argv, preexec_fn=_cap_address_space, timeout=10)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "exceeds" in proc.stderr
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("counts", "--N", "201"),
+        ("bigon", "--N", "101"),
+        ("qtorus", "--N", "101"),
+        ("chebyshev", "--N", "51"),
+        ("torus-skein", "--N", "101"),
+    ],
+)
+def test_verify_large_baseline_sizes_accepted(argv):
+    # builds each suite's checks without running them
+    args = cli._build_parser().parse_args(["verify", *argv])
+    assert cli._load_suite(args)
+
+
 def test_pretty_flag_is_indented(capsys):
     code, out, err = run_cli(capsys, ["verify", "counts", "--N", "3", "--pretty"])
     assert code == 0
@@ -266,13 +365,6 @@ def test_pretty_flag_is_indented(capsys):
 
 
 def test_module_entry_point():
-    # the child imports the package under test, installed or not
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qskein", "dims", "manifold",
-         "--genus", "0", "--markings", "0", "--N", "3"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_module("dims", "manifold", "--genus", "0", "--markings", "0", "--N", "3")
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"bound": 1}

@@ -57,14 +57,17 @@ def test_determinant_relation_both_orders():
 
 
 def test_rewriting_confluence_exhaustive_short_words():
-    """Normal forms must not depend on which reducible pair fires first."""
+    """The word engine agrees with the structured product of the word's
+    generators on every word of up to six letters (5,461 words)."""
     alg = OqAlgebra(GENERIC)
-    for length in range(7):
+    products = {"": alg.one()}
+    for length in range(1, 7):
         for tup in itertools.product("adbc", repeat=length):
             word = "".join(tup)
-            assert alg.normal_form(word) == alg.normal_form(
-                word, strategy="rightmost"
-            ), word
+            products[word] = products[word[:-1]] * alg.generator(word[-1])
+    assert len(products) == 5461
+    for word, product in products.items():
+        assert alg.normal_form(word) == product, word
 
 
 def test_normal_form_input_forms():
@@ -76,8 +79,10 @@ def test_normal_form_input_forms():
     assert combined == alg.normal_form("ab") * 2 - alg.normal_form("ba")
     with pytest.raises(ValueError):
         alg.normal_form("axb")
-    with pytest.raises(ValueError):
-        alg.normal_form("ab", strategy="middle")
+
+
+def pbw_word(k):
+    return "a" * k[0] + "d" * k[1] + "b" * k[2] + "c" * k[3]
 
 
 def test_word_engine_matches_structured_product():
@@ -87,11 +92,20 @@ def test_word_engine_matches_structured_product():
         for _ in range(40):
             u = random_pbw_index(rng, 3)
             v = random_pbw_index(rng, 3)
-            word = (
-                "a" * u[0] + "d" * u[1] + "b" * u[2] + "c" * u[3]
-                + "a" * v[0] + "d" * v[1] + "b" * v[2] + "c" * v[3]
+            assert alg.normal_form(pbw_word(u) + pbw_word(v)) == (
+                alg.power_product(u) * alg.power_product(v)
             )
-            assert alg.normal_form(word) == alg.power_product(u) * alg.power_product(v)
+    # every pair of PBW indices with entries <= 2: 45 * 45 = 2,025 pairs,
+    # which reach every branch of the a/d merge in both word orders
+    small = [k for k in itertools.product(range(3), repeat=4) if is_pbw_index(k)]
+    assert len(small) ** 2 == 2025
+    for ring in (GENERIC, ScalarRing.root_of_unity(5)):
+        alg = OqAlgebra(ring)
+        for u in small:
+            for v in small:
+                assert alg.normal_form(pbw_word(u) + pbw_word(v)) == (
+                    alg.basis_monomial(u) * alg.basis_monomial(v)
+                ), (u, v)
 
 
 def test_structured_product_associative():
@@ -120,8 +134,7 @@ def test_concatenation_bridge():
 def test_power_product_general_exponents():
     alg = OqAlgebra(GENERIC)
     for k in [(2, 1, 0, 0), (1, 2, 1, 0), (3, 3, 0, 2), (0, 0, 2, 2)]:
-        word = "a" * k[0] + "d" * k[1] + "b" * k[2] + "c" * k[3]
-        assert alg.power_product(k) == alg.normal_form(word)
+        assert alg.power_product(k) == alg.normal_form(pbw_word(k))
     with pytest.raises(ValueError):
         alg.power_product((-1, 0, 0, 0))
 
@@ -192,7 +205,7 @@ def test_degree_formula_generic_spot():
     alg = OqAlgebra(GENERIC)
     for k in [(2, 1, 1, 0), (1, 3, 0, 2), (4, 4, 0, 0), (0, 2, 3, 1)]:
         assert alg.monomial_degree(k) == leading_index(k)
-        assert alg.monomial_degree(k, use_word_engine=True) == leading_index(k)
+        assert alg.normal_form(pbw_word(k)).deg() == leading_index(k)
 
 
 def test_degree_of_sum_with_distinct_leads():
@@ -264,7 +277,7 @@ def test_diagonal_power_membership():
         for t in range(11):
             x = alg.power_product((t, 0, 0, 0)) * alg.power_product((0, t, 0, 0))
             assert alg.in_diagonal_tower(x, t)
-            assert x == alg.diagonal_expansion(t)
+            assert x == alg.power_product((t, t, 0, 0))
 
 
 def test_diagonal_tower_rejects():
@@ -278,14 +291,8 @@ def test_diagonal_tower_rejects():
     assert not alg.in_diagonal_tower(alg.one() + alg.basis_monomial((0, 0, 2, 1)), 2)
     # top coefficient that is not a power of q
     assert not alg.in_diagonal_tower(alg.one() + bc * 2, 1)
-
-
-def test_diagonal_tower_sign_flag():
-    alg = OqAlgebra(ROOT3)
-    bc = alg.basis_monomial((0, 0, 1, 1))
-    x = alg.one() - bc * ROOT3.q_pow(2)
-    assert not alg.in_diagonal_tower(x, 1)
-    assert alg.in_diagonal_tower(x, 1, allow_sign=True)
+    # nor is minus a power of q
+    assert not alg.in_diagonal_tower(alg.one() - bc * ROOT3.q_pow(2), 1)
 
 
 def test_tower_stable_under_d_conjugation():
@@ -348,7 +355,7 @@ def test_frobenius_monomial_and_recognition():
 def test_quantum_binomial_collapse():
     """At order 3 the middle diagonal coefficients vanish: a^3 d^3 = 1 + (bc)^3."""
     alg = OqAlgebra(ROOT3)
-    lhs = alg.diagonal_expansion(3)
+    lhs = alg.power_product((3, 3, 0, 0))
     assert lhs == alg.one() + alg.basis_monomial((0, 0, 3, 3))
 
 
@@ -472,11 +479,18 @@ def test_diagonal_tables_grow_once_under_threads():
     """Threads racing on a fresh algebra's diagonal tables see every level right."""
     ring = ScalarRing.root_of_unity(7)
     levels = range(15)
-    sequential = OqAlgebra(ring)
-    want = [
-        (sequential.diagonal_expansion(t), sequential.diagonal_expansion(t, True))
-        for t in levels
-    ]
+
+    def diagonals(alg):
+        """a^t d^t and d^t a^t, read from the forward and backward tables."""
+        return [
+            (
+                alg.power_product((t, t, 0, 0)),
+                alg.basis_monomial((0, t, 0, 0)) * alg.basis_monomial((t, 0, 0, 0)),
+            )
+            for t in levels
+        ]
+
+    want = diagonals(OqAlgebra(ring))
     workers = 8
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -488,10 +502,7 @@ def test_diagonal_tables_grow_once_under_threads():
 
             def work(i, alg=alg, barrier=barrier, seen=seen):
                 barrier.wait(timeout=30)
-                seen[i] = [
-                    (alg.diagonal_expansion(t), alg.diagonal_expansion(t, True))
-                    for t in levels
-                ]
+                seen[i] = diagonals(alg)
 
             threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
             for thread in threads:
@@ -500,9 +511,6 @@ def test_diagonal_tables_grow_once_under_threads():
                 thread.join(timeout=30)
                 assert not thread.is_alive()
             assert all(got == want for got in seen)
-            assert [
-                (alg.diagonal_expansion(t), alg.diagonal_expansion(t, True))
-                for t in levels
-            ] == want
+            assert diagonals(alg) == want
     finally:
         sys.setswitchinterval(interval)

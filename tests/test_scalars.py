@@ -216,7 +216,6 @@ def test_is_q_power_detection():
     assert root.is_q_power(root.one)
     assert not root.is_q_power(root.q_pow(1) + root.one)
     assert not root.is_q_power(-root.q_pow(2))
-    assert root.is_q_power(-root.q_pow(2), allow_sign=True)
     for m in range(5):
         assert root.root_exponent(root.zeta_pow(m)) == m
     assert root.root_exponent(-root.zeta_pow(1)) is None

@@ -12,7 +12,6 @@ from qskein.torus_skein import (
     a_basis_expand,
     s1s2_frobenius_matrix,
     s1s2_reduce,
-    torus_frobenius,
 )
 
 
@@ -82,14 +81,6 @@ def test_smallest_case_pinned():
     reduced = s1s2_reduce(chebyshev_t(3), 3)
     assert reduced.empty_coeff == 0
     assert reduced.e_coeffs == ((1, Fraction(-2)),)
-
-
-def test_torus_frobenius_is_composition():
-    p = Polynomial({2: Fraction(1), 1: Fraction(-1)})
-    t5 = chebyshev_t(5)
-    assert torus_frobenius(p, 5) == t5 * t5 - t5
-    assert torus_frobenius(Polynomial.constant(1), 7) == Polynomial.constant(1)
-    assert torus_frobenius(chebyshev_t(4), 3) == chebyshev_t(12)
 
 
 @pytest.mark.parametrize("order,kmax", [(3, 1), (3, 3), (3, 6), (5, 2), (5, 6)])
