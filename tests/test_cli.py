@@ -278,9 +278,7 @@ def test_false_degree_formula_reported_as_fail(monkeypatch):
         return out
 
     monkeypatch.setattr(OqAlgebra, "power_product", skewed)
-    checks = [c for c in suites.bigon_suite(3, 1, 1)
-              if c[0] == "bigon-degree-formula-vs-oracle"]
-    [result] = suites.run_checks(checks, 0)
+    result = run_check(suites.bigon_suite(3, 1, 1), "bigon-degree-formula-vs-oracle")
     assert result.status == "fail"
     assert result.detail == "degree mismatch at (1, 0, 1, 0)"
 
@@ -293,9 +291,7 @@ def test_failed_round_trip_names_the_trial(monkeypatch):
         return real(p + Polynomial({0: 1}), order)
 
     monkeypatch.setattr(suites, "chebyshev_reduce", off_by_one)
-    checks = [c for c in suites.chebyshev_suite(3, 5)
-              if c[0] == "chebyshev-reduce-round-trip"]
-    [result] = suites.run_checks(checks, 0)
+    result = run_check(suites.chebyshev_suite(3, 5), "chebyshev-reduce-round-trip")
     assert result.status == "fail"
     assert result.detail.endswith("at trial 0")
 
