@@ -291,7 +291,13 @@ def test_diagonal_tower_rejects():
     assert not alg.in_diagonal_tower(alg.one() + alg.basis_monomial((0, 0, 2, 1)), 2)
     # top coefficient that is not a power of q
     assert not alg.in_diagonal_tower(alg.one() + bc * 2, 1)
-    # nor is minus a power of q
+
+
+def test_diagonal_tower_sign_flag():
+    """A top coefficient of minus a power of q is not a power of q."""
+    alg = OqAlgebra(ROOT3)
+    bc = alg.basis_monomial((0, 0, 1, 1))
+    assert alg.in_diagonal_tower(alg.one() + bc * ROOT3.q_pow(2), 1)
     assert not alg.in_diagonal_tower(alg.one() - bc * ROOT3.q_pow(2), 1)
 
 

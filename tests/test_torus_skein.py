@@ -83,6 +83,15 @@ def test_smallest_case_pinned():
     assert reduced.e_coeffs == ((1, Fraction(-2)),)
 
 
+def test_torus_frobenius_is_composition():
+    """The solid torus Frobenius map is p -> p(T_N): composition with T_N."""
+    p = Polynomial({2: Fraction(1), 1: Fraction(-1)})
+    t5 = chebyshev_t(5)
+    assert p.compose(t5) == t5 * t5 - t5
+    assert Polynomial.constant(1).compose(chebyshev_t(7)) == Polynomial.constant(1)
+    assert chebyshev_t(4).compose(chebyshev_t(3)) == chebyshev_t(12)
+
+
 @pytest.mark.parametrize("order,kmax", [(3, 1), (3, 3), (3, 6), (5, 2), (5, 6)])
 def test_frobenius_matrix_diagonal(order, kmax):
     m = s1s2_frobenius_matrix(order, kmax)
