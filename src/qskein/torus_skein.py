@@ -19,7 +19,7 @@ from .chebyshev import Polynomial, chebyshev_a, chebyshev_t
 from .linear import accumulate, row_reduce
 
 
-def a_basis_expand(p: Polynomial) -> tuple[Fraction, dict[int, Fraction]]:
+def a_basis_expand(p: Polynomial) -> tuple[int | Fraction, dict[int, int | Fraction]]:
     """Coefficients of p over {1, A_1, A_2, ...}.
 
     Returns (constant coefficient, {i: coefficient of A_i}).  The change
@@ -27,7 +27,7 @@ def a_basis_expand(p: Polynomial) -> tuple[Fraction, dict[int, Fraction]]:
     repeated leading-term subtraction terminates with a constant.
     """
     work = dict(p.coefficients())
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, int | Fraction] = {}
     while work:
         d = max(work)
         if d == 0:
@@ -37,11 +37,11 @@ def a_basis_expand(p: Polynomial) -> tuple[Fraction, dict[int, Fraction]]:
         for e, a in chebyshev_a(d).terms.items():
             if e != d:
                 accumulate(work, e, -c * a)
-    constant = work.get(0, Fraction(0))
+    constant = work.get(0, 0)
     return constant, coeffs
 
 
-def a_basis_build(constant, coeffs: dict[int, Fraction]) -> Polynomial:
+def a_basis_build(constant, coeffs: dict[int, int | Fraction]) -> Polynomial:
     """Inverse of a_basis_expand: rebuild the polynomial."""
     return Polynomial.constant(constant).add_all(
         chebyshev_a(i) * c for i, c in coeffs.items()
@@ -57,8 +57,8 @@ class S1S2Element:
     """
 
     order: int
-    empty_coeff: Fraction
-    e_coeffs: tuple[tuple[int, Fraction], ...]
+    empty_coeff: int | Fraction
+    e_coeffs: tuple[tuple[int, int | Fraction], ...]
 
     def __post_init__(self):
         if self.order < 3 or self.order % 2 == 0:
@@ -77,11 +77,11 @@ class S1S2Element:
         ):
             raise ValueError("indices must be sorted")
 
-    def coefficient(self, i: int) -> Fraction:
+    def coefficient(self, i: int) -> int | Fraction:
         for j, c in self.e_coeffs:
             if j == i:
                 return c
-        return Fraction(0)
+        return 0
 
     def is_zero(self) -> bool:
         return not self.empty_coeff and not self.e_coeffs

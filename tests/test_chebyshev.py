@@ -1,17 +1,21 @@
 """Chebyshev-style recurrences and the power-basis reduction."""
 
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from qskein.chebyshev import (
+    ChebyshevForm,
     Polynomial,
     chebyshev_a,
     chebyshev_reduce,
     chebyshev_s,
     chebyshev_t,
 )
+from qskein.torus_skein import a_basis_expand
 
 
 def test_seed_values():
@@ -125,3 +129,60 @@ def test_reduce_columns_only_low_x_degrees():
     # every stored column index is an x-exponent below the order
     assert len(form.columns) == 3
     assert form.substitute() == Polynomial({11: Fraction(1), 7: Fraction(3)})
+
+
+def test_cold_families_need_no_deep_recursion():
+    families = (chebyshev_t, chebyshev_s, chebyshev_a)
+    for family in families:
+        family.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        built = [family(400) for family in families]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [p.degree() for p in built] == [400, 400, 400]
+    x = Polynomial.x()
+    assert chebyshev_t(400) == x * chebyshev_t(399) - chebyshev_t(398)
+    assert chebyshev_a(400) == chebyshev_s(400) + chebyshev_a(398)
+
+
+def _random_rational_polynomial(rng, degree):
+    return Polynomial(
+        {d: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for d in range(degree + 1)}
+    )
+
+
+def test_horner_matches_defining_sums():
+    rng = random.Random(1117)
+    for _ in range(30):
+        p = _random_rational_polynomial(rng, rng.randint(0, 6))
+        inner = _random_rational_polynomial(rng, rng.randint(0, 4))
+        want = Polynomial()
+        for e, v in p.terms.items():
+            want = want + inner**e * v
+        assert p.compose(inner) == want
+    for order in (3, 5):
+        t_n = chebyshev_t(order)
+        for _ in range(20):
+            columns = tuple(
+                _random_rational_polynomial(rng, rng.randint(0, 3))
+                for _ in range(order)
+            )
+            want = Polynomial()
+            for j, col in enumerate(columns):
+                for k, v in col.terms.items():
+                    want = want + t_n**k * Polynomial({j: v})
+            assert ChebyshevForm(order, columns).substitute() == want
+
+
+def test_integral_coefficients_are_ints():
+    form = chebyshev_reduce(Polynomial({40: 1}), 7)
+    polys = (chebyshev_t(30), chebyshev_a(30), *form.columns)
+    coeffs = [v for p in polys for v in p.terms.values()]
+    constant, expansion = a_basis_expand(Polynomial({d: d - 7 for d in range(15)}))
+    coeffs += [constant, *expansion.values()]
+    assert len(coeffs) > 40 and all(type(v) is int for v in coeffs)
+    p = Polynomial({0: Fraction(4, 2), 1: Fraction(1, 3)})
+    assert type(p.terms[0]) is int and p.terms[1] == Fraction(1, 3)
+    assert p * 3 == Polynomial({0: 6, 1: 1}) and (p * 3).terms[1] == 1
