@@ -20,6 +20,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from math import lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from .linear import SparseCombination, accumulate, row_reduce
@@ -349,19 +351,21 @@ class ZBasis:
         )
         if pivots != list(range(n)):
             raise ArithmeticError("singular matrix")
-        self._inv = [row[n:] for row in rows]
+        # the inverse as integer columns over one common denominator
+        inv = [row[n:] for row in rows]
+        self._den = lcm(*(x.denominator for row in inv for x in row))
+        self._columns = [tuple(int(row[i] * self._den) for row in inv) for i in range(n)]
 
     def coordinates(self, k: Sequence[int]) -> Vector:
         """Integer coordinates of a balanced vector over this basis."""
-        n = len(self.vectors)
-        if len(k) != n:
+        if len(k) != len(self.vectors):
             raise ValueError("vector has wrong length")
         out = []
-        for i in range(n):
-            val = sum(k[j] * self._inv[j][i] for j in range(n))
-            if val.denominator != 1:
+        for col in self._columns:
+            c, r = divmod(sum(map(mul, k, col)), self._den)
+            if r:
                 raise ValueError("vector is not in the balanced lattice")
-            out.append(int(val))
+            out.append(c)
         return tuple(out)
 
     def grading(self, k: Sequence[int]) -> Vector:
@@ -634,11 +638,12 @@ def center_free_certificate(
         )
     if target is None or zbasis is None:
         raise ValueError("expansion check needs the target torus and a basis")
-    z_half = []
-    for i in range(zbasis.p):
-        z = target.weyl_monomial(zbasis.vectors[i])
-        z_inv = target.weyl_monomial(tuple(-e for e in zbasis.vectors[i]))
-        z_half.append(z + z_inv)
+    # powers[i][r] is (Z_i + Z_i^-1)^r, grown one product at a time as
+    # larger residues occur
+    powers = []
+    for z in zbasis.vectors[: zbasis.p]:
+        z_half = target.weyl_monomial(z) + target.weyl_monomial(tuple(-e for e in z))
+        powers.append([target.one(), z_half])
     images = []
     for k, elt in elements.items():
         k = tuple(int(e) for e in k)
@@ -646,9 +651,14 @@ def center_free_certificate(
             raise ValueError("element key missing from x_map")
         if elt.is_zero():
             raise ValueError("balanced elements must be nonzero")
+        if min(k, default=0) < 0:
+            raise ValueError("residues must be non-negative")
         image = frobenius_map(elt, target, order)
         for i, ki in enumerate(k):
-            image = image * (z_half[i] ** ki)
+            row = powers[i]
+            while len(row) <= ki:
+                row.append(row[-1] * row[1])
+            image = image * row[ki]
         images.append(image)
     total = target.zero().add_all(images)
     nonzero = not total.is_zero()

@@ -234,8 +234,10 @@ class Scalar:
     numerators (the coefficients of 1, zeta, ..., zeta**(d-1)) over one int
     ``den`` > 0 with gcd(den, *nums) == 1, so equal values have equal
     ``_rep`` and hash.  ``_mono`` is None or ``(k, c)`` with 0 <= k < N and
-    an int c, meaning the scalar is exactly (c / den) * zeta**k; it is set
-    only where that is known by construction and never takes part in
+    an int c, meaning the scalar is exactly (c / den) * zeta**k.  It is set
+    on the ring's zero, one and root powers, on rationals, on negatives
+    and products of tagged scalars, on inverses of tagged scalars, and on
+    sums of two tagged scalars with the same k; it never takes part in
     equality or hashing.
 
     Generic mode: ``_rep`` is a tuple of (exponent, Fraction) pairs sorted
@@ -278,6 +280,10 @@ class Scalar:
                 accumulate(acc, e, c)
             return Scalar(ring, acc.items())
         (a, da), (b, db) = self._rep, other._rep
+        ma, mb = self._mono, other._mono
+        if ma is not None and mb is not None and ma[0] == mb[0]:
+            # c1/d1 zeta**k + c2/d2 zeta**k stays a tagged monomial
+            return ring._monomial(ma[0], ma[1] * db + mb[1] * da, da * db)
         if da == db:
             return ring._lowest(tuple([x + y for x, y in zip(a, b)]), da)
         return ring._lowest(tuple([x * db + y * da for x, y in zip(a, b)]), da * db)

@@ -44,8 +44,9 @@ from .scalars import ScalarRing
 
 MAX_WORK = 3 * 10**7
 """Largest work size a suite accepts, checked before it builds anything: the
-entries of its index sets, tables and matrices, and the coefficient pairs of
-its largest polynomial product.  It bounds memory, not time."""
+entries of its index sets, tables and matrices, the coefficient pairs of
+its largest polynomial product, and an N^3 term for the expansions that grow
+fastest in N (``qtorus``, ``torus-skein``).  It bounds memory, not time."""
 
 
 class CheckFailure(Exception):
@@ -276,9 +277,11 @@ def qtorus_suite(
         ]
     else:
         fixtures = [("input", triangulation)]
-    # root powers, exchange matrices, and the center-free check's residue box
+    # root powers, exchange matrices, and the center-free expansion: about
+    # N^2 terms of up to N numerators each
     size = order * order + sum(
-        tri.edge_count**2 + (order if len(tri.punctures) == 1 else 0) for _, tri in fixtures
+        tri.edge_count**2 + (order**3 if len(tri.punctures) == 1 else 0)
+        for _, tri in fixtures
     )
     _refuse_oversized("qtorus", size)
     ring = ScalarRing.root_of_unity(order)
@@ -393,7 +396,8 @@ def _residue_box(order: int, p: int) -> list[tuple[int, ...]]:
 
 
 def torus_skein_suite(order: int, kmax: int, trials: int) -> list[Check]:
-    _refuse_oversized("torus-skein", max(5 * order, kmax * order) ** 2)
+    # the largest polynomial product, and re-expanding every x^m, m <= 3N
+    _refuse_oversized("torus-skein", max(5 * order, kmax * order) ** 2 + order**3)
     def check_round_trip(rng: random.Random) -> str:
         for t in range(trials):
             p = _random_polynomial(rng, rng.randint(0, 20))

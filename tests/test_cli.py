@@ -325,7 +325,15 @@ def run_module(*argv, **kwargs):
     )
 
 
-@pytest.mark.parametrize("argv", [("counts", "--N", "3001"), ("bigon", "--N", "1001")])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("counts", "--N", "3001"),
+        ("bigon", "--N", "1001"),
+        ("qtorus", "--N", "1001"),
+        ("torus-skein", "--N", "999"),
+    ],
+)
 def test_verify_oversized_work_refused(argv):
     # a 1 GiB address-space cap and a timeout make a broken guard fail fast
     start = time.perf_counter()
@@ -346,6 +354,7 @@ def test_verify_oversized_work_refused(argv):
         ("qtorus", "--N", "101"),
         ("chebyshev", "--N", "51"),
         ("torus-skein", "--N", "101"),
+        ("qtorus", "--N", "151"),
     ],
 )
 def test_verify_large_baseline_sizes_accepted(argv):

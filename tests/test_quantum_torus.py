@@ -1,11 +1,13 @@
 """Triangulation quantum tori: exchange data, Weyl monomials, balance, grading."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from qskein.linear import row_reduce
 from qskein.quantum_torus import (
     QuantumTorus,
     Triangulation,
@@ -286,6 +288,43 @@ def test_coordinates_reject_unbalanced():
         zb.coordinates((1, 0, 0))
 
 
+def _fraction_coordinates(zb, k):
+    """Coordinates sum_j k_j inv[j][i] with the inverse from row_reduce."""
+    n = len(zb.vectors)
+    rows, _, _ = row_reduce(
+        [list(v) + [int(i == j) for j in range(n)] for i, v in enumerate(zb.vectors)]
+    )
+    inv = [row[n:] for row in rows]
+    return [sum(k[j] * inv[j][i] for j in range(n)) for i in range(n)]
+
+
+def test_integer_coordinates_match_fraction_inverse():
+    rng = random.Random(808)
+    late_only = 0
+    for tri in (once_punctured_torus(), four_punctured_sphere()):
+        zb = balanced_puncture_basis(tri)
+        lattice = balanced_lattice_basis(tri)
+        n = tri.edge_count
+        for _ in range(200):
+            coeffs = [rng.randint(-9, 9) for _ in range(n)]
+            k = tuple(sum(c * v[j] for c, v in zip(coeffs, lattice)) for j in range(n))
+            coords = zb.coordinates(k)
+            assert all(type(c) is int for c in coords)
+            assert list(coords) == _fraction_coordinates(zb, k)
+            back = tuple(sum(c * v[j] for c, v in zip(coords, zb.vectors)) for j in range(n))
+            assert back == k
+            # off the lattice by one edge: some coordinate is not an integer
+            j = rng.randrange(n)
+            off = tuple(x + (i == j) for i, x in enumerate(k))
+            assert not balanced_check(tri, off)
+            with pytest.raises(ValueError, match="not in the balanced lattice"):
+                zb.coordinates(off)
+            exact = _fraction_coordinates(zb, off)
+            late_only += all(x.denominator == 1 for x in exact[: zb.p])
+    # some of those fail only past the p grading coordinates, so all n are checked
+    assert late_only > 0
+
+
 def test_qt_deg_monomials_and_lex_max():
     tri = once_punctured_torus()
     zb = balanced_puncture_basis(tri)
@@ -355,3 +394,44 @@ def test_center_free_with_expansion():
         assert cert.expansion_checked
         assert cert.expansion_nonzero
         assert cert.expansion_deg_matches
+
+
+def test_center_free_power_table_matches_powers():
+    """Several punctures: the expansion agrees with one built from ``**``."""
+    rng = random.Random(31)
+    tri = four_punctured_sphere()
+    source, target = _tori_pair(tri)
+    zb = balanced_puncture_basis(tri)
+    lattice = balanced_lattice_basis(tri)
+    assert zb.p >= 2
+    x_map = {}
+    elements = {}
+    for k in itertools.product(range(3), repeat=zb.p):
+        l = random_balanced(source, tri, lattice, rng)
+        elements[k] = l
+        x_map[k] = qt_deg(l, zb)
+    cert = center_free_certificate(3, x_map, target=target, zbasis=zb, elements=elements)
+    z_half = [
+        target.weyl_monomial(z) + target.weyl_monomial(tuple(-e for e in z))
+        for z in zb.vectors[: zb.p]
+    ]
+    total = target.zero()
+    for k, l in elements.items():
+        image = frobenius_map(l, target, 3)
+        for zh, ki in zip(z_half, k):
+            image = image * zh**ki
+        total = total + image
+    top = max(tuple(3 * x + r for x, r in zip(x_map[k], k)) for k in elements)
+    assert cert.expansion_checked
+    assert cert.expansion_nonzero == (not total.is_zero())
+    assert cert.expansion_deg_matches == (not total.is_zero() and qt_deg(total, zb) == top)
+
+
+def test_center_free_negative_residue_refused():
+    tri = once_punctured_torus()
+    source, target = _tori_pair(tri)
+    zb = balanced_puncture_basis(tri)
+    with pytest.raises(ValueError, match="non-negative"):
+        center_free_certificate(
+            3, {(-1,): (0,)}, target=target, zbasis=zb, elements={(-1,): source.one()}
+        )

@@ -167,6 +167,45 @@ def test_equal_values_have_one_representation(order):
     assert hash(dense * dense.inverse()) == hash(ring.one)
 
 
+@pytest.mark.parametrize("order", [5, 9, 15, 21])
+def test_sums_of_tagged_scalars(order):
+    """Equal exponents give a tagged monomial in lowest terms, unequal a dense sum."""
+    ring = ScalarRing.root_of_unity(order)
+    rng = random.Random(order)
+    powers = [_reference_coefficients(ring, [0] * k + [1]) for k in range(order)]
+
+    def term(k, c):
+        return ring.zeta_pow(k) * c, [c * x for x in powers[k]]
+
+    for k in range(order):
+        for _ in range(6):
+            c1 = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            c2 = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            (x, cx), (y, cy) = term(k, c1), term(k, c2)
+            for total, want in ((x + y, c1 + c2), (x - y, c1 - c2)):
+                assert total._mono is not None and total._mono[0] == k
+                # _coefficients checks lowest terms and that the tag fits the value
+                assert _coefficients(total) == [want * v for v in powers[k]]
+        # exact cancellation, with fractional and integral coefficients
+        c = Fraction(rng.randint(1, 9), rng.randint(2, 6))
+        x = ring.zeta_pow(k) * c
+        for total in (x - x, x + (-x), -x + x, ring.zeta_pow(k) * 3 - ring.zeta_pow(k) * 3):
+            assert total._mono is not None and total._mono[0] == k
+            assert total == ring.zero and hash(total) == hash(ring.zero)
+            assert total._rep == ring.zero._rep and not total
+        half = ring.zeta_pow(k) * Fraction(1, 2)
+        assert (half + half)._rep == ring.zeta_pow(k)._rep
+        for j in range(order):
+            if j == k:
+                continue
+            c1 = Fraction(rng.randint(1, 9), rng.randint(1, 6))
+            c2 = Fraction(-rng.randint(1, 9), rng.randint(1, 6))
+            (x, cx), (y, cy) = term(k, c1), term(j, c2)
+            total = x + y
+            assert total._mono is None
+            assert _coefficients(total) == [a + b for a, b in zip(cx, cy)]
+
+
 def test_inverse_of_zeta():
     ring = ScalarRing.root_of_unity(3)
     assert ring.zeta_pow(1).inverse() == ring.zeta_pow(2)
