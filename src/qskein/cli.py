@@ -10,8 +10,8 @@ Two command families:
 Output is JSON on stdout (add --pretty for indentation).  Reports are
 deterministic for a fixed command line and seed apart from elapsed_ms.
 Exit codes: 0 all checks pass, 1 at least one failure, 2 usage or input
-error, including a dims count too large to print and verify work above
-suites.MAX_WORK.
+error, including a dims count too large to print, verify work above
+suites.MAX_WORK and a bigon --max-exp above suites.MAX_EXP.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import lcm
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .linear import SparseCombination, accumulate, row_reduce
 from .scalars import Scalar, ScalarRing
@@ -214,85 +214,52 @@ def central_puncture_exponent(tri: Triangulation, name: str) -> Vector:
 
 
 # ---------------------------------------------------------------------------
-# integer lattice helpers
+# the balanced lattice
 
 
-def _row_hnf(rows: list[list[int]], n: int) -> list[list[int]]:
-    """Integer row-style Hermite form; returns the nonzero rows."""
-    rows = [list(r) for r in rows if any(r)]
-    r = 0
-    for c in range(n):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(r + 1, len(rows)):
-            while rows[i][c]:
-                q = rows[r][c] // rows[i][c]
-                rows[r] = [a - q * b for a, b in zip(rows[r], rows[i])]
-                rows[r], rows[i] = rows[i], rows[r]
-        if rows[r][c] < 0:
-            rows[r] = [-a for a in rows[r]]
-        for i in range(r):
-            q = rows[i][c] // rows[r][c]
-            if q:
-                rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return [row for row in rows[:r]]
+def _gf2_reduce(rows: Iterable[int]) -> dict[int, int]:
+    """Reduced echelon form over GF(2) of bit-mask rows (bit j is column j).
 
-
-def _gf2_nullspace(rows: list[list[int]], n: int) -> list[list[int]]:
-    mat = [[x & 1 for x in row] for row in rows]
-    mat = [row for row in mat if any(row)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                mat[i] = [(a + b) & 1 for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
-        vec = [0] * n
-        vec[fc] = 1
-        for pr, pc in enumerate(pivots):
-            vec[pc] = mat[pr][fc] & 1
-        basis.append(vec)
-    return basis
+    Returns {leading column: row}, the leading column being a row's lowest
+    set bit; no row has another row's leading bit set.
+    """
+    reduced: dict[int, int] = {}
+    for row in rows:
+        for c, other in reduced.items():
+            if row >> c & 1:
+                row ^= other
+        if row:
+            lead = (row & -row).bit_length() - 1
+            for c, other in reduced.items():
+                if other >> lead & 1:
+                    reduced[c] = other ^ row
+            reduced[lead] = row
+    return reduced
 
 
 def balanced_lattice_basis(tri: Triangulation) -> list[Vector]:
-    """Row basis of the lattice of balanced exponent vectors."""
+    """Row Hermite basis of the lattice L of balanced exponent vectors.
+
+    L contains 2Z^n, so it is the preimage of its parity space S, the GF(2)
+    solutions of the triangle parities.  Row c is the reduced row of S
+    leading at column c, or 2e_c where none does.  That basis is upper
+    triangular with diagonal entries 1 or 2 and entries above each diagonal
+    entry in [0, it), so it is the unique row Hermite form of L.
+    """
     n = tri.edge_count
-    constraints = []
-    for t in tri.triangles:
-        row = [0] * n
-        for e in t:
-            row[e] += 1
-        constraints.append(row)
-    gens = _gf2_nullspace(constraints, n)
-    for i in range(n):
-        row = [0] * n
-        row[i] = 2
-        gens.append(row)
-    basis = _row_hnf(gens, n)
-    if len(basis) != n:
-        raise ArithmeticError("balanced lattice is not full rank")
-    return [tuple(r) for r in basis]
+    parities = _gf2_reduce((1 << a) ^ (1 << b) ^ (1 << c) for a, b, c in tri.triangles)
+    # one solution per free column f: e_f plus the pivots whose row has f
+    solutions = _gf2_reduce(
+        (1 << f) | sum(1 << lead for lead, row in parities.items() if row >> f & 1)
+        for f in range(n)
+        if f not in parities
+    )
+    return [
+        tuple(solutions[c] >> j & 1 for j in range(n))
+        if c in solutions
+        else tuple(2 * (j == c) for j in range(n))
+        for c in range(n)
+    ]
 
 
 def _complete_unimodular_rows(crows: list[Vector], n: int) -> list[Vector]:
@@ -382,17 +349,19 @@ def balanced_puncture_basis(tri: Triangulation) -> ZBasis:
     n = tri.edge_count
     basis = balanced_lattice_basis(tri)
     exponents = [central_puncture_exponent(tri, name) for name in tri.punctures]
-    # solve sum_i x_i basis_i = h for every puncture exponent h at once; the
-    # full-rank basis makes the reduced left block the identity
-    rows, _, _ = row_reduce(
-        [[b[j] for b in basis] + [h[j] for h in exponents] for j in range(n)]
-    )
+    # solve sum_c x_c basis_c = h by substitution down the upper triangular
+    # basis: x_c is fixed by column c of what rows 0..c-1 leave
     coords = []
-    for col in range(n, n + len(exponents)):
-        x = [row[col] for row in rows]
-        if any(v.denominator != 1 for v in x):
-            raise ValueError("target vector is not in the lattice")
-        coords.append(tuple(int(v) for v in x))
+    for h in exponents:
+        rest = list(h)
+        x = []
+        for c, b in enumerate(basis):
+            q, r = divmod(rest[c], b[c])
+            if r:
+                raise ValueError("target vector is not in the lattice")
+            rest = [u - q * v for u, v in zip(rest, b)]
+            x.append(q)
+        coords.append(tuple(x))
     completed = _complete_unimodular_rows(coords, n)
     if abs(row_reduce(completed)[2]) != 1:
         raise ArithmeticError("completion produced a non-unimodular matrix")

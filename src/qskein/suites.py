@@ -48,6 +48,10 @@ entries of its index sets, tables and matrices, the coefficient pairs of
 its largest polynomial product, and an N^3 term for the expansions that grow
 fastest in N (``qtorus``, ``torus-skein``).  It bounds memory, not time."""
 
+MAX_EXP = 12
+"""Largest ``bigon`` exponent cap, checked before anything is built: the
+word-rewriting check's run time grows steeply in it, and unevenly by seed."""
+
 
 class CheckFailure(Exception):
     """A verification check did not hold."""
@@ -164,6 +168,8 @@ def _random_balanced_element(
 
 
 def bigon_suite(order: int, trials: int, max_exp: int) -> list[Check]:
+    if max_exp > MAX_EXP:
+        raise ValueError(f"bigon exponent cap {max_exp} exceeds {MAX_EXP}; refused")
     _refuse_oversized("bigon", order**3 + dimensions.spanning_count_formula(order))
     ring = ScalarRing.root_of_unity(order)
     alg = OqAlgebra(ring)

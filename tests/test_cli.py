@@ -332,6 +332,7 @@ def run_module(*argv, **kwargs):
         ("bigon", "--N", "1001"),
         ("qtorus", "--N", "1001"),
         ("torus-skein", "--N", "999"),
+        ("bigon", "--max-exp", "13"),
     ],
 )
 def test_verify_oversized_work_refused(argv):
@@ -355,6 +356,7 @@ def test_verify_oversized_work_refused(argv):
         ("chebyshev", "--N", "51"),
         ("torus-skein", "--N", "101"),
         ("qtorus", "--N", "151"),
+        ("bigon", "--N", "21", "--max-exp", "12"),
     ],
 )
 def test_verify_large_baseline_sizes_accepted(argv):

@@ -2,11 +2,16 @@
 
 import itertools
 import json
+import math
 import random
+import re
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from qskein import quantum_torus
 from qskein.linear import row_reduce
 from qskein.quantum_torus import (
     QuantumTorus,
@@ -143,6 +148,115 @@ def test_balanced_lattice_contains_doubles_and_puncture_vectors():
             assert balanced_check(tri, v)
         for name in tri.punctures:
             assert balanced_check(tri, central_puncture_exponent(tri, name))
+
+
+def _readme_triangulation():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("### Triangulation files"):]
+    return Triangulation.from_json(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+
+
+def _glued_triangulation(triangle_count, rng):
+    """Glue triangles along a random pairing of their sides (t, s).
+
+    Corner (t, s) lies between sides s - 1 and s; crossing side (t, s),
+    glued to (t', s'), leads to corner (t', s' + 1).  A fan lists the edges
+    crossed while walking around one puncture.
+    """
+    sides = [(t, s) for t in range(triangle_count) for s in range(3)]
+    rng.shuffle(sides)
+    edge_of, partner = {}, {}
+    for e in range(len(sides) // 2):
+        x, y = sides[2 * e], sides[2 * e + 1]
+        edge_of[x] = edge_of[y] = e
+        partner[x], partner[y] = y, x
+    fans, seen = {}, set()
+    for corner in sorted(edge_of):
+        fan = []
+        while corner not in seen:
+            seen.add(corner)
+            fan.append(edge_of[corner])
+            t, s = partner[corner]
+            corner = (t, (s + 1) % 3)
+        if fan:
+            fans[f"v{len(fans)}"] = fan
+    data = {
+        "edges": len(sides) // 2,
+        "triangles": [[edge_of[(t, s)] for s in range(3)] for t in range(triangle_count)],
+        "fans": fans,
+    }
+    return Triangulation.from_json(json.dumps(data))
+
+
+def _assert_hermite(basis):
+    """Upper triangular rows, diagonal 1 or 2, entries above it in [0, it)."""
+    n = len(basis)
+    for c, row in enumerate(basis):
+        assert len(row) == n
+        assert not any(row[:c])
+        assert row[c] in (1, 2)
+        assert all(0 <= basis[r][c] < row[c] for r in range(c))
+
+
+def _solves_by_substitution(basis, k):
+    """Whether k is an integer combination of the upper triangular basis."""
+    rest = list(k)
+    for c, row in enumerate(basis):
+        q, r = divmod(rest[c], row[c])
+        if r:
+            return False
+        rest = [a - q * b for a, b in zip(rest, row)]
+    return not any(rest)
+
+
+@pytest.mark.parametrize(
+    "tri",
+    [once_punctured_torus(), four_punctured_sphere(), _readme_triangulation()],
+    ids=["once-punctured-torus", "four-punctured-sphere", "readme"],
+)
+def test_balanced_lattice_basis_spans_exactly_the_balanced_vectors(tri):
+    basis = balanced_lattice_basis(tri)
+    assert len(basis) == tri.edge_count
+    _assert_hermite(basis)
+    assert all(balanced_check(tri, v) for v in basis)
+    # L contains 2Z^n, so its parity vectors decide membership and its index
+    balanced = 0
+    for k in itertools.product((0, 1), repeat=tri.edge_count):
+        is_balanced = balanced_check(tri, k)
+        assert is_balanced == _solves_by_substitution(basis, k)
+        balanced += is_balanced
+    index = math.prod(row[c] for c, row in enumerate(basis))
+    assert index * balanced == 2 ** tri.edge_count
+
+
+def test_balanced_lattice_basis_of_a_large_glued_triangulation():
+    tri = _glued_triangulation(100, random.Random(9))
+    assert tri.edge_count == 150
+    start = time.perf_counter()
+    basis = balanced_lattice_basis(tri)
+    elapsed = time.perf_counter() - start
+    assert len(basis) == 150
+    _assert_hermite(basis)
+    assert all(balanced_check(tri, v) for v in basis)
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda h: tuple(2 * e for e in h), "completion failure"),
+        (lambda h: (h[0] + 1,) + h[1:], "not in the lattice"),
+    ],
+    ids=["doubled", "plus-e0"],
+)
+@pytest.mark.parametrize("tri", [once_punctured_torus(), four_punctured_sphere()])
+def test_puncture_basis_refuses_bad_puncture_vectors(monkeypatch, tri, change, message):
+    exponent = quantum_torus.central_puncture_exponent
+    monkeypatch.setattr(
+        quantum_torus, "central_puncture_exponent", lambda t, name: change(exponent(t, name))
+    )
+    with pytest.raises(ValueError, match=message):
+        balanced_puncture_basis(tri)
 
 
 def test_puncture_exponent_counts_fan_ends():
