@@ -13,107 +13,85 @@ The package has five mathematical layers and a command line on top:
   central puncture monomials, and the exponent-multiplying embedding.
 - torus_skein / dimensions: solid torus and S^1 x S^2 modules, and the
   closed-form dimension and bound formulas.
+
+The names below are re-exported from their layers and load on first use:
+``import qskein`` imports no layer, and ``from qskein import OqAlgebra``
+imports ``qskein.oq_sl2`` (with what it needs) and nothing else.
 """
 
-from .chebyshev import (
-    ChebyshevForm,
-    Polynomial,
-    chebyshev_a,
-    chebyshev_reduce,
-    chebyshev_s,
-    chebyshev_t,
-)
-from .dimensions import (
-    Marked3ManifoldDescriptor,
-    SurfaceDescriptor,
-    euler_characteristic,
-    lambda_bounds,
-    localized_dimension,
-    module_bound,
-    r_of_surface,
-    spanning_count_formula,
-)
-from .oq_sl2 import (
-    OqAlgebra,
-    OqElement,
-    basis_box,
-    is_pbw_index,
-    leading_index,
-    spanning_set,
-    spanning_wing,
-)
-from .quantum_torus import (
-    QTElement,
-    QuantumTorus,
-    Triangulation,
-    ZBasis,
-    balanced_check,
-    balanced_lattice_basis,
-    balanced_puncture_basis,
-    center_free_certificate,
-    central_puncture_element,
-    central_puncture_exponent,
-    exchange_matrix,
-    four_punctured_sphere,
-    frobenius_map,
-    is_central,
-    once_punctured_torus,
-    qt_deg,
-)
-from .scalars import Scalar, ScalarRing
-from .torus_skein import (
-    S1S2Element,
-    a_basis_build,
-    a_basis_expand,
-    s1s2_frobenius_matrix,
-    s1s2_reduce,
-)
+import importlib
 
-__all__ = [
-    "ChebyshevForm",
-    "Polynomial",
-    "chebyshev_a",
-    "chebyshev_reduce",
-    "chebyshev_s",
-    "chebyshev_t",
-    "Marked3ManifoldDescriptor",
-    "SurfaceDescriptor",
-    "euler_characteristic",
-    "lambda_bounds",
-    "localized_dimension",
-    "module_bound",
-    "r_of_surface",
-    "spanning_count_formula",
-    "OqAlgebra",
-    "OqElement",
-    "basis_box",
-    "is_pbw_index",
-    "leading_index",
-    "spanning_set",
-    "spanning_wing",
-    "QTElement",
-    "QuantumTorus",
-    "Triangulation",
-    "ZBasis",
-    "balanced_check",
-    "balanced_lattice_basis",
-    "balanced_puncture_basis",
-    "center_free_certificate",
-    "central_puncture_element",
-    "central_puncture_exponent",
-    "exchange_matrix",
-    "four_punctured_sphere",
-    "frobenius_map",
-    "is_central",
-    "once_punctured_torus",
-    "qt_deg",
-    "Scalar",
-    "ScalarRing",
-    "S1S2Element",
-    "a_basis_build",
-    "a_basis_expand",
-    "s1s2_frobenius_matrix",
-    "s1s2_reduce",
-]
+_EXPORTS = {
+    "chebyshev": (
+        "ChebyshevForm",
+        "Polynomial",
+        "chebyshev_a",
+        "chebyshev_reduce",
+        "chebyshev_s",
+        "chebyshev_t",
+    ),
+    "dimensions": (
+        "Marked3ManifoldDescriptor",
+        "SurfaceDescriptor",
+        "euler_characteristic",
+        "lambda_bounds",
+        "localized_dimension",
+        "module_bound",
+        "r_of_surface",
+        "spanning_count_formula",
+    ),
+    "oq_sl2": (
+        "OqAlgebra",
+        "OqElement",
+        "basis_box",
+        "is_pbw_index",
+        "leading_index",
+        "spanning_set",
+        "spanning_wing",
+    ),
+    "quantum_torus": (
+        "QTElement",
+        "QuantumTorus",
+        "Triangulation",
+        "ZBasis",
+        "balanced_check",
+        "balanced_lattice_basis",
+        "balanced_puncture_basis",
+        "center_free_certificate",
+        "central_puncture_element",
+        "central_puncture_exponent",
+        "exchange_matrix",
+        "four_punctured_sphere",
+        "frobenius_map",
+        "is_central",
+        "once_punctured_torus",
+        "qt_deg",
+    ),
+    "scalars": ("Scalar", "ScalarRing"),
+    "torus_skein": (
+        "S1S2Element",
+        "a_basis_build",
+        "a_basis_expand",
+        "s1s2_frobenius_matrix",
+        "s1s2_reduce",
+    ),
+}
+"""Layer module -> the public names it defines."""
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Look a re-exported name up in its layer, importing the layer on first use."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -15,10 +15,9 @@ generate everything over the subring hit by T_N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .linear import SparseCombination, accumulate
 
@@ -144,8 +143,7 @@ def chebyshev_a(n: int) -> Polynomial:
     return chebyshev_s(n) + chebyshev_a(n - 2)
 
 
-@dataclass(frozen=True)
-class ChebyshevForm:
+class ChebyshevForm(NamedTuple):
     """Canonical form p(x) = sum_{j<N} columns[j](T_N(x)) * x**j.
 
     ``columns[j]`` is a polynomial in one variable standing for T_N(x).

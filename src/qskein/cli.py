@@ -21,15 +21,6 @@ import json
 import sys
 
 from . import suites
-from .dimensions import (
-    Marked3ManifoldDescriptor,
-    SurfaceDescriptor,
-    lambda_bounds,
-    localized_dimension,
-    module_bound,
-    r_of_surface,
-)
-from .quantum_torus import Triangulation
 
 SUITES = ("bigon", "qtorus", "torus-skein", "chebyshev", "counts")
 
@@ -80,6 +71,15 @@ def _emit(payload: dict, pretty: bool):
 
 
 def _cmd_dims(args) -> int:
+    from .dimensions import (
+        Marked3ManifoldDescriptor,
+        SurfaceDescriptor,
+        lambda_bounds,
+        localized_dimension,
+        module_bound,
+        r_of_surface,
+    )
+
     try:
         if args.target == "surface":
             s = SurfaceDescriptor(args.genus, args.punctures, args.boundary)
@@ -122,6 +122,8 @@ def _load_suite(args) -> list:
     if args.suite == "qtorus":
         tri = None
         if args.triangulation:
+            from .quantum_torus import Triangulation
+
             with open(args.triangulation, encoding="utf-8") as handle:
                 tri = Triangulation.from_json(handle.read())
         return suites.qtorus_suite(order, args.trials, tri)

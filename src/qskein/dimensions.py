@@ -14,15 +14,20 @@ and are never refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 MAX_RESULT_BITS = 1 << 22
 """Largest bit length a count may have: about 1.26 million decimal digits,
 computed in well under a second."""
 
 
-@dataclass(frozen=True)
-class SurfaceDescriptor:
+class _SurfaceFields(NamedTuple):
+    genus: int
+    punctures: int
+    boundary: int
+
+
+class SurfaceDescriptor(_SurfaceFields):
     """Punctured bordered surface: compact model of the given genus with
     ``punctures`` interior points removed and ``boundary`` open intervals
     as boundary components.
@@ -34,26 +39,29 @@ class SurfaceDescriptor:
     gives the disk with two boundary intervals r = 1.
     """
 
-    genus: int
-    punctures: int
-    boundary: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.genus < 0 or self.punctures < 0 or self.boundary < 0:
+    def __new__(cls, genus: int, punctures: int, boundary: int):
+        if genus < 0 or punctures < 0 or boundary < 0:
             raise ValueError("surface data must be nonnegative")
+        return super().__new__(cls, genus, punctures, boundary)
 
 
-@dataclass(frozen=True)
-class Marked3ManifoldDescriptor:
-    """Compact oriented 3-manifold of the given Heegaard genus with a
-    marking consisting of ``markings`` oriented open intervals."""
-
+class _ManifoldFields(NamedTuple):
     genus: int
     markings: int
 
-    def __post_init__(self):
-        if self.genus < 0 or self.markings < 0:
+
+class Marked3ManifoldDescriptor(_ManifoldFields):
+    """Compact oriented 3-manifold of the given Heegaard genus with a
+    marking consisting of ``markings`` oriented open intervals."""
+
+    __slots__ = ()
+
+    def __new__(cls, genus: int, markings: int):
+        if genus < 0 or markings < 0:
             raise ValueError("manifold data must be nonnegative")
+        return super().__new__(cls, genus, markings)
 
 
 def euler_characteristic(s: SurfaceDescriptor) -> int:

@@ -23,9 +23,8 @@ witness linear independence.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .linear import SparseCombination, accumulate
 from .scalars import ROOT_OF_UNITY, Scalar, ScalarRing
@@ -495,20 +494,17 @@ class OqElement(SparseCombination):
         return f"({coeff})*O{k}"
 
 
-@dataclass(frozen=True)
-class IndependenceCertificate:
+class IndependenceCertificate(NamedTuple):
     certified: bool
     lifted_indices: tuple[Index, ...]
     indices_distinct: bool
     combination_nonzero: bool
 
 
-@dataclass(frozen=True)
-class LocalizedExpression:
+class LocalizedExpression(NamedTuple):
     power: int
     coefficients: dict[Index, OqElement]
 
 
-@dataclass(frozen=True)
-class SpanningExpression:
+class SpanningExpression(NamedTuple):
     coefficients: dict[Index, OqElement]

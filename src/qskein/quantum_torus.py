@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from math import lcm
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .linear import SparseCombination, accumulate, row_reduce
 from .scalars import Scalar, ScalarRing
@@ -34,15 +33,19 @@ Vector = tuple[int, ...]
 # triangulations
 
 
-@dataclass(frozen=True)
-class Triangulation:
-    """Combinatorial ideal triangulation of a punctured surface."""
-
+class _TriangulationFields(NamedTuple):
     edge_count: int
     triangles: tuple[tuple[int, int, int], ...]
     fans: tuple[tuple[str, tuple[int, ...]], ...]
 
-    def __post_init__(self):
+
+class Triangulation(_TriangulationFields):
+    """Combinatorial ideal triangulation of a punctured surface."""
+
+    __slots__ = ()
+
+    def __new__(cls, edge_count: int, triangles, fans):
+        self = super().__new__(cls, edge_count, triangles, fans)
         n = self.edge_count
         if n < 1:
             raise ValueError("triangulation needs at least one edge")
@@ -83,6 +86,7 @@ class Triangulation:
         )
         if corners != fan_pairs:
             raise ValueError("consecutive fan entries do not match the triangle corners")
+        return self
 
     @property
     def punctures(self) -> tuple[str, ...]:
@@ -562,8 +566,7 @@ def qt_deg(x: QTElement, zbasis: ZBasis) -> Vector:
     return max(zbasis.grading(k) for k in x.terms)
 
 
-@dataclass(frozen=True)
-class CenterFreeCertificate:
+class CenterFreeCertificate(NamedTuple):
     certified: bool
     combined: tuple[Vector, ...]
     distinct: bool

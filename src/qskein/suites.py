@@ -5,6 +5,9 @@ own random.Random instance seeded from the global seed and the check id,
 so reports are deterministic for a given seed whatever order the checks
 run in.  Checks return a short detail string on success and raise
 CheckFailure (or any exception, reported as an error) otherwise.
+
+Each suite builder imports the layers it uses when it is called, so a
+command loads only the layers of the suite it runs.
 """
 
 from __future__ import annotations
@@ -12,34 +15,14 @@ from __future__ import annotations
 import random
 import time
 import zlib
-from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Sequence
+from functools import cache, partial
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from . import dimensions, quantum_torus, torus_skein
-from .chebyshev import Polynomial, chebyshev_reduce, chebyshev_s, chebyshev_t
-from .oq_sl2 import (
-    OqAlgebra,
-    basis_box,
-    leading_index,
-    spanning_set,
-)
-from .quantum_torus import (
-    QuantumTorus,
-    Triangulation,
-    balanced_check,
-    balanced_lattice_basis,
-    balanced_puncture_basis,
-    center_free_certificate,
-    central_puncture_element,
-    exchange_matrix,
-    four_punctured_sphere,
-    frobenius_map,
-    is_central,
-    once_punctured_torus,
-    qt_deg,
-)
-from .scalars import ScalarRing
+if TYPE_CHECKING:
+    from .chebyshev import Polynomial
+    from .oq_sl2 import OqAlgebra
+    from .quantum_torus import QuantumTorus, Triangulation
 
 
 MAX_WORK = 3 * 10**7
@@ -57,8 +40,7 @@ class CheckFailure(Exception):
     """A verification check did not hold."""
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     id: str
     status: str
     detail: str
@@ -95,7 +77,7 @@ def _require(cond: bool, message: str):
 
 def _false_fields(cert) -> str:
     """Names of a certificate's False fields, ``certified`` aside."""
-    names = [f.name for f in fields(cert) if f.name != "certified"]
+    names = [name for name in cert._fields if name != "certified"]
     return ", ".join(name for name in names if getattr(cert, name) is False)
 
 
@@ -128,6 +110,8 @@ def _random_frobenius_element(alg: OqAlgebra, rng: random.Random, cap: int = 2):
 
 
 def _random_polynomial(rng: random.Random, degree: int) -> Polynomial:
+    from .chebyshev import Polynomial
+
     coeffs = {}
     for d in range(degree + 1):
         if rng.random() < 0.6:
@@ -168,9 +152,13 @@ def _random_balanced_element(
 
 
 def bigon_suite(order: int, trials: int, max_exp: int) -> list[Check]:
+    from .dimensions import spanning_count_formula
+    from .oq_sl2 import OqAlgebra, basis_box, leading_index, spanning_set
+    from .scalars import ScalarRing
+
     if max_exp > MAX_EXP:
         raise ValueError(f"bigon exponent cap {max_exp} exceeds {MAX_EXP}; refused")
-    _refuse_oversized("bigon", order**3 + dimensions.spanning_count_formula(order))
+    _refuse_oversized("bigon", order**3 + spanning_count_formula(order))
     ring = ScalarRing.root_of_unity(order)
     alg = OqAlgebra(ring)
 
@@ -253,7 +241,7 @@ def bigon_suite(order: int, trials: int, max_exp: int) -> list[Check]:
 
     def check_spanning_count(rng: random.Random) -> str:
         got = len(spanning_set(order))
-        want = dimensions.spanning_count_formula(order)
+        want = spanning_count_formula(order)
         _require(got == want, f"enumeration {got} != formula {want}")
         return f"spanning set has {got} elements"
 
@@ -276,6 +264,22 @@ def bigon_suite(order: int, trials: int, max_exp: int) -> list[Check]:
 def qtorus_suite(
     order: int, trials: int, triangulation: Triangulation | None = None
 ) -> list[Check]:
+    from . import quantum_torus
+    from .quantum_torus import (
+        QuantumTorus,
+        balanced_check,
+        balanced_lattice_basis,
+        balanced_puncture_basis,
+        center_free_certificate,
+        central_puncture_element,
+        four_punctured_sphere,
+        frobenius_map,
+        is_central,
+        once_punctured_torus,
+        qt_deg,
+    )
+    from .scalars import ScalarRing
+
     if triangulation is None:
         fixtures = [
             ("once-punctured-torus", once_punctured_torus()),
@@ -299,9 +303,11 @@ def qtorus_suite(
         target = QuantumTorus.from_triangulation(ring, tri, mu)
         source = QuantumTorus.from_triangulation(ring, tri, nu)
         lattice = balanced_lattice_basis(tri)
+        # built on first use inside a check, so a failure is that check's error
+        zbasis = cache(partial(balanced_puncture_basis, tri))
 
         def check_sigma(rng, tri=tri) -> str:
-            sigma = exchange_matrix(tri)
+            sigma = quantum_torus.exchange_matrix(tri)
             n = len(sigma)
             for i in range(n):
                 for j in range(n):
@@ -331,8 +337,10 @@ def qtorus_suite(
                 _require(lhs == rhs, f"power map is not multiplicative at trial {t}")
             return f"{trials} random balanced pairs map multiplicatively"
 
-        def check_deg_additive(rng, tri=tri, target=target, lattice=lattice) -> str:
-            zb = balanced_puncture_basis(tri)
+        def check_deg_additive(
+            rng, tri=tri, target=target, lattice=lattice, zbasis=zbasis
+        ) -> str:
+            zb = zbasis()
             for t in range(trials):
                 x = _random_balanced_element(target, tri, lattice, rng)
                 y = _random_balanced_element(target, tri, lattice, rng)
@@ -349,8 +357,8 @@ def qtorus_suite(
                 )
             return f"degree additive on {trials} random pairs"
 
-        def check_basis(rng, tri=tri) -> str:
-            zb = balanced_puncture_basis(tri)
+        def check_basis(rng, tri=tri, zbasis=zbasis) -> str:
+            zb = zbasis()
             for name, z in zip(tri.punctures, zb.vectors):
                 want = quantum_torus.central_puncture_exponent(tri, name)
                 _require(z == want, f"row for {name} is not the puncture exponent")
@@ -359,8 +367,8 @@ def qtorus_suite(
             return f"unimodular balanced basis of rank {len(zb.vectors)}"
 
         def check_center_free(rng, tri=tri, target=target, source=source,
-                              lattice=lattice) -> str:
-            zb = balanced_puncture_basis(tri)
+                              lattice=lattice, zbasis=zbasis) -> str:
+            zb = zbasis()
             p = len(tri.punctures)
             box = _residue_box(order, p)
             x_map = {}
@@ -402,8 +410,12 @@ def _residue_box(order: int, p: int) -> list[tuple[int, ...]]:
 
 
 def torus_skein_suite(order: int, kmax: int, trials: int) -> list[Check]:
+    from . import torus_skein
+    from .chebyshev import Polynomial, chebyshev_a, chebyshev_reduce, chebyshev_t
+
     # the largest polynomial product, and re-expanding every x^m, m <= 3N
     _refuse_oversized("torus-skein", max(5 * order, kmax * order) ** 2 + order**3)
+
     def check_round_trip(rng: random.Random) -> str:
         for t in range(trials):
             p = _random_polynomial(rng, rng.randint(0, 20))
@@ -415,8 +427,6 @@ def torus_skein_suite(order: int, kmax: int, trials: int) -> list[Check]:
         return f"{trials} random polynomials round-trip through the A-basis"
 
     def check_kill_rule(rng: random.Random) -> str:
-        from .chebyshev import chebyshev_a
-
         for i in range(1, 5 * order + 1):
             reduced = torus_skein.s1s2_reduce(chebyshev_a(i), order)
             if (i + 2) % order == 0:
@@ -471,7 +481,10 @@ def torus_skein_suite(order: int, kmax: int, trials: int) -> list[Check]:
 
 
 def chebyshev_suite(order: int, trials: int) -> list[Check]:
+    from .chebyshev import chebyshev_reduce, chebyshev_s, chebyshev_t
+
     _refuse_oversized("chebyshev", (5 * order) ** 2)
+
     def check_t_minus_s(rng: random.Random) -> str:
         for n in range(2, 13):
             _require(
@@ -510,10 +523,14 @@ def chebyshev_suite(order: int, trials: int) -> list[Check]:
 
 
 def counts_suite(order: int) -> list[Check]:
-    _refuse_oversized("counts", order**3 + dimensions.spanning_count_formula(order))
+    from .dimensions import spanning_count_formula
+    from .oq_sl2 import basis_box, spanning_set
+
+    _refuse_oversized("counts", order**3 + spanning_count_formula(order))
+
     def check_formula(rng: random.Random) -> str:
         got = len(spanning_set(order))
-        want = dimensions.spanning_count_formula(order)
+        want = spanning_count_formula(order)
         _require(got == want, f"enumeration {got} != formula {want}")
         return f"spanning enumeration matches the formula: {got}"
 

@@ -12,8 +12,8 @@ truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chebyshev import Polynomial, chebyshev_a, chebyshev_t
 from .linear import accumulate, row_reduce
@@ -48,19 +48,23 @@ def a_basis_build(constant, coeffs: dict[int, int | Fraction]) -> Polynomial:
     )
 
 
-@dataclass(frozen=True)
-class S1S2Element:
+class _S1S2Fields(NamedTuple):
+    order: int
+    empty_coeff: int | Fraction
+    e_coeffs: tuple[tuple[int, int | Fraction], ...]
+
+
+class S1S2Element(_S1S2Fields):
     """Element of the S^1 x S^2 module at a fixed odd order.
 
     Coefficients sit on the empty class and on classes e_i whose index
     satisfies order | i + 2; anything else was killed by the reduction.
     """
 
-    order: int
-    empty_coeff: int | Fraction
-    e_coeffs: tuple[tuple[int, int | Fraction], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, order: int, empty_coeff, e_coeffs):
+        self = super().__new__(cls, order, empty_coeff, e_coeffs)
         if self.order < 3 or self.order % 2 == 0:
             raise ValueError("order must be odd and at least 3")
         seen = set()
@@ -76,6 +80,7 @@ class S1S2Element:
             i for i, _ in self.e_coeffs
         ):
             raise ValueError("indices must be sorted")
+        return self
 
     def coefficient(self, i: int) -> int | Fraction:
         for j, c in self.e_coeffs:

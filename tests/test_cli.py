@@ -1,6 +1,5 @@
 """Command line behavior: payload shapes, determinism, exit codes."""
 
-import dataclasses
 import json
 import os
 import re
@@ -12,10 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from qskein import cli, suites
+from qskein import chebyshev, cli, quantum_torus, suites
 from qskein.chebyshev import Polynomial
 from qskein.oq_sl2 import OqAlgebra
-from qskein.quantum_torus import exchange_matrix, once_punctured_torus
+from qskein.quantum_torus import (
+    exchange_matrix,
+    four_punctured_sphere,
+    once_punctured_torus,
+)
 
 
 def run_cli(capsys, argv):
@@ -230,22 +233,22 @@ def test_bad_exchange_matrix_entry_named(monkeypatch, entry, detail):
         sigma[0][1], sigma[1][0] = entry
         return sigma
 
-    monkeypatch.setattr(suites, "exchange_matrix", skewed)
-    result = run_check(
-        suites.qtorus_suite(3, 1), "qtorus-once-punctured-torus-exchange-matrix"
-    )
+    # built first: the torus itself is made from the real matrix
+    checks = suites.qtorus_suite(3, 1)
+    monkeypatch.setattr(quantum_torus, "exchange_matrix", skewed)
+    result = run_check(checks, "qtorus-once-punctured-torus-exchange-matrix")
     assert result.status == "fail"
     assert result.detail == detail
 
 
 def test_refused_center_free_certificate_names_the_field(monkeypatch):
-    real = suites.center_free_certificate
+    real = quantum_torus.center_free_certificate
 
     def collided(*args, **kwargs):
         cert = real(*args, **kwargs)
-        return dataclasses.replace(cert, certified=False, distinct=False)
+        return cert._replace(certified=False, distinct=False)
 
-    monkeypatch.setattr(suites, "center_free_certificate", collided)
+    monkeypatch.setattr(quantum_torus, "center_free_certificate", collided)
     result = run_check(
         suites.qtorus_suite(3, 1), "qtorus-once-punctured-torus-center-free"
     )
@@ -253,12 +256,43 @@ def test_refused_center_free_certificate_names_the_field(monkeypatch):
     assert result.detail == "certificate refused: distinct false"
 
 
+def test_qtorus_builds_each_puncture_basis_once(monkeypatch):
+    real = quantum_torus.balanced_puncture_basis
+    built = []
+
+    def counted(tri):
+        built.append(tri)
+        return real(tri)
+
+    monkeypatch.setattr(quantum_torus, "balanced_puncture_basis", counted)
+    results = suites.run_checks(suites.qtorus_suite(3, 2), 0)
+    assert {r.status for r in results} == {"pass"}
+    assert built == [once_punctured_torus(), four_punctured_sphere()]
+
+
+def test_failed_puncture_basis_is_each_checks_error(capsys, monkeypatch):
+    def refused(tri):
+        raise ValueError("no basis")
+
+    monkeypatch.setattr(quantum_torus, "balanced_puncture_basis", refused)
+    code, out, err = run_cli(capsys, ["verify", "qtorus", "--N", "3", "--trials", "2"])
+    assert code == 1
+    errors = [c["id"] for c in json.loads(out)["checks"] if c["status"] == "error"]
+    assert errors == [
+        "qtorus-four-punctured-sphere-degree-additive",
+        "qtorus-four-punctured-sphere-puncture-basis",
+        "qtorus-once-punctured-torus-center-free",
+        "qtorus-once-punctured-torus-degree-additive",
+        "qtorus-once-punctured-torus-puncture-basis",
+    ]
+
+
 def test_refused_independence_certificate_names_the_field(monkeypatch):
     real = OqAlgebra.independence_certificate
 
     def vanished(self, coeff_map):
         cert = real(self, coeff_map)
-        return dataclasses.replace(cert, certified=False, combination_nonzero=False)
+        return cert._replace(certified=False, combination_nonzero=False)
 
     monkeypatch.setattr(OqAlgebra, "independence_certificate", vanished)
     result = run_check(suites.bigon_suite(3, 1, 1), "bigon-independence-certificates")
@@ -284,13 +318,13 @@ def test_false_degree_formula_reported_as_fail(monkeypatch):
 
 
 def test_failed_round_trip_names_the_trial(monkeypatch):
-    real = suites.chebyshev_reduce
+    real = chebyshev.chebyshev_reduce
 
     def off_by_one(p, order):
         # reduces p + 1 instead of p, so no round trip can succeed
         return real(p + Polynomial({0: 1}), order)
 
-    monkeypatch.setattr(suites, "chebyshev_reduce", off_by_one)
+    monkeypatch.setattr(chebyshev, "chebyshev_reduce", off_by_one)
     result = run_check(suites.chebyshev_suite(3, 5), "chebyshev-reduce-round-trip")
     assert result.status == "fail"
     assert result.detail.endswith("at trial 0")

@@ -1,0 +1,145 @@
+"""What the package loads: lazy re-exports and the modules each command imports."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qskein
+from qskein.dimensions import Marked3ManifoldDescriptor, SurfaceDescriptor
+from qskein.quantum_torus import Triangulation
+from qskein.suites import CheckResult
+from qskein.torus_skein import S1S2Element
+
+SRC = str(Path(qskein.__file__).resolve().parents[1])
+
+LAYERS = (
+    "chebyshev",
+    "dimensions",
+    "linear",
+    "oq_sl2",
+    "quantum_torus",
+    "scalars",
+    "torus_skein",
+)
+
+# Runs in a fresh interpreter: imports qskein.cli, runs one command with its
+# report discarded, and prints the modules each step added.
+_PROBE = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+start = set(sys.modules)
+import qskein.cli
+imported = set(sys.modules) - start
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = qskein.cli.main(argv) if argv else 0
+ran = set(sys.modules) - start
+print(json.dumps({"rc": rc, "imported": sorted(imported), "ran": sorted(ran)}))
+"""
+
+
+def probe(argv):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(argv)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_loads_no_layer_and_no_dataclasses():
+    result = probe([])
+    loaded = {m for m in result["imported"] if m.startswith("qskein")}
+    assert loaded == {"qskein", "qskein.cli", "qskein.suites"}
+    assert "dataclasses" not in result["imported"]
+
+
+@pytest.mark.parametrize(
+    "argv, wanted, unwanted",
+    [
+        (["verify", "chebyshev", "--N", "3"], {"chebyshev"},
+         {"scalars", "oq_sl2", "quantum_torus"}),
+        (["verify", "bigon", "--N", "3"], {"oq_sl2", "scalars", "dimensions"},
+         {"quantum_torus", "chebyshev", "torus_skein"}),
+        (["verify", "qtorus", "--N", "3"], {"quantum_torus", "scalars"},
+         {"oq_sl2", "chebyshev"}),
+        (["dims", "surface", "--genus", "1", "--punctures", "1", "--boundary", "0",
+          "--N", "5"], {"dimensions"}, set(LAYERS) - {"dimensions"}),
+    ],
+    ids=["chebyshev", "bigon", "qtorus", "dims"],
+)
+def test_command_loads_only_its_layers(argv, wanted, unwanted):
+    result = probe(argv)
+    assert result["rc"] == 0
+    layers = {m.removeprefix("qskein.") for m in result["ran"] if m.startswith("qskein.")}
+    assert wanted <= layers
+    assert not layers & unwanted
+    assert "dataclasses" not in result["ran"]
+
+
+# -- lazy re-exports -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", qskein.__all__)
+def test_export_is_the_object_its_layer_defines(name):
+    obj = getattr(qskein, name)
+    assert obj.__module__.startswith("qskein.")
+    assert getattr(sys.modules[obj.__module__], name) is obj
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from qskein import *", namespace)
+    assert set(qskein.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(qskein, name) for name in qskein.__all__)
+
+
+def test_unknown_name_is_refused_by_name():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qskein.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from qskein import no_such_name", {})
+
+
+def test_dir_lists_every_export():
+    assert set(qskein.__all__) <= set(dir(qskein))
+
+
+# -- records -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SurfaceDescriptor(-1, 0, 0), "surface data must be nonnegative"),
+        (lambda: SurfaceDescriptor(0, 0, -1), "surface data must be nonnegative"),
+        (lambda: Marked3ManifoldDescriptor(0, -1), "manifold data must be nonnegative"),
+        (lambda: S1S2Element(4, 1, ()), "order must be odd and at least 3"),
+        (lambda: S1S2Element(3, 0, ((2, 1),)), "index 2 is not admissible at order 3"),
+        (lambda: S1S2Element(3, 0, ((1, 1), (1, 2))), "duplicate index"),
+        (lambda: S1S2Element(3, 0, ((1, 0),)), "zero coefficients must be dropped"),
+        (lambda: S1S2Element(3, 0, ((4, 1), (1, 1))), "indices must be sorted"),
+        (lambda: Triangulation(0, (), ()), "at least one edge"),
+        (lambda: Triangulation(1, ((0, 0, 0),), ()), "fan lengths"),
+    ],
+)
+def test_validated_records_refuse_bad_input(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_records_keep_keywords_repr_and_immutability():
+    s = SurfaceDescriptor(genus=1, punctures=2, boundary=0)
+    assert s == SurfaceDescriptor(1, 2, 0)
+    assert repr(s) == "SurfaceDescriptor(genus=1, punctures=2, boundary=0)"
+    assert repr(Marked3ManifoldDescriptor(2, 1)) == "Marked3ManifoldDescriptor(genus=2, markings=1)"
+    assert repr(CheckResult("x", "pass", "ok", 1.5)) == (
+        "CheckResult(id='x', status='pass', detail='ok', elapsed_ms=1.5)"
+    )
+    with pytest.raises(AttributeError):
+        s.genus = 2
