@@ -1,23 +1,32 @@
 """Chebyshev-type polynomial families and canonical forms over them.
 
-Three families share the recursion P(n) = x*P(n-1) - P(n-2):
+Three polynomial families:
 
-* ``chebyshev_t``: seeds T_0 = 2, T_1 = x (trace/power-sum normalisation),
-* ``chebyshev_s``: seeds S_0 = 1, S_1 = x,
+* ``chebyshev_t``: T_0 = 2, T_1 = x, T_n = x*T_(n-1) - T_(n-2)
+  (trace/power-sum normalisation);
+* ``chebyshev_s``: S_0 = 1, S_1 = x, S_n = x*S_(n-1) - S_(n-2);
 * ``chebyshev_a``: A_1 = S_1, A_2 = S_2, then A_n = S_n + A_(n-2); these are
-  monic and interleave the S family.
+  monic and interleave the S family.  They do not follow the T/S
+  recursion: A_n - x*A_(n-1) + A_(n-2) is x for odd n and -1 for even
+  n >= 3 (A_3 = x^3 - x, while x*A_2 - A_1 = x^3 - 2x).
 
 Coefficients are ints where integral and exact Fractions otherwise.
 ``chebyshev_reduce`` rewrites an arbitrary polynomial as
 sum_{j<N} c_j(T_N(x)) * x**j, which witnesses that 1, x, ..., x**(N-1)
 generate everything over the subring hit by T_N.
+
+The polynomials are dense up to parity, so the inner loops (products,
+Horner's rule, division by T_N and the family recursions) run on dense
+coefficient lists indexed by exponent: ``dense`` converts a
+``Polynomial`` once on the way in and ``from_dense`` once on the way out.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
 from .linear import SparseCombination, accumulate
 
@@ -69,15 +78,11 @@ class Polynomial(SparseCombination):
         return _exact(value) if isinstance(value, (int, Fraction)) else None
 
     def _mul_terms(self, other: "Polynomial") -> dict[int, int | Fraction]:
-        acc: dict[int, int | Fraction] = {}
-        for e1, v1 in self.terms.items():
-            for e2, v2 in other.terms.items():
-                accumulate(acc, e1 + e2, v1 * v2)
-        return acc
+        return _sparse(_dense_mul(dense(self), dense(other)))
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """Substitute ``inner`` for the variable, exactly (Horner's rule)."""
-        return _horner(self.terms, inner)
+        return from_dense(_horner([[c] for c in dense(self)], dense(inner)))
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(self.terms.items())))
@@ -91,11 +96,50 @@ class Polynomial(SparseCombination):
         return f"x^{e}" if v == 1 else f"{v}*x^{e}"
 
 
-def _horner(rows: dict, inner: Polynomial) -> Polynomial:
+def dense(p: Polynomial) -> list:
+    """Coefficient list of ``p`` indexed by exponent; [] for the zero polynomial."""
+    if not p.terms:
+        return []
+    out = [0] * (max(p.terms) + 1)
+    for e, v in p.terms.items():
+        out[e] = v
+    return out
+
+
+def _sparse(coeffs: list) -> dict[int, int | Fraction]:
+    return {e: v for e, v in enumerate(coeffs) if v}
+
+
+def from_dense(coeffs: list) -> Polynomial:
+    """The polynomial with these coefficients, built without re-validating them."""
+    out = object.__new__(Polynomial)
+    out.parent = None
+    out.terms = _sparse(coeffs)
+    return out
+
+
+def _dense_mul(a: list, b: list) -> list:
+    """Product of two coefficient lists; zero coefficients are skipped on both sides."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    b_terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in b_terms:
+                out[i + j] += x * y
+    return out
+
+
+def _horner(rows: list[list], inner: list) -> list:
     """sum_k rows[k] * inner**k, with one product by ``inner`` per power."""
-    out = Polynomial()
-    for k in range(max(rows, default=-1), -1, -1):
-        out = out * inner + rows.get(k, 0)
+    out: list = []
+    for row in reversed(rows):
+        out = _dense_mul(out, inner)
+        out.extend([0] * (len(row) - len(out)))
+        for i, v in enumerate(row):
+            if v:
+                out[i] += v
     return out
 
 
@@ -108,6 +152,14 @@ def _build_below(family, first: int, n: int) -> None:
         family(i)
 
 
+def _x_times_minus(p1: Polynomial, p2: Polynomial) -> Polynomial:
+    """x*p1 - p2, the step of the T and S recursions."""
+    out = [0] + dense(p1)
+    for e, v in p2.terms.items():
+        out[e] -= v
+    return from_dense(out)
+
+
 @lru_cache(maxsize=None)
 def chebyshev_t(n: int) -> Polynomial:
     if n < 0:
@@ -117,7 +169,7 @@ def chebyshev_t(n: int) -> Polynomial:
     if n == 1:
         return Polynomial.x()
     _build_below(chebyshev_t, 0, n)
-    return Polynomial.x() * chebyshev_t(n - 1) - chebyshev_t(n - 2)
+    return _x_times_minus(chebyshev_t(n - 1), chebyshev_t(n - 2))
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +181,7 @@ def chebyshev_s(n: int) -> Polynomial:
     if n == 1:
         return Polynomial.x()
     _build_below(chebyshev_s, 0, n)
-    return Polynomial.x() * chebyshev_s(n - 1) - chebyshev_s(n - 2)
+    return _x_times_minus(chebyshev_s(n - 1), chebyshev_s(n - 2))
 
 
 @lru_cache(maxsize=None)
@@ -140,7 +192,10 @@ def chebyshev_a(n: int) -> Polynomial:
     if n <= 2:
         return chebyshev_s(n)
     _build_below(chebyshev_a, 1, n)
-    return chebyshev_s(n) + chebyshev_a(n - 2)
+    out = dense(chebyshev_s(n))
+    for e, v in chebyshev_a(n - 2).terms.items():
+        out[e] += v
+    return from_dense(out)
 
 
 class ChebyshevForm(NamedTuple):
@@ -157,12 +212,12 @@ class ChebyshevForm(NamedTuple):
 
         Horner's rule on the rows R_k = sum_j c_(j,k) x**j of sum_k R_k * T_N**k.
         """
-        rows: dict[int, dict[int, int | Fraction]] = {}
+        height = max((max(col.terms) + 1 for col in self.columns if col.terms), default=0)
+        rows = [[0] * len(self.columns) for _ in range(height)]
         for j, col in enumerate(self.columns):
             for k, v in col.terms.items():
-                rows.setdefault(k, {})[j] = v
-        t_n = chebyshev_t(self.order)
-        return _horner({k: Polynomial(r) for k, r in rows.items()}, t_n)
+                rows[k][j] = v
+        return from_dense(_horner(rows, dense(chebyshev_t(self.order))))
 
 
 def chebyshev_reduce(p: Polynomial, order: int) -> ChebyshevForm:
@@ -170,22 +225,24 @@ def chebyshev_reduce(p: Polynomial, order: int) -> ChebyshevForm:
 
     Works by repeated division by T_order, which is monic: p = q*T + r_0,
     q = q'*T + r_1, ..., and column j collects the x**j terms of the r_k.
-    Each division walks the degrees from the top down.
+    Each division is synthetic division of a coefficient list, from the
+    top degree down.
     """
     if order < 1:
         raise ValueError("order must be positive")
-    lower = [(t, v) for t, v in chebyshev_t(order).terms.items() if t != order]
-    rows: list[dict[int, int | Fraction]] = []  # rows[k] = r_k, keyed by x-degree
-    rest = dict(p.terms)
+    t_terms = list(chebyshev_t(order).terms.items())
+    rows: list[list] = []  # rows[k] = r_k as a coefficient list of length order
+    rest = dense(p)
     while rest:
-        quotient: dict[int, int | Fraction] = {}
-        for m in range(max(rest), order - 1, -1):
-            c = rest.pop(m, 0)
+        quotient = [0] * max(len(rest) - order, 0)
+        for m in range(len(rest) - 1, order - 1, -1):
+            c = rest[m]
             if c:
-                quotient[m - order] = c
-                for t, v in lower:
-                    accumulate(rest, m - order + t, -c * v)
-        rows.append(rest)
+                shift = m - order
+                quotient[shift] = c
+                for t, v in t_terms:
+                    rest[shift + t] -= c * v
+        rows.append(rest[:order] + [0] * (order - len(rest)))
         rest = quotient
-    cols = ({k: r[j] for k, r in enumerate(rows) if j in r} for j in range(order))
-    return ChebyshevForm(order, tuple(map(Polynomial, cols)))
+    cols = zip(*rows) if rows else [()] * order
+    return ChebyshevForm(order, tuple(map(from_dense, cols)))

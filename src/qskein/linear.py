@@ -1,7 +1,10 @@
 """Exact linear algebra shared by the layers.
 
-``accumulate`` is the add-and-prune step behind every sparse sum in the
-package.  ``SparseCombination`` holds the basis-independent arithmetic of
+``accumulate`` is the add-and-prune step behind the sparse sums: addition of
+``SparseCombination`` elements and the products of the scalar, bigon and
+quantum-torus layers.  The Chebyshev layer's products, Horner's rule,
+division by T_N and family recursions run on dense coefficient lists
+instead.  ``SparseCombination`` holds the basis-independent arithmetic of
 ``OqElement``, ``QTElement`` and ``Polynomial``.  ``row_reduce`` is the one
 Gauss-Jordan elimination over the rationals.
 """

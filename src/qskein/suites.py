@@ -115,11 +115,11 @@ def _random_polynomial(rng: random.Random, degree: int) -> Polynomial:
     coeffs = {}
     for d in range(degree + 1):
         if rng.random() < 0.6:
-            c = Fraction(rng.randint(-6, 6))
+            c = rng.randint(-6, 6)
             if c:
                 coeffs[d] = c
     if not coeffs:
-        coeffs[degree] = Fraction(1)
+        coeffs[degree] = 1
     return Polynomial(coeffs)
 
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chebyshev import Polynomial, chebyshev_a, chebyshev_t
-from .linear import accumulate, row_reduce
+from .chebyshev import Polynomial, chebyshev_a, chebyshev_t, dense
+from .linear import row_reduce
 
 
 def a_basis_expand(p: Polynomial) -> tuple[int | Fraction, dict[int, int | Fraction]]:
@@ -24,21 +24,19 @@ def a_basis_expand(p: Polynomial) -> tuple[int | Fraction, dict[int, int | Fract
 
     Returns (constant coefficient, {i: coefficient of A_i}).  The change
     of basis is unitriangular since every A_i is monic of degree i, so
-    repeated leading-term subtraction terminates with a constant.
+    leading-term subtraction on the coefficient list, from the top degree
+    down, ends with a constant.
     """
-    work = dict(p.coefficients())
+    work = dense(p)
     coeffs: dict[int, int | Fraction] = {}
-    while work:
-        d = max(work)
-        if d == 0:
-            break
-        c = work.pop(d)
-        coeffs[d] = c
-        for e, a in chebyshev_a(d).terms.items():
-            if e != d:
-                accumulate(work, e, -c * a)
-    constant = work.get(0, 0)
-    return constant, coeffs
+    for d in range(len(work) - 1, 0, -1):
+        c = work[d]
+        if c:
+            coeffs[d] = c
+            for e, a in chebyshev_a(d).terms.items():
+                work[e] -= c * a
+    constant = work[0] if work else 0
+    return constant or 0, coeffs  # a cancelled Fraction constant reads as 0
 
 
 def a_basis_build(constant, coeffs: dict[int, int | Fraction]) -> Polynomial:

@@ -4,6 +4,7 @@ import inspect
 import random
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -44,6 +45,27 @@ def test_recurrences_hold():
         assert chebyshev_s(n) == x * chebyshev_s(n - 1) - chebyshev_s(n - 2)
     for n in range(3, 16):
         assert chebyshev_a(n) == chebyshev_s(n) + chebyshev_a(n - 2)
+
+
+def test_a_family_three_term_rule():
+    """A_n - x*A_(n-1) + A_(n-2) is x for odd n and -1 for even n >= 3."""
+    x = Polynomial.x()
+    assert x * chebyshev_a(2) - chebyshev_a(1) == x ** 3 - x * 2 != chebyshev_a(3)
+    for n in range(3, 60):
+        defect = chebyshev_a(n) - x * chebyshev_a(n - 1) + chebyshev_a(n - 2)
+        assert defect == (x if n % 2 else Polynomial.constant(-1)), n
+
+
+def test_t_and_s_match_closed_forms():
+    """T_n = sum_k (-1)^k n/(n-k) C(n-k, k) x^(n-2k) and S_n = sum_k (-1)^k C(n-k, k) x^(n-2k)."""
+    assert chebyshev_t(0).terms == {0: 2}
+    for n in range(1, 201):
+        ks = range(n // 2 + 1)
+        t_want = {n - 2 * k: (-1) ** k * n * comb(n - k, k) // (n - k) for k in ks}
+        s_want = {n - 2 * k: (-1) ** k * comb(n - k, k) for k in ks}
+        assert chebyshev_t(n).terms == t_want, n
+        assert chebyshev_s(n).terms == s_want, n
+    assert chebyshev_s(0).terms == {0: 1}
 
 
 def test_t_is_s_difference():
@@ -186,3 +208,91 @@ def test_integral_coefficients_are_ints():
     p = Polynomial({0: Fraction(4, 2), 1: Fraction(1, 3)})
     assert type(p.terms[0]) is int and p.terms[1] == Fraction(1, 3)
     assert p * 3 == Polynomial({0: 6, 1: 1}) and (p * 3).terms[1] == 1
+
+
+def _random_sparse_polynomial(rng, degree):
+    """Random coefficients, ints and Fractions, with gaps of every parity."""
+    terms = {}
+    for d in range(degree + 1):
+        roll = rng.random()
+        if roll < 0.3:
+            terms[d] = rng.randint(-9, 9)
+        elif roll < 0.6:
+            terms[d] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return Polynomial(terms)
+
+
+def test_product_matches_term_by_term_sum():
+    rng = random.Random(2213)
+    for _ in range(60):
+        p = _random_sparse_polynomial(rng, rng.randint(-1, 12))
+        q = _random_sparse_polynomial(rng, rng.randint(-1, 12))
+        want = Polynomial()
+        for e1, v1 in p.terms.items():
+            for e2, v2 in q.terms.items():
+                want = want + Polynomial({e1 + e2: v1 * v2})
+        assert p * q == want == q * p
+        assert all(v for v in (p * q).terms.values())
+
+
+ZERO = Polynomial()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5])
+def test_reduce_zero_and_constants(order):
+    form = chebyshev_reduce(ZERO, order)
+    assert form == (order, (ZERO,) * order)
+    assert form.substitute() == ZERO
+    for c in (7, Fraction(-2, 3)):
+        form = chebyshev_reduce(Polynomial.constant(c), order)
+        assert form.columns[0] == Polynomial.constant(c)
+        assert all(col == ZERO for col in form.columns[1:])
+        assert form.substitute() == Polynomial.constant(c)
+
+
+def test_reduce_at_order_one_is_the_identity():
+    """T_1 = x, so p = p(T_1) is its own single column."""
+    rng = random.Random(31)
+    for _ in range(20):
+        p = _random_sparse_polynomial(rng, rng.randint(0, 15))
+        form = chebyshev_reduce(p, 1)
+        assert form.columns == (p,)
+        assert form.substitute() == p
+
+
+def test_reduce_below_order_gives_constant_columns():
+    p = Polynomial({0: Fraction(1, 2), 3: -4, 5: Fraction(7, 3)})
+    form = chebyshev_reduce(p, 7)
+    assert form.columns == tuple(Polynomial.constant(p.coefficient(j)) for j in range(7))
+    assert form.substitute() == p
+
+
+def test_reduce_fraction_coefficients_cancel_to_zero_columns():
+    """x*T_3/2 + 3x^2/2: the division leaves Fraction zeros, and column 0 is empty."""
+    p = chebyshev_t(3) * Polynomial({1: Fraction(1, 2)}) + Polynomial({2: Fraction(3, 2)})
+    form = chebyshev_reduce(p, 3)
+    assert form.columns[0] == ZERO
+    assert form.columns[1] == Polynomial({1: Fraction(1, 2)})
+    assert form.columns[2] == Polynomial.constant(Fraction(3, 2))
+    assert form.substitute() == p
+
+
+def test_substitute_edge_forms():
+    assert ChebyshevForm(3, (ZERO, ZERO, ZERO)).substitute() == ZERO
+    assert ChebyshevForm(1, (Polynomial.x(),)).substitute() == Polynomial.x()
+    form = ChebyshevForm(2, (Polynomial({2: Fraction(1, 3)}), Polynomial.constant(5)))
+    t2 = chebyshev_t(2)
+    assert form.substitute() == t2 * t2 * Fraction(1, 3) + Polynomial({1: 5})
+
+
+def test_compose_edge_cases():
+    p = Polynomial({0: 3, 2: Fraction(1, 2), 5: -1})
+    assert ZERO.compose(p) == ZERO
+    assert p.compose(ZERO) == Polynomial.constant(3)
+    assert Polynomial.constant(Fraction(4, 5)).compose(p) == Polynomial.constant(Fraction(4, 5))
+    assert p.compose(Polynomial.constant(2)) == Polynomial.constant(3 + 2 - 32)
+    assert p.compose(Polynomial({1: Fraction(1, 2)})) == Polynomial(
+        {0: 3, 2: Fraction(1, 8), 5: Fraction(-1, 32)}
+    )
+    # (x^2 - x)(1) = 0: the rows cancel inside Horner's rule
+    assert Polynomial({2: 1, 1: -1}).compose(Polynomial({0: 1})) == ZERO

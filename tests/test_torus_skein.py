@@ -38,6 +38,24 @@ def test_a_expand_round_trip_random():
         assert a_basis_build(constant, expansion) == p
 
 
+def test_a_expand_edge_cases():
+    assert a_basis_expand(Polynomial()) == (0, {})
+    assert a_basis_build(0, {}) == Polynomial()
+    for c in (5, Fraction(-3, 7)):
+        assert a_basis_expand(Polynomial.constant(c)) == (c, {})
+        assert a_basis_build(c, {}) == Polynomial.constant(c)
+    # (1/2) x^2 - 1/2 = (1/2) A_2: the constant cancels to exactly 0
+    constant, coeffs = a_basis_expand(Polynomial({2: Fraction(1, 2), 0: Fraction(-1, 2)}))
+    assert type(constant) is int and constant == 0
+    assert coeffs == {2: Fraction(1, 2)}
+    # gaps below the degree: only odd A_i enter, none with a zero coefficient
+    p = Polynomial({7: Fraction(2, 3), 0: 4})
+    constant, coeffs = a_basis_expand(p)
+    assert constant == 4 and coeffs[7] == Fraction(2, 3)
+    assert set(coeffs) <= {7, 5, 3, 1} and all(coeffs.values())
+    assert a_basis_build(constant, coeffs) == p
+
+
 def test_s1s2_element_validation():
     S1S2Element(3, Fraction(1), ((1, Fraction(2)), (4, Fraction(-1))))
     with pytest.raises(ValueError):
