@@ -22,9 +22,11 @@ witness linear independence.
 
 from __future__ import annotations
 
+import re
 import threading
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .linear import SparseCombination, accumulate
 from .scalars import ROOT_OF_UNITY, Scalar, ScalarRing
@@ -44,6 +46,7 @@ _REWRITES: dict[str, tuple[tuple[int, str], ...]] = {
     "cd": ((-2, "dc"),),
     "cb": ((0, "bc"),),
 }
+_REDUCIBLE = re.compile("|".join(_REWRITES))
 
 
 def is_pbw_index(k) -> bool:
@@ -68,29 +71,44 @@ def leading_index(k: Sequence[int]) -> Index:
     return (k1 - t, k2 - t, k3 + t, k4 + t)
 
 
-def basis_box(n: int) -> list[Index]:
-    """The n**3 PBW indices with first entry 0 and the rest below n."""
-    return [
+def iter_basis_box(n: int) -> Iterator[Index]:
+    """The n**3 PBW indices with first entry 0 and the rest below n.
+
+    Position p of the enumeration is (0, p // n**2, p // n % n, p % n).
+    """
+    return (
         (0, k2, k3, k4)
         for k2 in range(n)
         for k3 in range(n)
         for k4 in range(n)
-    ]
+    )
 
 
-def spanning_wing(n: int) -> list[Index]:
+def iter_spanning_wing(n: int) -> Iterator[Index]:
     """Extra indices with positive a-exponent completing the spanning set."""
-    return [
+    return (
         (n - j, 0, k2, k3)
         for j in range(1, n)
         for k2 in range(n)
         for k3 in range(n)
         if k2 < j or k3 < j
-    ]
+    )
+
+
+def iter_spanning_set(n: int) -> Iterator[Index]:
+    return chain(iter_basis_box(n), iter_spanning_wing(n))
+
+
+def basis_box(n: int) -> list[Index]:
+    return list(iter_basis_box(n))
+
+
+def spanning_wing(n: int) -> list[Index]:
+    return list(iter_spanning_wing(n))
 
 
 def spanning_set(n: int) -> list[Index]:
-    return basis_box(n) + spanning_wing(n)
+    return list(iter_spanning_set(n))
 
 
 class OqAlgebra:
@@ -101,6 +119,7 @@ class OqAlgebra:
         self._diag_ad: list[dict[int, Scalar]] = [{0: ring.one}]
         self._diag_da: list[dict[int, Scalar]] = [{0: ring.one}]
         self._diag_lock = threading.Lock()
+        self._cores: dict[Index, dict[tuple[int, int, int], Scalar]] = {}
         self._wing_cache: dict[tuple[int, int, int], dict[Index, "OqElement"]] = {}
         self._rules: dict[str, tuple[tuple[Scalar, str], ...]] | None = None
 
@@ -179,7 +198,12 @@ class OqAlgebra:
         (x, y) = (a, d), or (d, a) if it reads d^md a^na.  It equals
         x^(m-t) (x^t y^t) y^(n-t), t = min(m, n), and y^(n-t) moves left past
         (bc)^g at the cost q^(-4g(n-m)) for y = d and q^(4g(n-m)) for y = a.
+        The result is kept per algebra and shared: callers only read it.
         """
+        key = (ma, md, na, nd)
+        core = self._cores.get(key)
+        if core is not None:
+            return core
         if ma and md:
             raise ValueError("mixed a/d exponents on the left factor")
         forward = not (md and na)
@@ -188,10 +212,11 @@ class OqAlgebra:
         slots = (m - t, n - t) if forward else (n - t, m - t)
         step = (-4 if forward else 4) * (n - t)
         q_pow = self.ring.q_pow
-        return {
+        core = self._cores[key] = {
             slots + (g,): s * q_pow(step * g) if step * g else s
             for g, s in self._diag(t, forward).items()
         }
+        return core
 
     def power_product(self, k: Sequence[int]) -> "OqElement":
         """Expand a^k1 d^k2 b^k3 c^k4 for an arbitrary natural exponent vector."""
@@ -217,9 +242,13 @@ class OqAlgebra:
     def normal_form(self, words) -> "OqElement":
         """PBW form of a word (or scalar combination of words) in a, b, c, d.
 
-        The leftmost reducible pair is rewritten first.  This engine shares
-        no code with the structured product; the test suite compares the
-        two on every word of up to six letters.
+        The leftmost reducible pair is rewritten first.  Each agenda word
+        keeps the position its scan resumes from: rewriting the pair at h
+        leaves the prefix before h free of reducible pairs, so the scan of
+        the new word starts at h - 1; where two paths reach one word, the
+        smaller position is kept.  This engine shares no code with the
+        structured product; the test suite compares the two on every word
+        of up to six letters.
         """
         if isinstance(words, str):
             pairs = [(self.ring.one, words)]
@@ -227,26 +256,40 @@ class OqAlgebra:
             pairs = [(c, w) for w, c in words.items()]
         else:
             pairs = words
-        agenda: dict[str, Scalar] = {}
+        # word -> (coefficient, position the scan for a reducible pair resumes from)
+        agenda: dict[str, tuple[Scalar, int]] = {}
+
+        def push(word: str, coeff: Scalar, pos: int):
+            if word in agenda:
+                old, old_pos = agenda[word]
+                coeff = old + coeff
+                pos = min(pos, old_pos)
+            if coeff:
+                agenda[word] = (coeff, pos)
+            else:
+                agenda.pop(word, None)
+
         for c, w in pairs:
             if any(ch not in _RANK for ch in w):
                 raise ValueError(f"word {w!r} uses unknown generators")
             if not isinstance(c, Scalar):
                 c = self.ring.from_rational(c)
-            accumulate(agenda, w, c)
+            push(w, c, 0)
         rules = self._rewrite_rules()
         out: dict[Index, Scalar] = {}
         while agenda:
-            word, coeff = agenda.popitem()
-            hit = next((i for i in range(len(word) - 1) if word[i : i + 2] in rules), None)
+            word, (coeff, pos) = agenda.popitem()
+            hit = _REDUCIBLE.search(word, pos)
             if hit is None:
                 idx = tuple(word.count(letter) for letter in _LETTERS)
                 assert word == "".join(letter * e for letter, e in zip(_LETTERS, idx))
                 accumulate(out, idx, coeff)
                 continue
-            head, tail = word[:hit], word[hit + 2 :]
-            for factor, repl in rules[word[hit : hit + 2]]:
-                accumulate(agenda, head + repl + tail, coeff * factor)
+            h = hit.start()
+            head, tail = word[:h], word[h + 2 :]
+            resume = h - 1 if h else 0
+            for factor, repl in rules[hit.group()]:
+                push(head + repl + tail, coeff * factor, resume)
         return OqElement(self, out)
 
     # -- degree bookkeeping --------------------------------------------------------
@@ -317,7 +360,7 @@ class OqAlgebra:
         u = tuple(u)
         if not is_pbw_index(u):
             raise ValueError(f"{u} is not a PBW index")
-        return self.basis_monomial(tuple(n * e for e in u))
+        return OqElement(self, {tuple(n * e for e in u): self.ring.one})
 
     def is_frobenius_element(self, x: "OqElement") -> bool:
         """Whether x is supported on indices divisible by N in every slot."""
@@ -455,8 +498,30 @@ class OqAlgebra:
         return SpanningExpression(coefficients=coeffs)
 
     def _combine(self, coeffs: Mapping[Index, "OqElement"]) -> "OqElement":
-        """The element sum_idx coeffs[idx] * O_idx, accumulated in place."""
-        return self.zero().add_all(c * self.basis_monomial(idx) for idx, c in coeffs.items())
+        """The element sum_idx coeffs[idx] * O_idx, every product accumulated in one dict."""
+        acc: dict[Index, Scalar] = {}
+        one = self.ring.one
+        for idx, c in coeffs.items():
+            self._mul_into(acc, c.terms, {idx: one})
+        return OqElement(self, acc)
+
+    def _mul_into(
+        self, acc: dict[Index, Scalar], left: Mapping[Index, Scalar], right: Mapping[Index, Scalar]
+    ) -> dict[Index, Scalar]:
+        """Add the product of two term dicts to ``acc``: b^u3 c^u4 moves right
+        past a^v1 d^v2, then the a/d exponents merge through ``_core``."""
+        ring = self.ring
+        q_pow, n = ring.q_pow, ring.order
+        for u, cu in left.items():
+            for v, cv in right.items():
+                factor = cu * cv
+                e = 2 * (u[2] + u[3]) * (v[0] - v[1])
+                if n is None or e % n:  # q has order N in root mode
+                    factor = factor * q_pow(e)
+                b0, c0 = u[2] + v[2], u[3] + v[3]
+                for (alpha, beta, g), s in self._core(u[0], u[1], v[0], v[1]).items():
+                    accumulate(acc, (alpha, beta, g + b0, g + c0), factor * s)
+        return acc
 
 
 class OqElement(SparseCombination):
@@ -477,17 +542,7 @@ class OqElement(SparseCombination):
         return max(self.terms)
 
     def _mul_terms(self, other: "OqElement") -> dict[Index, Scalar]:
-        """O_u O_v: b^u3 c^u4 moves right past a^v1 d^v2, then a/d merge."""
-        acc: dict[Index, Scalar] = {}
-        alg = self.parent
-        q_pow = alg.ring.q_pow
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                factor = cu * cv * q_pow(2 * (u[2] + u[3]) * (v[0] - v[1]))
-                b0, c0 = u[2] + v[2], u[3] + v[3]
-                for (alpha, beta, g), s in alg._core(u[0], u[1], v[0], v[1]).items():
-                    accumulate(acc, (alpha, beta, g + b0, g + c0), factor * s)
-        return acc
+        return self.parent._mul_into({}, self.terms, other.terms)
 
     @staticmethod
     def _format_term(k: Index, coeff: Scalar) -> str:

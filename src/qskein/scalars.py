@@ -10,7 +10,8 @@ both with exact rational arithmetic (no floats anywhere):
   numerators, the coefficients of 1, zeta, ..., zeta**(d-1) (d = deg Phi_N),
   over one positive int denominator, in lowest terms.  A scalar known by
   construction to be c * zeta**k carries that as a tag, and its products
-  read zeta**k from a table of the N root powers instead of convolving.
+  read zeta**k from a table of the N root powers instead of convolving;
+  its numerators are built only when something reads them.
 * generic mode: Laurent polynomials Q[v, 1/v] in a formal square root v,
   with q = v**2 and ``fractions.Fraction`` coefficients.  Nothing collapses
   here, which makes this mode useful as a stress test for rewriting
@@ -97,12 +98,12 @@ class ScalarRing:
             self._phi_low = tuple((j, c) for j, c in enumerate(phi[:d]) if c)
             # the root-power table: self._powers[m] is zeta**m, 0 <= m < N
             self._powers = [
-                Scalar(self, (self._reduce([0] * m + [1] + [0] * d), 1), (m, 1))
+                Scalar(self, (self._reduce([0] * m + [1] + [0] * d), 1), (m, 1, 1))
                 for m in range(order)
             ]
             self._exponents = {s._rep: m for m, s in enumerate(self._powers)}
             self.one = self._powers[0]
-            self.zero = Scalar(self, ((0,) * d, 1), (0, 0))
+            self.zero = Scalar(self, None, (0, 0, 1))
         elif mode == GENERIC:
             if order is not None:
                 raise ValueError("generic mode takes no order")
@@ -127,8 +128,7 @@ class ScalarRing:
         if not isinstance(value, int):
             value = Fraction(value)
         if self.mode == ROOT_OF_UNITY:
-            c, den = value.numerator, value.denominator
-            return Scalar(self, ((c,) + (0,) * (self._degree - 1), den), (0, c))
+            return self._monomial(0, value.numerator, value.denominator)
         return Scalar(self, ((0, Fraction(value)),) if value else ())
 
     def coerce(self, value) -> "Scalar | None":
@@ -161,11 +161,9 @@ class ScalarRing:
             if g != 1:
                 c //= g
                 den //= g
-        power = self._powers[k]
         if c == 1 and den == 1:
-            return power
-        # the numerators of zeta**k have no common factor: it is a unit of Z[zeta]
-        return Scalar(self, (tuple([c * x for x in power._rep[0]]), den), (k, c))
+            return self._powers[k]
+        return Scalar(self, None, (k, c, den))
 
     def _lowest(self, nums: tuple[int, ...], den: int) -> "Scalar":
         """The scalar with numerators ``nums`` over ``den`` > 0, in lowest terms."""
@@ -233,12 +231,22 @@ class Scalar:
     Root mode: ``_rep`` is ``(nums, den)``, a tuple of d = deg Phi_N int
     numerators (the coefficients of 1, zeta, ..., zeta**(d-1)) over one int
     ``den`` > 0 with gcd(den, *nums) == 1, so equal values have equal
-    ``_rep`` and hash.  ``_mono`` is None or ``(k, c)`` with 0 <= k < N and
-    an int c, meaning the scalar is exactly (c / den) * zeta**k.  It is set
-    on the ring's zero, one and root powers, on rationals, on negatives
-    and products of tagged scalars, on inverses of tagged scalars, and on
-    sums of two tagged scalars with the same k; it never takes part in
-    equality or hashing.
+    ``_rep`` and hash.  ``_mono`` is None or a tag ``(k, c, den)`` with
+    0 <= k < N, an int c and the same ``den``, gcd(c, den) == 1, meaning
+    the scalar is exactly (c / den) * zeta**k.  The tag is set on the ring's
+    zero, one and root powers, on rationals, on negatives and products of
+    tagged scalars, on inverses of tagged scalars, and on sums of two tagged
+    scalars with the same k.
+
+    A tagged scalar's numerators are lazy: ``_rep`` is built from the tag
+    on its first read (``__getattr__``) and then kept.  Dense arithmetic,
+    equality with an untagged scalar, hashing, ``repr`` and
+    ``ScalarRing.root_exponent`` read it; products, inverses, negatives,
+    truth values and sums with the same k of tagged scalars read the tag
+    alone.  Two tagged scalars are equal when their tags are, or when both
+    are zero (c == 0, whatever k): zeta**m is irrational for 0 < m < N, as
+    N is odd, so (c / den) * zeta**k with c != 0 determines k, c and den.
+    Hashing always reads ``_rep``, so equal values hash alike.
 
     Generic mode: ``_rep`` is a tuple of (exponent, Fraction) pairs sorted
     by exponent, zeros dropped; ``_mono`` is None.
@@ -246,12 +254,25 @@ class Scalar:
 
     __slots__ = ("ring", "_rep", "_mono")
 
-    def __init__(self, ring: ScalarRing, rep, mono: tuple[int, int] | None = None):
+    def __init__(self, ring: ScalarRing, rep, mono: tuple[int, int, int] | None = None):
+        """``rep`` may be None for a tagged scalar: its numerators stay unbuilt."""
         self.ring = ring
+        self._mono = mono
+        if rep is None:
+            return
         if ring.mode == GENERIC:
             rep = tuple(sorted((e, c) for e, c in rep if c))
         self._rep = rep
-        self._mono = mono
+
+    def __getattr__(self, name: str):
+        # only a tagged scalar's unbuilt ``_rep`` slot is ever missing
+        if name != "_rep" or self._mono is None:
+            raise AttributeError(name)
+        k, c, den = self._mono
+        # zeta**k is a unit of Z[zeta]: its numerators have no common factor
+        rep = (tuple([c * x for x in self.ring._powers[k]._rep[0]]), den)
+        self._rep = rep
+        return rep
 
     # -- predicates ----------------------------------------------------------
 
@@ -259,6 +280,8 @@ class Scalar:
         return not self
 
     def __bool__(self) -> bool:
+        if self._mono is not None:
+            return self._mono[1] != 0
         if self.ring.mode == GENERIC:
             return bool(self._rep)
         return any(self._rep[0])
@@ -279,11 +302,13 @@ class Scalar:
             for e, c in other._rep:
                 accumulate(acc, e, c)
             return Scalar(ring, acc.items())
-        (a, da), (b, db) = self._rep, other._rep
         ma, mb = self._mono, other._mono
         if ma is not None and mb is not None and ma[0] == mb[0]:
             # c1/d1 zeta**k + c2/d2 zeta**k stays a tagged monomial
-            return ring._monomial(ma[0], ma[1] * db + mb[1] * da, da * db)
+            k, c1, d1 = ma
+            _, c2, d2 = mb
+            return ring._monomial(k, c1 * d2 + c2 * d1, d1 * d2)
+        (a, da), (b, db) = self._rep, other._rep
         if da == db:
             return ring._lowest(tuple([x + y for x, y in zip(a, b)]), da)
         return ring._lowest(tuple([x * db + y * da for x, y in zip(a, b)]), da * db)
@@ -293,13 +318,12 @@ class Scalar:
     def __neg__(self):
         if self.ring.mode == GENERIC:
             return Scalar(self.ring, tuple((e, -c) for e, c in self._rep))
-        nums, den = self._rep
         mono = self._mono
-        return Scalar(
-            self.ring,
-            (tuple([-x for x in nums]), den),
-            None if mono is None else (mono[0], -mono[1]),
-        )
+        if mono is not None:
+            k, c, den = mono
+            return Scalar(self.ring, None, (k, -c, den))
+        nums, den = self._rep
+        return Scalar(self.ring, (tuple([-x for x in nums]), den))
 
     def __sub__(self, other):
         other = self.ring.coerce(other)
@@ -341,13 +365,10 @@ class Scalar:
         elif mb is None:
             tagged, dense = self, other
         else:
-            # both tagged: one look-up in the root-power table
-            return ring._monomial(
-                ma[0] + mb[0], ma[1] * mb[1], self._rep[1] * other._rep[1]
-            )
+            # both tagged: the product is a tag, its numerators stay unbuilt
+            return ring._monomial(ma[0] + mb[0], ma[1] * mb[1], ma[2] * mb[2])
         # c * zeta**k times dense: shift by k, reduce mod Phi_N, scale by c
-        k, c = tagged._mono
-        den = tagged._rep[1]
+        k, c, den = tagged._mono
         if c == den == 1 and not k:
             return dense
         nums, dense_den = dense._rep
@@ -371,11 +392,11 @@ class Scalar:
                 )
             (e, c), = self._rep
             return Scalar(ring, ((-e, Fraction(1) / c),))
-        nums, den = self._rep
         if self._mono is not None:
             # ((c / den) * zeta**k)**-1 = (den / c) * zeta**-k
-            k, c = self._mono
+            k, c, den = self._mono
             return ring._monomial(-k, den if c > 0 else -den, abs(c))
+        nums, den = self._rep
         # solve nums * x = 1 over 1, zeta, ..., zeta**(d-1); column j of the
         # system holds the numerators of nums * zeta**j
         d = ring._degree
@@ -421,8 +442,12 @@ class Scalar:
             other = self.ring.from_rational(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        same_ring = self.ring is other.ring or self.ring == other.ring
-        return same_ring and self._rep == other._rep
+        if self.ring is not other.ring and self.ring != other.ring:
+            return False
+        ma, mb = self._mono, other._mono
+        if ma is not None and mb is not None:
+            return ma == mb or (ma[1] == 0 and mb[1] == 0)
+        return self._rep == other._rep
 
     def __hash__(self) -> int:
         return hash((self.ring, self._rep))

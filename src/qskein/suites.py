@@ -29,7 +29,8 @@ MAX_WORK = 3 * 10**7
 """Largest work size a suite accepts, checked before it builds anything: the
 entries of its index sets, tables and matrices, the coefficient pairs of
 its largest polynomial product, and an N^3 term for the expansions that grow
-fastest in N (``qtorus``, ``torus-skein``).  It bounds memory, not time."""
+fastest in N (``qtorus``, ``torus-skein``).  It bounds memory, not time;
+``counts`` streams its index sets, so there it bounds run time only."""
 
 MAX_EXP = 12
 """Largest ``bigon`` exponent cap, checked before anything is built: the
@@ -153,7 +154,7 @@ def _random_balanced_element(
 
 def bigon_suite(order: int, trials: int, max_exp: int) -> list[Check]:
     from .dimensions import spanning_count_formula
-    from .oq_sl2 import OqAlgebra, basis_box, leading_index, spanning_set
+    from .oq_sl2 import OqAlgebra, iter_spanning_set, leading_index
     from .scalars import ScalarRing
 
     if max_exp > MAX_EXP:
@@ -213,10 +214,12 @@ def bigon_suite(order: int, trials: int, max_exp: int) -> list[Check]:
         return "N-th powers of the generators pairwise commute"
 
     def check_independence(rng: random.Random) -> str:
-        box = basis_box(order)
+        n2 = order * order
         for _ in range(trials):
-            size = rng.randint(1, min(4, len(box)))
-            keys = rng.sample(box, size)
+            size = rng.randint(1, min(4, n2 * order))
+            # the same draws as sampling the list basis_box(order), decoded
+            keys = [(0, p // n2, p // order % order, p % order)
+                    for p in rng.sample(range(n2 * order), size)]
             coeff_map = {k: _random_frobenius_element(alg, rng) for k in keys}
             cert = alg.independence_certificate(coeff_map)
             _require(
@@ -240,7 +243,7 @@ def bigon_suite(order: int, trials: int, max_exp: int) -> list[Check]:
         return f"{runs} random monomials written over the spanning set"
 
     def check_spanning_count(rng: random.Random) -> str:
-        got = len(spanning_set(order))
+        got = sum(1 for _ in iter_spanning_set(order))
         want = spanning_count_formula(order)
         _require(got == want, f"enumeration {got} != formula {want}")
         return f"spanning set has {got} elements"
@@ -524,18 +527,18 @@ def chebyshev_suite(order: int, trials: int) -> list[Check]:
 
 def counts_suite(order: int) -> list[Check]:
     from .dimensions import spanning_count_formula
-    from .oq_sl2 import basis_box, spanning_set
+    from .oq_sl2 import iter_basis_box, iter_spanning_set
 
     _refuse_oversized("counts", order**3 + spanning_count_formula(order))
 
     def check_formula(rng: random.Random) -> str:
-        got = len(spanning_set(order))
+        got = sum(1 for _ in iter_spanning_set(order))
         want = spanning_count_formula(order)
         _require(got == want, f"enumeration {got} != formula {want}")
         return f"spanning enumeration matches the formula: {got}"
 
     def check_box(rng: random.Random) -> str:
-        got = len(basis_box(order))
+        got = sum(1 for _ in iter_basis_box(order))
         _require(got == order**3, f"box has {got} elements, wanted {order ** 3}")
         return f"basis box has exactly {got} elements"
 

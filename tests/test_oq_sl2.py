@@ -108,6 +108,52 @@ def test_word_engine_matches_structured_product():
                 ), (u, v)
 
 
+def _generator_product(alg, word):
+    out = alg.one()
+    for letter in word:
+        out = out * alg.generator(letter)
+    return out
+
+
+def test_word_engine_random_long_words():
+    """Words of 10-24 letters: the resumed leftmost scan agrees with the
+    structured product of the word's generators."""
+    rng = random.Random(2411)
+    for ring in (GENERIC, ScalarRing.root_of_unity(5)):
+        alg = OqAlgebra(ring)
+        for _ in range(12):
+            word = "".join(rng.choice("adbc") for _ in range(rng.randint(10, 24)))
+            assert alg.normal_form(word) == _generator_product(alg, word), word
+
+
+@pytest.mark.parametrize("word", ["dda", "cbda", "bcdda"])
+def test_word_engine_pair_straddling_the_rewrite(word):
+    """Rewriting a pair can create a reducible pair that starts one letter
+    before it (b + dc in "bcdda", c + bc in "cbda"), which the resumed scan
+    must not skip; "dda" gives "dbc" and "d", which create none."""
+    for ring in (GENERIC, ScalarRing.root_of_unity(5)):
+        alg = OqAlgebra(ring)
+        assert alg.normal_form(word) == _generator_product(alg, word)
+
+
+def test_core_memo_is_never_mutated():
+    """Products read the shared a/d cores; none of them writes into one."""
+    ring = ScalarRing.root_of_unity(5)
+    alg = OqAlgebra(ring)
+    indices = list(itertools.product(range(4), repeat=4))
+    before = {k: alg.power_product(k) for k in indices}
+    rng = random.Random(5)
+    for _ in range(60):
+        x = alg.power_product(rng.choice(indices)) * Fraction(rng.randint(1, 4))
+        y = alg.power_product(rng.choice(indices)) + alg.one()
+        x * y
+        y * x
+        alg.normal_form(pbw_word(rng.choice(indices)) + pbw_word(rng.choice(indices)))
+    fresh = OqAlgebra(ring)
+    for k in indices:
+        assert alg.power_product(k) == before[k] == fresh.power_product(k), k
+
+
 def test_structured_product_associative():
     rng = random.Random(77)
     alg = OqAlgebra(ROOT3)

@@ -106,7 +106,8 @@ def _coefficients(s):
     assert den > 0 and math.gcd(den, *nums) == 1
     values = [Fraction(n, den) for n in nums]
     if s._mono is not None:
-        k, c = s._mono
+        k, c, tag_den = s._mono
+        assert tag_den == den
         power = _reference_coefficients(s.ring, [0] * k + [1])
         assert values == [Fraction(c, den) * x for x in power]
     return values
@@ -282,3 +283,72 @@ def test_even_order_rejected():
         ScalarRing.root_of_unity(4)
     with pytest.raises(ValueError):
         ScalarRing.root_of_unity(0)
+
+
+def _tagged_values(ring, rng):
+    """Tagged scalars (c / den) * zeta**k for every k: units, rationals, zeros."""
+    out = []
+    for k in range(ring.order):
+        for c in (Fraction(1), Fraction(-1), Fraction(rng.randint(2, 9), rng.randint(2, 6)),
+                  Fraction(-rng.randint(1, 9), rng.randint(1, 6)), Fraction(0)):
+            out.append(ring.zeta_pow(k) * c)
+    return out
+
+
+def _dense_twin(ring, s):
+    """The value of a tagged scalar, built densely from its tag by ring._lowest."""
+    k, c, den = s._mono
+    return ring._lowest(ring._reduce([0] * k + [c] + [0] * ring._degree), den)
+
+
+def _numerators_built(s):
+    try:
+        object.__getattribute__(s, "_rep")
+    except AttributeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("order", [1, 3, 15, 21])
+def test_lazy_tags_match_dense_values(order):
+    """A tagged scalar builds its numerators on first read, and agrees with
+    the same value built densely on ==, hash, repr, -, inverse and
+    root_exponent, both ways round."""
+    ring = ScalarRing.root_of_unity(order)
+    rng = random.Random(order)
+    values = _tagged_values(ring, rng)
+    assert all(s._mono is not None for s in values)
+    # products, inverses and negatives of tags read only the tags; a result
+    # that is a root power is the ring's table entry, built with the ring
+    derived = [x * y for x in values[::7] for y in values[2::11]]
+    derived += [-x for x in values] + [x.inverse() for x in values if x]
+    for s in derived:
+        assert s._mono is not None
+        assert not _numerators_built(s) or s is ring.zeta_pow(s._mono[0])
+    for i, s in enumerate(values + derived):
+        dense = _dense_twin(ring, s)
+        assert dense._mono is None
+        assert s == dense and dense == s
+        assert hash(s) == hash(dense)
+        # the numerators the eager code gave: c times those of zeta**k, over den
+        k, c, den = s._mono
+        eager = (tuple(c * x for x in ring.zeta_pow(k)._rep[0]), den) if c else ring.zero._rep
+        assert _numerators_built(s) and s._rep == eager == dense._rep
+        assert repr(s) == repr(dense)
+        assert -s == -dense and -dense == -s
+        assert ring.root_exponent(s) == ring.root_exponent(dense)
+        if s:
+            assert s.inverse() * dense == ring.one == dense * s.inverse()
+            if i % 8 == 0:  # a dense inverse is an elimination: sample them
+                assert s.inverse() == dense.inverse() and dense.inverse() == s.inverse()
+        else:
+            assert not dense
+    # zeros tagged with different exponents are all the ring's zero
+    zeros = [ring.zeta_pow(k) * 0 for k in range(order)]
+    zeros += [ring.zeta_pow(k) * Fraction(1, 3) - ring.zeta_pow(k) * Fraction(1, 3)
+              for k in range(order)]
+    assert {z._mono[0] for z in zeros} == set(range(order))
+    for z in zeros:
+        assert z == ring.zero and ring.zero == z and not z
+        assert all(z == other for other in zeros)
+        assert hash(z) == hash(ring.zero)
