@@ -152,12 +152,12 @@ def _build_below(family, first: int, n: int) -> None:
         family(i)
 
 
-def _x_times_minus(p1: Polynomial, p2: Polynomial) -> Polynomial:
-    """x*p1 - p2, the step of the T and S recursions."""
+def _x_times_minus(p1: Polynomial, p2: Polynomial) -> list:
+    """Coefficient list of x*p1 - p2, the step of the T, S and A recursions."""
     out = [0] + dense(p1)
     for e, v in p2.terms.items():
         out[e] -= v
-    return from_dense(out)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -169,7 +169,7 @@ def chebyshev_t(n: int) -> Polynomial:
     if n == 1:
         return Polynomial.x()
     _build_below(chebyshev_t, 0, n)
-    return _x_times_minus(chebyshev_t(n - 1), chebyshev_t(n - 2))
+    return from_dense(_x_times_minus(chebyshev_t(n - 1), chebyshev_t(n - 2)))
 
 
 @lru_cache(maxsize=None)
@@ -181,20 +181,28 @@ def chebyshev_s(n: int) -> Polynomial:
     if n == 1:
         return Polynomial.x()
     _build_below(chebyshev_s, 0, n)
-    return _x_times_minus(chebyshev_s(n - 1), chebyshev_s(n - 2))
+    return from_dense(_x_times_minus(chebyshev_s(n - 1), chebyshev_s(n - 2)))
 
 
 @lru_cache(maxsize=None)
 def chebyshev_a(n: int) -> Polynomial:
-    """Monic interleaved family; defined for n >= 1 only."""
+    """Monic interleaved family A_n = S_n + A_(n-2); defined for n >= 1 only.
+
+    Built from itself: A_n = x*A_(n-1) - A_(n-2) + (x for odd n, -1 for
+    even n), so no S polynomial is needed.
+    """
     if n < 1:
         raise ValueError("the interleaved family starts at index 1")
-    if n <= 2:
-        return chebyshev_s(n)
+    if n == 1:
+        return Polynomial.x()
+    if n == 2:
+        return Polynomial({2: 1, 0: -1})
     _build_below(chebyshev_a, 1, n)
-    out = dense(chebyshev_s(n))
-    for e, v in chebyshev_a(n - 2).terms.items():
-        out[e] += v
+    out = _x_times_minus(chebyshev_a(n - 1), chebyshev_a(n - 2))
+    if n % 2:
+        out[1] += 1
+    else:
+        out[0] -= 1
     return from_dense(out)
 
 

@@ -5,13 +5,13 @@
 quantum-torus layers.  The Chebyshev layer's products, Horner's rule,
 division by T_N and family recursions run on dense coefficient lists
 instead.  ``SparseCombination`` holds the basis-independent arithmetic of
-``OqElement``, ``QTElement`` and ``Polynomial``.  ``row_reduce`` is the one
-Gauss-Jordan elimination over the rationals.
+``OqElement``, ``QTElement`` and ``Polynomial``.  ``integer_solve`` is the
+one Gauss-Jordan elimination over the integers; it is fraction-free, so its
+callers get integer numerators over the determinant, never a ``Fraction``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 # Operators copied into each subclass's own namespace, so that a class can
@@ -164,36 +164,35 @@ class SparseCombination:
         )
 
 
-def row_reduce(
-    matrix: Sequence[Sequence],
-) -> tuple[list[list[Fraction]], list[int], Fraction]:
-    """Reduced row echelon form of a rational matrix (Gauss-Jordan).
+def integer_solve(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """Solve A x = det(A) B for integer rows [A | B], A square (n rows, n columns).
 
-    Returns ``(rows, pivots, det)``: the reduced rows (pivot entries 1,
-    zero rows last), the pivot column of each nonzero row in order, and
-    the determinant, which is 0 unless the matrix is square and invertible.
+    Returns ``(det, x)``: x is the integer matrix adj(A) B when A is
+    invertible, and det and x are 0 when A is singular.
+
+    Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968): with pivot p
+    in column c and previous pivot ``prev``, every other row becomes
+    (p * row - row[c] * pivot_row) / prev.  Each division is exact, since
+    every entry stays a minor of [A | B] up to sign, and the left block ends
+    as the last pivot times the identity.  Columns up to c are never read
+    again and are left stale.
     """
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    width = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    det = Fraction(1)
-    r = 0
-    for c in range(width):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+    rows = [list(row) for row in matrix]
+    n = len(rows)
+    sign = prev = 1
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c]), None)
         if pivot is None:
-            continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            det = -det
-        lead = rows[r][c]
-        det *= lead
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(len(rows)):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    if not r == len(rows) == width:
-        det = Fraction(0)
-    return rows, pivots, det
+            return 0, [[0] * (len(row) - n) for row in rows]
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            sign = -sign
+        lead = rows[c]
+        p = lead[c]
+        tail = lead[c + 1:]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != c and (f or p != prev):  # else the row stays as it is
+                row[c + 1:] = [(p * a - f * b) // prev for a, b in zip(row[c + 1:], tail)]
+        prev = p
+    return sign * prev, [[sign * v for v in row[n:]] for row in rows]

@@ -23,7 +23,6 @@ witness linear independence.
 from __future__ import annotations
 
 import re
-import threading
 from fractions import Fraction
 from itertools import chain
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -118,7 +117,6 @@ class OqAlgebra:
         self.ring = ring
         self._diag_ad: list[dict[int, Scalar]] = [{0: ring.one}]
         self._diag_da: list[dict[int, Scalar]] = [{0: ring.one}]
-        self._diag_lock = threading.Lock()
         self._cores: dict[Index, dict[tuple[int, int, int], Scalar]] = {}
         self._wing_cache: dict[tuple[int, int, int], dict[Index, "OqElement"]] = {}
         self._rules: dict[str, tuple[tuple[Scalar, str], ...]] | None = None
@@ -172,23 +170,17 @@ class OqAlgebra:
     # -- structured multiplication ---------------------------------------------
 
     def _diag(self, t: int, forward: bool = True) -> dict[int, Scalar]:
-        """Expansion of a^t d^t (forward) or d^t a^t as a bc-diagonal dict.
-
-        The tables are shared by every thread using this algebra: a level
-        that exists is read without locking, and missing levels are built
-        under the algebra's lock, each appended exactly once.
-        """
+        """Expansion of a^t d^t (forward) or d^t a^t as a bc-diagonal dict."""
         table = self._diag_ad if forward else self._diag_da
         if t < len(table):
             return table[t]
         sign = -1 if forward else 1
-        with self._diag_lock:
-            while len(table) <= t:
-                nxt: dict[int, Scalar] = {}
-                for g, coeff in table[-1].items():
-                    accumulate(nxt, g + 1, coeff * self.ring.q_pow(sign * (4 * g + 2)))
-                    accumulate(nxt, g, coeff * self.ring.q_pow(sign * 4 * g))
-                table.append(nxt)
+        while len(table) <= t:
+            nxt: dict[int, Scalar] = {}
+            for g, coeff in table[-1].items():
+                accumulate(nxt, g + 1, coeff * self.ring.q_pow(sign * (4 * g + 2)))
+                accumulate(nxt, g, coeff * self.ring.q_pow(sign * 4 * g))
+            table.append(nxt)
         return table[t]
 
     def _core(self, ma: int, md: int, na: int, nd: int) -> dict[tuple[int, int, int], Scalar]:

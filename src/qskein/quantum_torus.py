@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from math import lcm
+from math import gcd
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .linear import SparseCombination, accumulate, row_reduce
+from .linear import SparseCombination, accumulate, integer_solve
 from .scalars import Scalar, ScalarRing
 
 Vector = tuple[int, ...]
@@ -317,15 +317,18 @@ class ZBasis:
         self.vectors = vectors
         self.p = len(tri.punctures)
         n = len(vectors)
-        rows, pivots, _ = row_reduce(
+        det, adj = integer_solve(
             [list(v) + [int(i == j) for j in range(n)] for i, v in enumerate(vectors)]
         )
-        if pivots != list(range(n)):
+        if not det:
             raise ArithmeticError("singular matrix")
-        # the inverse as integer columns over one common denominator
-        inv = [row[n:] for row in rows]
-        self._den = lcm(*(x.denominator for row in inv for x in row))
-        self._columns = [tuple(int(row[i] * self._den) for row in inv) for i in range(n)]
+        # the inverse adj / det as integer columns over the least common
+        # denominator, which is positive
+        g = gcd(det, *(x for row in adj for x in row))
+        if det < 0:
+            g = -g
+        self._den = det // g
+        self._columns = [tuple(row[i] // g for row in adj) for i in range(n)]
 
     def coordinates(self, k: Sequence[int]) -> Vector:
         """Integer coordinates of a balanced vector over this basis."""
@@ -367,15 +370,10 @@ def balanced_puncture_basis(tri: Triangulation) -> ZBasis:
             x.append(q)
         coords.append(tuple(x))
     completed = _complete_unimodular_rows(coords, n)
-    if abs(row_reduce(completed)[2]) != 1:
+    if abs(integer_solve(completed)[0]) != 1:
         raise ArithmeticError("completion produced a non-unimodular matrix")
-    vectors = []
-    for w in completed:
-        vec = [0] * n
-        for coeff, bvec in zip(w, basis):
-            for j in range(n):
-                vec[j] += coeff * bvec[j]
-        vectors.append(tuple(vec))
+    columns = list(zip(*basis))
+    vectors = [tuple(sum(map(mul, w, col)) for col in columns) for w in completed]
     for name, z in zip(tri.punctures, vectors):
         if z != central_puncture_exponent(tri, name):
             raise ArithmeticError("completion did not preserve puncture rows")

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import Union
 
-from .linear import accumulate, row_reduce
+from .linear import accumulate, integer_solve
 
 Rational = Union[int, Fraction]
 
@@ -397,22 +397,20 @@ class Scalar:
             k, c, den = self._mono
             return ring._monomial(-k, den if c > 0 else -den, abs(c))
         nums, den = self._rep
-        # solve nums * x = 1 over 1, zeta, ..., zeta**(d-1); column j of the
-        # system holds the numerators of nums * zeta**j
+        # solve nums * y = 1 over 1, zeta, ..., zeta**(d-1); column j of the
+        # system holds the numerators of nums * zeta**j.  The solver returns
+        # x = det * y, and the inverse is den * y = den * x / det
         d = ring._degree
         cols = [nums]
         for _ in range(d - 1):
             cols.append(ring._reduce([0, *cols[-1]]))
-        rows, pivots, _ = row_reduce(
-            [[c[i] for c in cols] + [int(i == 0)] for i in range(d)]
-        )
-        if pivots != list(range(d)):
+        det, x = integer_solve([[c[i] for c in cols] + [int(i == 0)] for i in range(d)])
+        if not det:
             raise ArithmeticError("multiplication by the scalar is not invertible")
-        coeffs = [den * row[d] for row in rows]
-        common = lcm(*(c.denominator for c in coeffs))
-        return Scalar(
-            ring, (tuple(c.numerator * (common // c.denominator) for c in coeffs), common)
-        )
+        # _lowest wants a positive denominator
+        if det < 0:
+            det, den = -det, -den
+        return ring._lowest(tuple([den * row[0] for row in x]), det)
 
     def __truediv__(self, other):
         other = self.ring.coerce(other)

@@ -17,6 +17,7 @@ import time
 import zlib
 from fractions import Fraction
 from functools import cache, partial
+from itertools import product
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -177,20 +178,15 @@ def bigon_suite(order: int, trials: int, max_exp: int) -> list[Check]:
         return f"{trials} random products agree across both engines"
 
     def check_degree_formula(rng: random.Random) -> str:
-        cap = max_exp
         count = 0
-        for k1 in range(cap + 1):
-            for k2 in range(cap + 1):
-                if k1 and k2:
-                    continue
-                for k3 in range(cap + 1):
-                    for k4 in range(cap + 1):
-                        k = (k1, k2, k3, k4)
-                        _require(
-                            alg.power_product(k).deg() == leading_index(k),
-                            f"degree mismatch at {k}",
-                        )
-                        count += 1
+        for k in product(range(max_exp + 1), repeat=4):
+            if k[0] and k[1]:
+                continue
+            _require(
+                alg.power_product(k).deg() == leading_index(k),
+                f"degree mismatch at {k}",
+            )
+            count += 1
         return f"degree formula matches the expansion oracle on {count} indices"
 
     def check_diagonal_tower(rng: random.Random) -> str:
@@ -373,7 +369,7 @@ def qtorus_suite(
                               lattice=lattice, zbasis=zbasis) -> str:
             zb = zbasis()
             p = len(tri.punctures)
-            box = _residue_box(order, p)
+            box = list(product(range(order), repeat=p))
             x_map = {}
             elements = {}
             for k in box:
@@ -399,13 +395,6 @@ def qtorus_suite(
         if len(tri.punctures) == 1:
             checks.append((f"qtorus-{suffix}-center-free", check_center_free))
     return checks
-
-
-def _residue_box(order: int, p: int) -> list[tuple[int, ...]]:
-    box = [()]
-    for _ in range(p):
-        box = [k + (r,) for k in box for r in range(order)]
-    return box
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .chebyshev import Polynomial, chebyshev_a, chebyshev_t, dense
-from .linear import row_reduce
+from .linear import integer_solve
 
 
 def a_basis_expand(p: Polynomial) -> tuple[int | Fraction, dict[int, int | Fraction]]:
@@ -99,7 +99,7 @@ def s1s2_reduce(p: Polynomial, order: int) -> S1S2Element:
     return S1S2Element(order, constant, tuple(kept))
 
 
-def s1s2_frobenius_matrix(order: int, kmax: int) -> list[list[Fraction]]:
+def s1s2_frobenius_matrix(order: int, kmax: int) -> list[list[int]]:
     """Matrix of the reduced Frobenius images of T_0, T_order, ..., T_(kmax*order).
 
     Column k holds s1s2_reduce(T_(k*order)) written against the basis
@@ -112,7 +112,7 @@ def s1s2_frobenius_matrix(order: int, kmax: int) -> list[list[Fraction]]:
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     size = kmax + 1
-    matrix = [[Fraction(0)] * size for _ in range(size)]
+    matrix = [[0] * size for _ in range(size)]
     for k in range(size):
         if k == 0:
             reduced = s1s2_reduce(Polynomial.constant(2), order)
@@ -127,6 +127,6 @@ def s1s2_frobenius_matrix(order: int, kmax: int) -> list[list[Fraction]]:
                 raise ArithmeticError(
                     f"reduction of T_{k * order} leaves index {i} outside the basis"
                 )
-    if not row_reduce(matrix)[2]:
+    if not integer_solve(matrix)[0]:
         raise ArithmeticError("Frobenius matrix is singular at this truncation")
     return matrix

@@ -1,0 +1,64 @@
+"""Fraction-free integer elimination, checked against Gauss-Jordan over Fraction."""
+
+import random
+from fractions import Fraction
+
+from qskein.linear import integer_solve
+
+
+def _fraction_solve(a, b):
+    """(det A, A^-1 B) by Gauss-Jordan over Fraction; (0, None) for singular A."""
+    n = len(a)
+    rows = [[Fraction(x) for x in ra + rb] for ra, rb in zip(a, b)]
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c]), None)
+        if pivot is None:
+            return 0, None
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        lead = rows[c][c]
+        det *= lead
+        rows[c] = [x / lead for x in rows[c]]
+        for i in range(n):
+            f = rows[i][c]
+            if i != c and f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return det, [row[n:] for row in rows]
+
+
+def _random_system(rng):
+    """A square A of size 1-8 with small entries and many zeros, and B of width 0-3."""
+    n = rng.randint(1, 8)
+    a = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(n)] for _ in range(n)]
+    if n > 1 and rng.random() < 0.25:
+        # a multiple of another row: singular by construction
+        i, j = rng.sample(range(n), 2)
+        a[i] = [rng.choice((-2, 1, 3)) * x for x in a[j]]
+    width = rng.randint(0, 3)
+    return a, [[rng.randint(-5, 5) for _ in range(width)] for _ in range(n)]
+
+
+def test_integer_solve_matches_fraction_gauss_jordan():
+    rng = random.Random(1968)
+    singular = swapped = 0
+    for _ in range(300):
+        a, b = _random_system(rng)
+        n = len(a)
+        det, x = integer_solve([ra + rb for ra, rb in zip(a, b)])
+        want_det, want_x = _fraction_solve(a, b)
+        assert det == want_det
+        assert all(type(v) is int for row in x for v in row)
+        for i in range(n):
+            for j in range(len(b[0])):
+                assert sum(a[i][k] * x[k][j] for k in range(n)) == det * b[i][j]
+        if det:
+            assert [[Fraction(v, det) for v in row] for row in x] == want_x
+        else:
+            assert want_x is None
+            assert not any(v for row in x for v in row)
+        singular += not det
+        swapped += not a[0][0]
+    assert singular > 25 and swapped > 25
+

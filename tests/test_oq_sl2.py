@@ -3,8 +3,6 @@
 import itertools
 import random
 import re
-import sys
-import threading
 from fractions import Fraction
 
 import pytest
@@ -523,46 +521,3 @@ def test_false_degree_formula_names_the_input(monkeypatch):
     with pytest.raises(ArithmeticError, match=re.escape("at (1, 2, 0, 3)")):
         alg.monomial_degree((1, 2, 0, 3))
 
-
-# -- shared tables under threads ------------------------------------------------
-
-
-def test_diagonal_tables_grow_once_under_threads():
-    """Threads racing on a fresh algebra's diagonal tables see every level right."""
-    ring = ScalarRing.root_of_unity(7)
-    levels = range(15)
-
-    def diagonals(alg):
-        """a^t d^t and d^t a^t, read from the forward and backward tables."""
-        return [
-            (
-                alg.power_product((t, t, 0, 0)),
-                alg.basis_monomial((0, t, 0, 0)) * alg.basis_monomial((t, 0, 0, 0)),
-            )
-            for t in levels
-        ]
-
-    want = diagonals(OqAlgebra(ring))
-    workers = 8
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for _ in range(50):
-            alg = OqAlgebra(ring)
-            barrier = threading.Barrier(workers)
-            seen = [None] * workers
-
-            def work(i, alg=alg, barrier=barrier, seen=seen):
-                barrier.wait(timeout=30)
-                seen[i] = diagonals(alg)
-
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-                assert not thread.is_alive()
-            assert all(got == want for got in seen)
-            assert diagonals(alg) == want
-    finally:
-        sys.setswitchinterval(interval)

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from qskein import quantum_torus
-from qskein.linear import row_reduce
 from qskein.quantum_torus import (
     QuantumTorus,
     Triangulation,
@@ -402,13 +401,28 @@ def test_coordinates_reject_unbalanced():
         zb.coordinates((1, 0, 0))
 
 
+def _fraction_inverse(matrix):
+    """Inverse of an invertible integer matrix by Gauss-Jordan over Fraction."""
+    n = len(matrix)
+    rows = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
+    for c in range(n):
+        pivot = next(i for i in range(c, n) if rows[i][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(n):
+            f = rows[i][c]
+            if i != c and f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return [row[n:] for row in rows]
+
+
 def _fraction_coordinates(zb, k):
-    """Coordinates sum_j k_j inv[j][i] with the inverse from row_reduce."""
+    """Coordinates sum_j k_j inv[j][i] with the inverse taken over Fraction."""
     n = len(zb.vectors)
-    rows, _, _ = row_reduce(
-        [list(v) + [int(i == j) for j in range(n)] for i, v in enumerate(zb.vectors)]
-    )
-    inv = [row[n:] for row in rows]
+    inv = _fraction_inverse(zb.vectors)
     return [sum(k[j] * inv[j][i] for j in range(n)) for i in range(n)]
 
 
@@ -437,6 +451,26 @@ def test_integer_coordinates_match_fraction_inverse():
             late_only += all(x.denominator == 1 for x in exact[: zb.p])
     # some of those fail only past the p grading coordinates, so all n are checked
     assert late_only > 0
+
+
+def test_puncture_basis_of_a_large_glued_triangulation():
+    tri = _glued_triangulation(100, random.Random(9))
+    zb = balanced_puncture_basis(tri)
+    n = tri.edge_count
+    for i, z in enumerate(zb.vectors):
+        assert zb.coordinates(z) == tuple(int(i == j) for j in range(n))
+    rng = random.Random(150)
+    lattice = balanced_lattice_basis(tri)
+    for _ in range(20):
+        coeffs = [rng.randint(-9, 9) for _ in range(n)]
+        k = tuple(sum(c * v[j] for c, v in zip(coeffs, lattice)) for j in range(n))
+        coords = zb.coordinates(k)
+        assert tuple(sum(c * v[j] for c, v in zip(coords, zb.vectors)) for j in range(n)) == k
+
+
+def test_glued_triangulation_file_is_the_seed_9_gluing():
+    path = Path(__file__).parent / "data" / "glued-150.json"
+    assert Triangulation.from_json(path.read_text()) == _glued_triangulation(100, random.Random(9))
 
 
 def test_qt_deg_monomials_and_lex_max():

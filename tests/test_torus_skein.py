@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qskein import torus_skein
 from qskein.chebyshev import Polynomial, chebyshev_a, chebyshev_t
 from qskein.torus_skein import (
     S1S2Element,
@@ -120,6 +121,15 @@ def test_frobenius_matrix_diagonal(order, kmax):
                 assert m[i][j] == (2 if i == 0 else -2)
             else:
                 assert m[i][j] == 0
+    assert all(type(x) is int for row in m for x in row)
+
+
+def test_frobenius_matrix_refuses_a_singular_truncation(monkeypatch):
+    monkeypatch.setattr(
+        torus_skein, "s1s2_reduce", lambda p, order: S1S2Element(order, 0, ())
+    )
+    with pytest.raises(ArithmeticError, match="singular"):
+        s1s2_frobenius_matrix(3, 2)
 
 
 def test_frobenius_matrix_rejects_bad_orders():
