@@ -14,6 +14,9 @@ The package has five mathematical layers and a command line on top:
 - torus_skein / dimensions: solid torus and S^1 x S^2 modules, and the
   closed-form dimension and bound formulas.
 
+The command line (cli) runs the checks of the suites package, one module
+per suite.
+
 The names below are re-exported from their layers and load on first use:
 ``import qskein`` imports no layer, and ``from qskein import OqAlgebra``
 imports ``qskein.oq_sl2`` (with what it needs) and nothing else.

@@ -160,28 +160,26 @@ def _x_times_minus(p1: Polynomial, p2: Polynomial) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
-def chebyshev_t(n: int) -> Polynomial:
+def _recur(family, n: int, zeroth: int) -> Polynomial:
+    """P_n of the family P_0 = zeroth, P_1 = x, P_n = x*P_(n-1) - P_(n-2)."""
     if n < 0:
         raise ValueError("index must be a natural number")
     if n == 0:
-        return Polynomial({0: 2})
+        return Polynomial({0: zeroth})
     if n == 1:
         return Polynomial.x()
-    _build_below(chebyshev_t, 0, n)
-    return from_dense(_x_times_minus(chebyshev_t(n - 1), chebyshev_t(n - 2)))
+    _build_below(family, 0, n)
+    return from_dense(_x_times_minus(family(n - 1), family(n - 2)))
+
+
+@lru_cache(maxsize=None)
+def chebyshev_t(n: int) -> Polynomial:
+    return _recur(chebyshev_t, n, 2)
 
 
 @lru_cache(maxsize=None)
 def chebyshev_s(n: int) -> Polynomial:
-    if n < 0:
-        raise ValueError("index must be a natural number")
-    if n == 0:
-        return Polynomial({0: 1})
-    if n == 1:
-        return Polynomial.x()
-    _build_below(chebyshev_s, 0, n)
-    return from_dense(_x_times_minus(chebyshev_s(n - 1), chebyshev_s(n - 2)))
+    return _recur(chebyshev_s, n, 1)
 
 
 @lru_cache(maxsize=None)

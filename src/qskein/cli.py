@@ -7,8 +7,11 @@ Two command families:
   qskein verify SUITE [--N N] [--seed S] [--trials T] [--max-exp E]
                       [--kmax K] [--triangulation FILE]
 
-Output is JSON on stdout (add --pretty for indentation).  Reports are
-deterministic for a fixed command line and seed apart from elapsed_ms.
+verify SUITE builds its checks with that suite's builder in suites
+(suites.bigon_suite, suites.torus_skein_suite, ...), which loads the suite's
+own module alone.  Output is JSON on stdout (add --pretty for indentation).
+Reports are deterministic for a fixed command line and seed apart from
+elapsed_ms.
 Exit codes: 0 all checks pass, 1 at least one failure, 2 usage or input
 error, including a dims count too large to print, verify work above
 suites.MAX_WORK and a bigon --max-exp above suites.MAX_EXP.

@@ -8,6 +8,7 @@ instead.  ``SparseCombination`` holds the basis-independent arithmetic of
 ``OqElement``, ``QTElement`` and ``Polynomial``.  ``integer_solve`` is the
 one Gauss-Jordan elimination over the integers; it is fraction-free, so its
 callers get integer numerators over the determinant, never a ``Fraction``.
+``power`` is the one square-and-multiply, for scalars and elements alike.
 """
 
 from __future__ import annotations
@@ -29,6 +30,18 @@ def accumulate(acc: dict, key, value) -> None:
         acc[key] = total
     else:
         acc.pop(key, None)
+
+
+def power(base, n: int, one):
+    """base**n for a natural number n by square-and-multiply, starting from ``one``."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 class SparseCombination:
@@ -138,15 +151,7 @@ class SparseCombination:
         """Power by repeated squaring; n must be a natural number."""
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = self._new({self._identity: self._coerce(1)})
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return power(self, n, self._new({self._identity: self._coerce(1)}))
 
     # -- comparison and display ------------------------------------------------------
 

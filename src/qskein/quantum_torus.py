@@ -465,21 +465,6 @@ class QuantumTorus:
         k = tuple(int(e) for e in k)
         return self.ordered_monomial(k, self._twist(self._low(k, k)))
 
-    def weyl_word(self, word: Sequence[int]) -> "QTElement":
-        """Weyl bracket of a word of generator indices (repeats allowed)."""
-        word = [int(i) for i in word]
-        corr = 0
-        inv = 0
-        for a in range(len(word)):
-            for b in range(a + 1, len(word)):
-                corr -= self.sigma[word[a]][word[b]]
-                if word[a] > word[b]:
-                    inv += 2 * self.sigma[word[a]][word[b]]
-        counts = [0] * self.rank
-        for i in word:
-            counts[i] += 1
-        return self.ordered_monomial(counts, self._twist(corr + inv))
-
     def _low(self, k: Sequence[int], l: Sequence[int]) -> int:
         """The lower-triangular form sum_{i>j} sigma_ij k_i l_j."""
         total = 0
@@ -525,10 +510,11 @@ class QTElement(SparseCombination):
 
 
 def central_puncture_element(torus: QuantumTorus, name: str) -> QTElement:
-    """Weyl bracket of the fan word around a puncture; central by design."""
+    """Weyl bracket of the fan word around a puncture; central by design.  A
+    bracket depends only on letter counts: this is the exponent's Weyl monomial."""
     if torus.triangulation is None:
         raise ValueError("torus was not built from a triangulation")
-    return torus.weyl_word(torus.triangulation.fan(name))
+    return torus.weyl_monomial(central_puncture_exponent(torus.triangulation, name))
 
 
 def is_central(torus: QuantumTorus, x: QTElement) -> bool:

@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Union
 
-from .linear import accumulate, integer_solve
+from .linear import accumulate, integer_solve, power
 
 Rational = Union[int, Fraction]
 
@@ -423,15 +423,7 @@ class Scalar:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return power(self, n, self.ring.one)
 
     # -- comparison / hashing --------------------------------------------------
 

@@ -1,0 +1,112 @@
+"""Named verification suites behind the command line front end.
+
+Each suite is a list of (check id, callable) pairs.  A check receives its
+own random.Random instance seeded from the global seed and the check id,
+so reports are deterministic for a given seed whatever order the checks
+run in.  Checks return a short detail string on success and raise
+CheckFailure (or any exception, reported as an error) otherwise.
+
+This module is the runner.  Each suite's builder lives in the module named
+after it (``bigon``, ``qtorus``, ``torus_skein``, ``chebyshev``, ``counts``)
+and loads on first use: ``suites.bigon_suite`` imports ``suites.bigon`` and
+the layers it needs, and no other suite.
+"""
+
+import importlib
+import random
+import time
+import zlib
+from typing import Callable, NamedTuple, Sequence
+
+MAX_WORK = 3 * 10**7
+"""Largest work size a suite accepts, checked before it builds anything: the
+entries of its index sets, tables and matrices, the coefficient pairs of
+its largest polynomial product, and an N^3 term for the expansions that grow
+fastest in N (``qtorus``, ``torus-skein``).  It bounds memory, not time;
+``counts`` streams its index sets, so there it bounds run time only."""
+
+MAX_EXP = 12
+"""Largest ``bigon`` exponent cap, checked before anything is built: the
+word-rewriting check's run time grows steeply in it, and unevenly by seed."""
+
+_BUILDERS = {
+    "bigon_suite": "bigon",
+    "qtorus_suite": "qtorus",
+    "torus_skein_suite": "torus_skein",
+    "chebyshev_suite": "chebyshev",
+    "counts_suite": "counts",
+}
+"""Builder name -> the suite module that defines it."""
+
+
+def __getattr__(name: str):
+    """Look a builder up in its suite module, importing the module on first use."""
+    module = _BUILDERS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+class CheckFailure(Exception):
+    """A verification check did not hold."""
+
+
+class CheckResult(NamedTuple):
+    id: str
+    status: str
+    detail: str
+    elapsed_ms: float
+
+
+Check = tuple[str, Callable[[random.Random], str]]
+
+
+def run_checks(checks: Sequence[Check], seed: int) -> list[CheckResult]:
+    """Run every check with a per-check seeded RNG; sorted by id."""
+    results = []
+    for check_id, fn in checks:
+        rng = random.Random(zlib.crc32(check_id.encode()) ^ seed)
+        start = time.perf_counter()
+        try:
+            detail = fn(rng)
+            status = "pass"
+        except CheckFailure as exc:
+            detail = str(exc)
+            status = "fail"
+        except Exception as exc:  # noqa: BLE001 - reported, never swallowed
+            detail = f"{type(exc).__name__}: {exc}"
+            status = "error"
+        elapsed = (time.perf_counter() - start) * 1000.0
+        results.append(CheckResult(check_id, status, detail, round(elapsed, 3)))
+    return sorted(results, key=lambda r: r.id)
+
+
+def _require(cond: bool, message: str):
+    if not cond:
+        raise CheckFailure(message)
+
+
+def _false_fields(cert) -> str:
+    """Names of a certificate's False fields, ``certified`` aside."""
+    names = [name for name in cert._fields if name != "certified"]
+    return ", ".join(name for name in names if getattr(cert, name) is False)
+
+
+def _refuse_oversized(suite: str, size: int):
+    if size > MAX_WORK:
+        raise ValueError(f"{suite} work size {size} exceeds {MAX_WORK}; refused")
+
+
+def _random_polynomial(rng: random.Random, degree: int):
+    # imported here, so that the runner loads no layer
+    from ..chebyshev import Polynomial
+
+    coeffs = {}
+    for d in range(degree + 1):
+        if rng.random() < 0.6:
+            c = rng.randint(-6, 6)
+            if c:
+                coeffs[d] = c
+    if not coeffs:
+        coeffs[degree] = 1
+    return Polynomial(coeffs)

@@ -1,0 +1,128 @@
+"""The ``bigon`` suite: O_q(SL2), the stated skein algebra of the bigon."""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+from ..dimensions import spanning_count_formula
+from ..oq_sl2 import OqAlgebra, iter_spanning_set, leading_index
+from ..scalars import ScalarRing
+from . import MAX_EXP, Check, _false_fields, _refuse_oversized, _require
+
+
+def _random_pbw_index(rng: random.Random, cap: int):
+    k1 = rng.randint(0, cap)
+    k2 = 0 if k1 else rng.randint(0, cap)
+    return (k1, k2, rng.randint(0, cap), rng.randint(0, cap))
+
+
+def _random_frobenius_element(alg: OqAlgebra, rng: random.Random, cap: int = 2):
+    out = alg.zero()
+    for _ in range(rng.randint(1, 2)):
+        u = _random_pbw_index(rng, cap)
+        c = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        if rng.random() < 0.5:
+            c = -c
+        out = out + alg.frobenius_monomial(u) * c
+    if out.is_zero():
+        out = alg.one()
+    return out
+
+
+def bigon_suite(order: int, trials: int, max_exp: int) -> list[Check]:
+    if max_exp > MAX_EXP:
+        raise ValueError(f"bigon exponent cap {max_exp} exceeds {MAX_EXP}; refused")
+    _refuse_oversized("bigon", order**3 + spanning_count_formula(order))
+    ring = ScalarRing.root_of_unity(order)
+    alg = OqAlgebra(ring)
+
+    def check_word_vs_structured(rng: random.Random) -> str:
+        for _ in range(trials):
+            u = _random_pbw_index(rng, max_exp)
+            v = _random_pbw_index(rng, max_exp)
+            word = (
+                "a" * u[0] + "d" * u[1] + "b" * u[2] + "c" * u[3]
+                + "a" * v[0] + "d" * v[1] + "b" * v[2] + "c" * v[3]
+            )
+            lhs = alg.normal_form(word)
+            rhs = alg.power_product(u) * alg.power_product(v)
+            _require(lhs == rhs, f"normal form disagrees on {u} * {v}")
+        return f"{trials} random products agree across both engines"
+
+    def check_degree_formula(rng: random.Random) -> str:
+        count = 0
+        for k in product(range(max_exp + 1), repeat=4):
+            if k[0] and k[1]:
+                continue
+            _require(
+                alg.power_product(k).deg() == leading_index(k),
+                f"degree mismatch at {k}",
+            )
+            count += 1
+        return f"degree formula matches the expansion oracle on {count} indices"
+
+    def check_diagonal_tower(rng: random.Random) -> str:
+        top = min(10, 2 * order)
+        for t in range(top + 1):
+            x = alg.power_product((t, 0, 0, 0)) * alg.power_product((0, t, 0, 0))
+            _require(
+                alg.in_diagonal_tower(x, t),
+                f"a^{t} d^{t} escapes the diagonal tower",
+            )
+        return f"a^t d^t lies in the tower for t <= {top}"
+
+    def check_frobenius_commutes(rng: random.Random) -> str:
+        gens = [alg.frobenius_generator(l) for l in "abcd"]
+        for i in range(4):
+            for j in range(i + 1, 4):
+                _require(
+                    gens[i] * gens[j] == gens[j] * gens[i],
+                    f"generators {i} and {j} of the power subalgebra do not commute",
+                )
+        return "N-th powers of the generators pairwise commute"
+
+    def check_independence(rng: random.Random) -> str:
+        n2 = order * order
+        for _ in range(trials):
+            size = rng.randint(1, min(4, n2 * order))
+            # the same draws as sampling the list basis_box(order), decoded
+            keys = [(0, p // n2, p // order % order, p % order)
+                    for p in rng.sample(range(n2 * order), size)]
+            coeff_map = {k: _random_frobenius_element(alg, rng) for k in keys}
+            cert = alg.independence_certificate(coeff_map)
+            _require(
+                cert.certified,
+                f"certificate refused on keys {sorted(keys)}: {_false_fields(cert)} false",
+            )
+        return f"{trials} random coefficient maps certified independent"
+
+    def check_localized(rng: random.Random) -> str:
+        runs = max(20, trials // 4)
+        for _ in range(runs):
+            m = _random_pbw_index(rng, max_exp + 2)
+            alg.localized_express(m)
+        return f"{runs} random monomials re-expanded exactly"
+
+    def check_spanning(rng: random.Random) -> str:
+        runs = max(20, trials // 4)
+        for _ in range(runs):
+            m = _random_pbw_index(rng, max_exp + 2)
+            alg.express_in_spanning(m)
+        return f"{runs} random monomials written over the spanning set"
+
+    def check_spanning_count(rng: random.Random) -> str:
+        got = sum(1 for _ in iter_spanning_set(order))
+        want = spanning_count_formula(order)
+        _require(got == want, f"enumeration {got} != formula {want}")
+        return f"spanning set has {got} elements"
+
+    return [
+        ("bigon-degree-formula-vs-oracle", check_degree_formula),
+        ("bigon-diagonal-tower-membership", check_diagonal_tower),
+        ("bigon-independence-certificates", check_independence),
+        ("bigon-localized-re-expansion", check_localized),
+        ("bigon-power-subalgebra-commutes", check_frobenius_commutes),
+        ("bigon-spanning-count", check_spanning_count),
+        ("bigon-spanning-re-expansion", check_spanning),
+        ("bigon-word-vs-structured-product", check_word_vs_structured),
+    ]

@@ -114,10 +114,7 @@ def s1s2_frobenius_matrix(order: int, kmax: int) -> list[list[int]]:
     size = kmax + 1
     matrix = [[0] * size for _ in range(size)]
     for k in range(size):
-        if k == 0:
-            reduced = s1s2_reduce(Polynomial.constant(2), order)
-        else:
-            reduced = s1s2_reduce(chebyshev_t(k * order), order)
+        reduced = s1s2_reduce(chebyshev_t(k * order), order)
         matrix[0][k] = reduced.empty_coeff
         for row in range(1, size):
             matrix[row][k] = reduced.coefficient(row * order - 2)

@@ -248,7 +248,7 @@ def test_refused_center_free_certificate_names_the_field(monkeypatch):
         cert = real(*args, **kwargs)
         return cert._replace(certified=False, distinct=False)
 
-    monkeypatch.setattr(quantum_torus, "center_free_certificate", collided)
+    monkeypatch.setattr("qskein.suites.qtorus.center_free_certificate", collided)
     result = run_check(
         suites.qtorus_suite(3, 1), "qtorus-once-punctured-torus-center-free"
     )
@@ -264,7 +264,7 @@ def test_qtorus_builds_each_puncture_basis_once(monkeypatch):
         built.append(tri)
         return real(tri)
 
-    monkeypatch.setattr(quantum_torus, "balanced_puncture_basis", counted)
+    monkeypatch.setattr("qskein.suites.qtorus.balanced_puncture_basis", counted)
     results = suites.run_checks(suites.qtorus_suite(3, 2), 0)
     assert {r.status for r in results} == {"pass"}
     assert built == [once_punctured_torus(), four_punctured_sphere()]
@@ -274,7 +274,7 @@ def test_failed_puncture_basis_is_each_checks_error(capsys, monkeypatch):
     def refused(tri):
         raise ValueError("no basis")
 
-    monkeypatch.setattr(quantum_torus, "balanced_puncture_basis", refused)
+    monkeypatch.setattr("qskein.suites.qtorus.balanced_puncture_basis", refused)
     code, out, err = run_cli(capsys, ["verify", "qtorus", "--N", "3", "--trials", "2"])
     assert code == 1
     errors = [c["id"] for c in json.loads(out)["checks"] if c["status"] == "error"]
@@ -324,7 +324,7 @@ def test_failed_round_trip_names_the_trial(monkeypatch):
         # reduces p + 1 instead of p, so no round trip can succeed
         return real(p + Polynomial({0: 1}), order)
 
-    monkeypatch.setattr(chebyshev, "chebyshev_reduce", off_by_one)
+    monkeypatch.setattr("qskein.suites.chebyshev.chebyshev_reduce", off_by_one)
     result = run_check(suites.chebyshev_suite(3, 5), "chebyshev-reduce-round-trip")
     assert result.status == "fail"
     assert result.detail.endswith("at trial 0")

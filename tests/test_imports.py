@@ -1,5 +1,6 @@
 """What the package loads: lazy re-exports and the modules each command imports."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import qskein
+from qskein import suites
 from qskein.dimensions import Marked3ManifoldDescriptor, SurfaceDescriptor
 from qskein.quantum_torus import Triangulation
 from qskein.suites import CheckResult
@@ -68,10 +70,14 @@ def test_cli_import_loads_no_layer_and_no_dataclasses():
          {"quantum_torus", "chebyshev", "torus_skein"}),
         (["verify", "qtorus", "--N", "3"], {"quantum_torus", "scalars"},
          {"oq_sl2", "chebyshev"}),
+        (["verify", "torus-skein", "--N", "3"], {"torus_skein", "chebyshev"},
+         {"scalars", "oq_sl2", "quantum_torus"}),
+        (["verify", "counts", "--N", "3"], {"oq_sl2", "dimensions"},
+         {"quantum_torus", "chebyshev", "torus_skein"}),
         (["dims", "surface", "--genus", "1", "--punctures", "1", "--boundary", "0",
           "--N", "5"], {"dimensions"}, set(LAYERS) - {"dimensions"}),
     ],
-    ids=["chebyshev", "bigon", "qtorus", "dims"],
+    ids=["chebyshev", "bigon", "qtorus", "torus-skein", "counts", "dims"],
 )
 def test_command_loads_only_its_layers(argv, wanted, unwanted):
     result = probe(argv)
@@ -80,6 +86,17 @@ def test_command_loads_only_its_layers(argv, wanted, unwanted):
     assert wanted <= layers
     assert not layers & unwanted
     assert "dataclasses" not in result["ran"]
+    # a verify command loads its own suite's module and no other suite's
+    own = {f"suites.{argv[1].replace('-', '_')}"} if argv[0] == "verify" else set()
+    assert {m for m in layers if m.startswith("suites.")} == own
+
+
+def test_builders_resolve_to_their_suite_modules():
+    for suite in ("bigon", "qtorus", "torus_skein", "chebyshev", "counts"):
+        module = importlib.import_module(f"qskein.suites.{suite}")
+        assert getattr(suites, f"{suite}_suite") is getattr(module, f"{suite}_suite")
+    with pytest.raises(AttributeError, match="no_such_suite"):
+        suites.no_such_suite
 
 
 # -- lazy re-exports -------------------------------------------------------------

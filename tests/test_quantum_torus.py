@@ -279,12 +279,33 @@ def test_generator_commutation_rule():
             assert yi * yj == yj * yi * torus.parameter ** (2 * sigma[i][j])
 
 
-def test_weyl_monomial_word_order_independent():
-    tri = once_punctured_torus()
-    torus = QuantumTorus.from_triangulation(RING, tri)
-    assert torus.weyl_word((0, 1)) == torus.weyl_word((1, 0))
-    assert torus.weyl_word((0, 1, 2)) == torus.weyl_word((2, 1, 0))
-    assert torus.weyl_word((0, 0, 1)) == torus.weyl_word((1, 0, 0))
+def _weyl_bracket(torus, word):
+    """parameter^(-sum_{a<b} sigma_(w_a w_b)) Y_(w_1) ... Y_(w_m), by generator products."""
+    product = torus.one()
+    for i in word:
+        product = product * torus.generator(i)
+    shift = sum(
+        torus.sigma[word[a]][word[b]]
+        for a in range(len(word))
+        for b in range(a + 1, len(word))
+    )
+    return product * torus.parameter ** (-shift)
+
+
+def test_weyl_monomial_is_the_bracket_of_any_word_with_its_counts():
+    rng = random.Random(23)
+    for tri in (once_punctured_torus(), four_punctured_sphere()):
+        torus = QuantumTorus.from_triangulation(RING, tri)
+        n = tri.edge_count
+        for name in tri.punctures:
+            fan = tri.fan(name)
+            bracket = _weyl_bracket(torus, fan)
+            assert bracket == torus.weyl_monomial([fan.count(i) for i in range(n)])
+            assert central_puncture_element(torus, name) == bracket
+        for _ in range(30):
+            word = [rng.randrange(n) for _ in range(rng.randint(0, 7))]
+            counts = [word.count(i) for i in range(n)]
+            assert _weyl_bracket(torus, word) == torus.weyl_monomial(counts)
 
 
 def test_weyl_product_rule():
@@ -419,10 +440,9 @@ def _fraction_inverse(matrix):
     return [row[n:] for row in rows]
 
 
-def _fraction_coordinates(zb, k):
-    """Coordinates sum_j k_j inv[j][i] with the inverse taken over Fraction."""
-    n = len(zb.vectors)
-    inv = _fraction_inverse(zb.vectors)
+def _fraction_coordinates(inv, k):
+    """Coordinates sum_j k_j inv[j][i], for ``inv`` the basis inverse over Fraction."""
+    n = len(inv)
     return [sum(k[j] * inv[j][i] for j in range(n)) for i in range(n)]
 
 
@@ -431,6 +451,7 @@ def test_integer_coordinates_match_fraction_inverse():
     late_only = 0
     for tri in (once_punctured_torus(), four_punctured_sphere()):
         zb = balanced_puncture_basis(tri)
+        inv = _fraction_inverse(zb.vectors)
         lattice = balanced_lattice_basis(tri)
         n = tri.edge_count
         for _ in range(200):
@@ -438,7 +459,7 @@ def test_integer_coordinates_match_fraction_inverse():
             k = tuple(sum(c * v[j] for c, v in zip(coeffs, lattice)) for j in range(n))
             coords = zb.coordinates(k)
             assert all(type(c) is int for c in coords)
-            assert list(coords) == _fraction_coordinates(zb, k)
+            assert list(coords) == _fraction_coordinates(inv, k)
             back = tuple(sum(c * v[j] for c, v in zip(coords, zb.vectors)) for j in range(n))
             assert back == k
             # off the lattice by one edge: some coordinate is not an integer
@@ -447,7 +468,7 @@ def test_integer_coordinates_match_fraction_inverse():
             assert not balanced_check(tri, off)
             with pytest.raises(ValueError, match="not in the balanced lattice"):
                 zb.coordinates(off)
-            exact = _fraction_coordinates(zb, off)
+            exact = _fraction_coordinates(inv, off)
             late_only += all(x.denominator == 1 for x in exact[: zb.p])
     # some of those fail only past the p grading coordinates, so all n are checked
     assert late_only > 0
