@@ -12,7 +12,8 @@ The package has five mathematical layers and a command line on top:
 - quantum_torus: triangulation-indexed quantum tori, balanced lattices,
   central puncture monomials, and the exponent-multiplying embedding.
 - torus_skein / dimensions: solid torus and S^1 x S^2 modules, and the
-  closed-form dimension and bound formulas.
+  closed-form dimension and bound formulas with the bigon's index box and
+  spanning set that they count.
 
 The command line (cli) runs the checks of the suites package, one module
 per suite.
@@ -36,21 +37,24 @@ _EXPORTS = {
     "dimensions": (
         "Marked3ManifoldDescriptor",
         "SurfaceDescriptor",
+        "basis_box",
         "euler_characteristic",
+        "iter_basis_box",
+        "iter_spanning_set",
+        "iter_spanning_wing",
         "lambda_bounds",
         "localized_dimension",
         "module_bound",
         "r_of_surface",
         "spanning_count_formula",
+        "spanning_set",
+        "spanning_wing",
     ),
     "oq_sl2": (
         "OqAlgebra",
         "OqElement",
-        "basis_box",
         "is_pbw_index",
         "leading_index",
-        "spanning_set",
-        "spanning_wing",
     ),
     "quantum_torus": (
         "QTElement",

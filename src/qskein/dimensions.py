@@ -10,11 +10,16 @@ base**exponent: the exponent is computed first, and the power is refused
 with ValueError, before it is computed, when exponent * base.bit_length()
 (a bound on its bit length) exceeds MAX_RESULT_BITS.  Powers of 1 are 1
 and are never refused.
+
+The bigon's index sets, the N^3 box and its spanning wing, are enumerated
+here next to the formula that counts them, so that counting them loads no
+algebra layer.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from itertools import chain
+from typing import Iterator, NamedTuple
 
 MAX_RESULT_BITS = 1 << 22
 """Largest bit length a count may have: about 1.26 million decimal digits,
@@ -100,6 +105,49 @@ def localized_dimension(s: SurfaceDescriptor, order: int) -> int:
     if s.boundary == 0 and euler_characteristic(s) >= 0:
         raise ValueError("closed surface needs negative Euler characteristic")
     return _power(order, 3 * r_of_surface(s))
+
+
+Index = tuple[int, int, int, int]
+
+
+def iter_basis_box(n: int) -> Iterator[Index]:
+    """The n**3 PBW indices with first entry 0 and the rest below n.
+
+    Position p of the enumeration is (0, p // n**2, p // n % n, p % n).
+    """
+    return (
+        (0, k2, k3, k4)
+        for k2 in range(n)
+        for k3 in range(n)
+        for k4 in range(n)
+    )
+
+
+def iter_spanning_wing(n: int) -> Iterator[Index]:
+    """Extra indices with positive a-exponent completing the spanning set."""
+    return (
+        (n - j, 0, k2, k3)
+        for j in range(1, n)
+        for k2 in range(n)
+        for k3 in range(n)
+        if k2 < j or k3 < j
+    )
+
+
+def iter_spanning_set(n: int) -> Iterator[Index]:
+    return chain(iter_basis_box(n), iter_spanning_wing(n))
+
+
+def basis_box(n: int) -> list[Index]:
+    return list(iter_basis_box(n))
+
+
+def spanning_wing(n: int) -> list[Index]:
+    return list(iter_spanning_wing(n))
+
+
+def spanning_set(n: int) -> list[Index]:
+    return list(iter_spanning_set(n))
 
 
 def spanning_count_formula(order: int) -> int:

@@ -13,24 +13,31 @@ product that merges a/d exponents by one rule (``OqAlgebra._core``) over
 cached diagonal expansions of a^t d^t and d^t a^t.
 
 On top of the arithmetic sit the finite-spanning and independence
-certificates used at odd roots of unity: the N^3 index box with first
-entry zero, its wing of extra spanning indices, expression of arbitrary
-basis monomials over those sets with coefficients in the subalgebra
-generated by N-th powers of the generators, and degree certificates that
-witness linear independence.
+certificates used at odd roots of unity.  They work over the N^3 index box
+with first entry zero and its wing of extra spanning indices, which
+``dimensions`` enumerates and this module re-exports: expression of
+arbitrary basis monomials over those sets with coefficients in the
+subalgebra generated by N-th powers of the generators, and degree
+certificates that witness linear independence.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
+from .dimensions import (  # noqa: F401 - the box and wing, re-exported
+    Index,
+    basis_box,
+    iter_basis_box,
+    iter_spanning_set,
+    iter_spanning_wing,
+    spanning_set,
+    spanning_wing,
+)
 from .linear import SparseCombination, accumulate
 from .scalars import ROOT_OF_UNITY, Scalar, ScalarRing
-
-Index = tuple[int, int, int, int]
 
 _LETTERS = "adbc"  # normal order of generators inside a monomial
 _RANK = {letter: i for i, letter in enumerate(_LETTERS)}
@@ -70,46 +77,6 @@ def leading_index(k: Sequence[int]) -> Index:
     return (k1 - t, k2 - t, k3 + t, k4 + t)
 
 
-def iter_basis_box(n: int) -> Iterator[Index]:
-    """The n**3 PBW indices with first entry 0 and the rest below n.
-
-    Position p of the enumeration is (0, p // n**2, p // n % n, p % n).
-    """
-    return (
-        (0, k2, k3, k4)
-        for k2 in range(n)
-        for k3 in range(n)
-        for k4 in range(n)
-    )
-
-
-def iter_spanning_wing(n: int) -> Iterator[Index]:
-    """Extra indices with positive a-exponent completing the spanning set."""
-    return (
-        (n - j, 0, k2, k3)
-        for j in range(1, n)
-        for k2 in range(n)
-        for k3 in range(n)
-        if k2 < j or k3 < j
-    )
-
-
-def iter_spanning_set(n: int) -> Iterator[Index]:
-    return chain(iter_basis_box(n), iter_spanning_wing(n))
-
-
-def basis_box(n: int) -> list[Index]:
-    return list(iter_basis_box(n))
-
-
-def spanning_wing(n: int) -> list[Index]:
-    return list(iter_spanning_wing(n))
-
-
-def spanning_set(n: int) -> list[Index]:
-    return list(iter_spanning_set(n))
-
-
 class OqAlgebra:
     """The quantum SL(2) coordinate ring over a chosen scalar ring."""
 
@@ -119,7 +86,7 @@ class OqAlgebra:
         self._diag_da: list[dict[int, Scalar]] = [{0: ring.one}]
         self._cores: dict[Index, dict[tuple[int, int, int], Scalar]] = {}
         self._wing_cache: dict[tuple[int, int, int], dict[Index, "OqElement"]] = {}
-        self._rules: dict[str, tuple[tuple[Scalar, str], ...]] | None = None
+        self._rules: dict[str, tuple[tuple[Scalar | None, str], ...]] | None = None
 
     @property
     def order(self) -> int:
@@ -223,10 +190,12 @@ class OqAlgebra:
 
     # -- word rewriting engine ---------------------------------------------------
 
-    def _rewrite_rules(self) -> dict[str, tuple[tuple[Scalar, str], ...]]:
+    def _rewrite_rules(self) -> dict[str, tuple[tuple[Scalar | None, str], ...]]:
+        """``_REWRITES`` with each q-exponent e as the scalar q^e, or None for e = 0."""
         if self._rules is None:
+            q_pow = self.ring.q_pow
             self._rules = {
-                pair: tuple((self.ring.q_pow(e), repl) for e, repl in subs)
+                pair: tuple((q_pow(e) if e else None, repl) for e, repl in subs)
                 for pair, subs in _REWRITES.items()
             }
         return self._rules
@@ -268,10 +237,11 @@ class OqAlgebra:
                 c = self.ring.from_rational(c)
             push(w, c, 0)
         rules = self._rewrite_rules()
+        search, pop = _REDUCIBLE.search, agenda.popitem
         out: dict[Index, Scalar] = {}
         while agenda:
-            word, (coeff, pos) = agenda.popitem()
-            hit = _REDUCIBLE.search(word, pos)
+            word, (coeff, pos) = pop()
+            hit = search(word, pos)
             if hit is None:
                 idx = tuple(word.count(letter) for letter in _LETTERS)
                 assert word == "".join(letter * e for letter, e in zip(_LETTERS, idx))
@@ -281,7 +251,8 @@ class OqAlgebra:
             head, tail = word[:h], word[h + 2 :]
             resume = h - 1 if h else 0
             for factor, repl in rules[hit.group()]:
-                push(head + repl + tail, coeff * factor, resume)
+                # a q^0 rule copies the coefficient: multiplying by one is exact
+                push(head + repl + tail, coeff if factor is None else coeff * factor, resume)
         return OqElement(self, out)
 
     # -- degree bookkeeping --------------------------------------------------------
@@ -357,7 +328,7 @@ class OqAlgebra:
     def is_frobenius_element(self, x: "OqElement") -> bool:
         """Whether x is supported on indices divisible by N in every slot."""
         n = self.order
-        return all(all(e % n == 0 for e in k) for k in x.terms)
+        return not any(e % n for k in x.terms for e in k)
 
     # -- independence certificate ----------------------------------------------------
 
@@ -490,11 +461,32 @@ class OqAlgebra:
         return SpanningExpression(coefficients=coeffs)
 
     def _combine(self, coeffs: Mapping[Index, "OqElement"]) -> "OqElement":
-        """The element sum_idx coeffs[idx] * O_idx, every product accumulated in one dict."""
+        """The element sum_v coeffs[v] * O_v, every product accumulated in one dict.
+
+        ``_mul_into`` specialised to a right factor O_v with coefficient one:
+        each term c_w O_w of coeffs[v] adds c_w q^e times the core of
+        a^w1 d^w2 a^v1 d^v2, shifted by b^(w3 + v3) c^(w4 + v4), where
+        e = 2 (w3 + w4) (v1 - v2).  Only a sum can vanish: the terms of an
+        element and of a core are nonzero, and so is their product, as both
+        scalar rings are integral domains.
+        """
+        ring = self.ring
+        one, q_pow, n, core = ring.one, ring.q_pow, ring.order, self._core
         acc: dict[Index, Scalar] = {}
-        one = self.ring.one
-        for idx, c in coeffs.items():
-            self._mul_into(acc, c.terms, {idx: one})
+        for (v1, v2, v3, v4), coeff in coeffs.items():
+            for (w1, w2, w3, w4), cw in coeff.terms.items():
+                e = 2 * (w3 + w4) * (v1 - v2)
+                factor = cw * q_pow(e) if n is None or e % n else cw  # q has order N
+                b0, c0 = w3 + v3, w4 + v4
+                for (alpha, beta, g), s in core(w1, w2, v1, v2).items():
+                    key = (alpha, beta, g + b0, g + c0)
+                    term = factor if s is one else factor * s
+                    if key in acc:
+                        term = acc[key] + term
+                        if not term:
+                            del acc[key]
+                            continue
+                    acc[key] = term
         return OqElement(self, acc)
 
     def _mul_into(

@@ -86,6 +86,17 @@ def _require(cond: bool, message: str):
         raise CheckFailure(message)
 
 
+def _checked_spanning_count(order: int) -> int:
+    """Size of the bigon's spanning set by enumeration, failing unless the formula agrees."""
+    # imported here, so that the runner loads no layer
+    from ..dimensions import iter_spanning_set, spanning_count_formula
+
+    got = sum(1 for _ in iter_spanning_set(order))
+    want = spanning_count_formula(order)
+    _require(got == want, f"enumeration {got} != formula {want}")
+    return got
+
+
 def _false_fields(cert) -> str:
     """Names of a certificate's False fields, ``certified`` aside."""
     names = [name for name in cert._fields if name != "certified"]

@@ -5,14 +5,15 @@ import pytest
 from qskein.dimensions import (
     Marked3ManifoldDescriptor,
     SurfaceDescriptor,
+    basis_box,
     euler_characteristic,
     lambda_bounds,
     localized_dimension,
     module_bound,
     r_of_surface,
     spanning_count_formula,
+    spanning_set,
 )
-from qskein.oq_sl2 import basis_box, spanning_set
 
 BIGON = SurfaceDescriptor(genus=0, punctures=0, boundary=2)
 

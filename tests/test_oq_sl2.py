@@ -434,6 +434,50 @@ def test_independence_certificate_random():
         assert len(set(cert.lifted_indices)) == len(cert.lifted_indices)
 
 
+def random_scalar(ring, rng):
+    """A rational multiple of a root power, half the time plus a second root
+    power: a dense scalar, whose numerators are built."""
+    s = ring.zeta_pow(rng.randrange(7)) * Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 2))
+    if rng.random() < 0.5:
+        s = s + ring.zeta_pow(rng.randrange(7)) * rng.randint(1, 3)
+    return s
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [ScalarRing.root_of_unity(n) for n in (3, 5, 7)] + [GENERIC],
+    ids=["N3", "N5", "N7", "generic"],
+)
+def test_combine_matches_the_generic_product(ring):
+    """The expansion behind the certificates and the re-expansions agrees,
+    term by term, with the sum of generic products coeff * O_v over the box
+    and the wing.  Coefficients are arbitrary elements, so the q-twist is
+    not always trivial, and their cores have several terms."""
+    rng = random.Random(7019)
+    alg = OqAlgebra(ring)
+    order = ring.order or 5
+    keys = spanning_set(order)
+    for _ in range(40):
+        cmap = {}
+        for v in rng.sample(keys, rng.randint(1, 4)):
+            terms = {random_pbw_index(rng, 2 * order): random_scalar(ring, rng)
+                     for _ in range(rng.randint(1, 4))}
+            cmap[v] = alg.element(terms)
+        want = alg.zero()
+        for v, coeff in cmap.items():
+            want = want + coeff * alg.basis_monomial(v)
+        assert alg._combine(cmap).terms == want.terms
+
+
+def test_combine_drops_cancelled_terms():
+    alg = OqAlgebra(ROOT3)
+    b = alg.generator("b")
+    cmap = {(0, 0, 0, 0): b, (0, 0, 1, 0): alg.one() * -1}
+    assert alg._combine(cmap).is_zero()
+    cmap[(0, 0, 0, 1)] = b * 2
+    assert alg._combine(cmap) == alg.basis_monomial((0, 0, 1, 1)) * 2
+
+
 def test_independence_certificate_validates():
     alg = OqAlgebra(ROOT3)
     with pytest.raises(ValueError):

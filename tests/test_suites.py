@@ -1,0 +1,59 @@
+"""Suite internals: the bigon suite's random draws and the shared spanning count."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from qskein import suites
+from qskein.oq_sl2 import OqAlgebra
+from qskein.scalars import ScalarRing
+from qskein.suites.bigon import _random_frobenius_element, _random_pbw_index
+
+
+def old_random_frobenius_element(alg, rng, cap=2, fallbacks=None):
+    """The earlier definition, through element sums and scalar multiples;
+    ``fallbacks`` counts the draws whose terms cancel."""
+    out = alg.zero()
+    for _ in range(rng.randint(1, 2)):
+        u = _random_pbw_index(rng, cap)
+        c = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        if rng.random() < 0.5:
+            c = -c
+        out = out + alg.frobenius_monomial(u) * c
+    if out.is_zero():
+        out = alg.one()
+        if fallbacks is not None:
+            fallbacks.append(1)
+    return out
+
+
+@pytest.mark.parametrize("order, cap", [(3, 2), (7, 2), (21, 2), (5, 0), (3, 4)])
+def test_random_frobenius_element_matches_the_old_definition(order, cap):
+    alg = OqAlgebra(ScalarRing.root_of_unity(order))
+    new_rng, old_rng = random.Random(order * 1000 + cap), random.Random(order * 1000 + cap)
+    fallbacks = []
+    for _ in range(400):
+        new = _random_frobenius_element(alg, new_rng, cap)
+        old = old_random_frobenius_element(alg, old_rng, cap, fallbacks)
+        assert new == old
+        assert list(new.terms) == list(old.terms)
+        assert repr(new) == repr(old)
+        assert new_rng.getstate() == old_rng.getstate()
+    if cap == 0:  # every index is 0, so some draws cancel and fall back to one
+        assert fallbacks
+
+
+@pytest.mark.parametrize(
+    "suite, check_id",
+    [
+        (lambda: suites.bigon_suite(3, 1, 1), "bigon-spanning-count"),
+        (lambda: suites.counts_suite(3), "counts-spanning-formula"),
+    ],
+    ids=["bigon", "counts"],
+)
+def test_spanning_count_checks_share_one_enumeration(monkeypatch, suite, check_id):
+    checks = dict(suite())
+    monkeypatch.setattr("qskein.dimensions.spanning_count_formula", lambda n: 0)
+    with pytest.raises(suites.CheckFailure, match=r"^enumeration 40 != formula 0$"):
+        checks[check_id](random.Random(0))
