@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Mapping, NamedTuple, Sequence
 
 from .dimensions import (  # noqa: F401 - the box and wing, re-exported
@@ -55,6 +56,14 @@ _REWRITES: dict[str, tuple[tuple[int, str], ...]] = {
 _REDUCIBLE = re.compile("|".join(_REWRITES))
 
 
+def _shift(counts: list[int], s: int, n: int | None) -> list[int]:
+    """Counts of x^i, multiplied by x^s: rotated where x^n = 1, else shifted."""
+    if n is None:
+        return [0] * s + counts
+    s %= n
+    return counts[n - s:] + counts[:n - s]
+
+
 def is_pbw_index(k) -> bool:
     return (
         isinstance(k, tuple)
@@ -82,11 +91,12 @@ class OqAlgebra:
 
     def __init__(self, ring: ScalarRing):
         self.ring = ring
-        self._diag_ad: list[dict[int, Scalar]] = [{0: ring.one}]
-        self._diag_da: list[dict[int, Scalar]] = [{0: ring.one}]
+        # row t of both a^t d^t and d^t a^t as integer counts: see _diag
+        self._diag_counts: list[list[list[int]]] = [[[1] + [0] * ((ring.order or 1) - 1)]]
+        self._diag_rows: dict[tuple[int, bool], dict[int, Scalar]] = {}
         self._cores: dict[Index, dict[tuple[int, int, int], Scalar]] = {}
         self._wing_cache: dict[tuple[int, int, int], dict[Index, "OqElement"]] = {}
-        self._rules: dict[str, tuple[tuple[Scalar | None, str], ...]] | None = None
+        self._rules: dict[str, tuple[int | None, tuple[tuple[Scalar | None, str], ...]]] | None = None
 
     @property
     def order(self) -> int:
@@ -137,18 +147,41 @@ class OqAlgebra:
     # -- structured multiplication ---------------------------------------------
 
     def _diag(self, t: int, forward: bool = True) -> dict[int, Scalar]:
-        """Expansion of a^t d^t (forward) or d^t a^t as a bc-diagonal dict."""
-        table = self._diag_ad if forward else self._diag_da
-        if t < len(table):
-            return table[t]
-        sign = -1 if forward else 1
-        while len(table) <= t:
-            nxt: dict[int, Scalar] = {}
-            for g, coeff in table[-1].items():
-                accumulate(nxt, g + 1, coeff * self.ring.q_pow(sign * (4 * g + 2)))
-                accumulate(nxt, g, coeff * self.ring.q_pow(sign * 4 * g))
-            table.append(nxt)
-        return table[t]
+        """Expansion of a^t d^t (forward) or d^t a^t as a bc-diagonal dict.
+
+        With x = q^-1 (forward) or q, the coefficient of (bc)^g in both is
+        sum_i counts[i] x^i for the same integer counts, and the rows obey
+
+            C(t+1, g) = x^(4g) C(t, g) + x^(4g-2) C(t, g-1).
+
+        The recurrence runs on the counts, indexed modulo N in root mode,
+        where x^N = 1.  A row becomes scalars on its first request in each
+        direction, without the entries that vanish, and is kept.
+        """
+        rows = self._diag_rows
+        row = rows.get((t, forward))
+        if row is not None:
+            return row
+        counts, n = self._diag_counts, self.ring.order
+        while len(counts) <= t:
+            prev = counts[-1]
+            nxt = [prev[0]]
+            for g in range(1, len(prev)):
+                nxt.append([
+                    u + v for u, v in zip_longest(
+                        _shift(prev[g], 4 * g, n), _shift(prev[g - 1], 4 * g - 2, n), fillvalue=0
+                    )
+                ])
+            nxt.append(_shift(prev[-1], 4 * len(prev) - 2, n))
+            counts.append(nxt)
+        convert, step = self.ring.from_power_counts, -2 if forward else 2
+        row = {}
+        for g, c in enumerate(counts[t]):
+            s = convert(c, step)
+            if s:
+                row[g] = s
+        rows[(t, forward)] = row
+        return row
 
     def _core(self, ma: int, md: int, na: int, nd: int) -> dict[tuple[int, int, int], Scalar]:
         """PBW form of the word a^ma d^md a^na d^nd as {(a, d, bc-diag): scalar}.
@@ -190,12 +223,18 @@ class OqAlgebra:
 
     # -- word rewriting engine ---------------------------------------------------
 
-    def _rewrite_rules(self) -> dict[str, tuple[tuple[Scalar | None, str], ...]]:
-        """``_REWRITES`` with each q-exponent e as the scalar q^e, or None for e = 0."""
+    def _rewrite_rules(self) -> dict[str, tuple[int | None, tuple[tuple[Scalar | None, str], ...]]]:
+        """``_REWRITES`` read for the word engine.
+
+        A swap rule xy -> q^e yx maps to (e, ()); any other rule maps to
+        (None, its substitutions), each q-exponent e as the scalar q^e, or
+        None for e = 0.
+        """
         if self._rules is None:
             q_pow = self.ring.q_pow
             self._rules = {
-                pair: tuple((q_pow(e) if e else None, repl) for e, repl in subs)
+                pair: (subs[0][0], ()) if len(subs) == 1 and subs[0][1] == pair[::-1]
+                else (None, tuple((q_pow(e) if e else None, repl) for e, repl in subs))
                 for pair, subs in _REWRITES.items()
             }
         return self._rules
@@ -203,13 +242,16 @@ class OqAlgebra:
     def normal_form(self, words) -> "OqElement":
         """PBW form of a word (or scalar combination of words) in a, b, c, d.
 
-        The leftmost reducible pair is rewritten first.  Each agenda word
-        keeps the position its scan resumes from: rewriting the pair at h
-        leaves the prefix before h free of reducible pairs, so the scan of
-        the new word starts at h - 1; where two paths reach one word, the
-        smaller position is kept.  This engine shares no code with the
-        structured product; the test suite compares the two on every word
-        of up to six letters.
+        The leftmost reducible pair is rewritten first.  A swap rule
+        xy -> q^e yx moves y past the whole run x^r that ends at the pair,
+        in one step, with coefficient q^(e r); the ad and da rules rewrite
+        the pair alone.  Each agenda word keeps the position its scan
+        resumes from: a rewrite at h leaves the prefix before h, and a run
+        move the prefix before the run, free of reducible pairs, so the scan
+        of the new word starts one letter before that; where two paths reach
+        one word, the smaller position is kept.  This engine shares no code
+        with the structured product; the test suite compares the two on
+        every word of up to six letters.
         """
         if isinstance(words, str):
             pairs = [(self.ring.one, words)]
@@ -221,22 +263,25 @@ class OqAlgebra:
         agenda: dict[str, tuple[Scalar, int]] = {}
 
         def push(word: str, coeff: Scalar, pos: int):
-            if word in agenda:
-                old, old_pos = agenda[word]
-                coeff = old + coeff
-                pos = min(pos, old_pos)
-            if coeff:
+            old = agenda.get(word)
+            if old is None:
+                # a nonzero coefficient times a power of q is nonzero
                 agenda[word] = (coeff, pos)
+                return
+            coeff = old[0] + coeff
+            if coeff:
+                agenda[word] = (coeff, min(pos, old[1]))
             else:
-                agenda.pop(word, None)
+                del agenda[word]
 
         for c, w in pairs:
             if any(ch not in _RANK for ch in w):
                 raise ValueError(f"word {w!r} uses unknown generators")
             if not isinstance(c, Scalar):
                 c = self.ring.from_rational(c)
-            push(w, c, 0)
-        rules = self._rewrite_rules()
+            if c:
+                push(w, c, 0)
+        rules, q_pow = self._rewrite_rules(), self.ring.q_pow
         search, pop = _REDUCIBLE.search, agenda.popitem
         out: dict[Index, Scalar] = {}
         while agenda:
@@ -248,9 +293,19 @@ class OqAlgebra:
                 accumulate(out, idx, coeff)
                 continue
             h = hit.start()
+            pair = hit.group()
+            e, subs = rules[pair]
+            if e is not None:
+                x, y = pair
+                start = len(word[: h + 1].rstrip(x))  # where the run x^r begins
+                if e:
+                    coeff = coeff * q_pow(e * (h + 1 - start))
+                push(word[:start] + y + word[start : h + 1] + word[h + 2 :], coeff,
+                     start - 1 if start else 0)
+                continue
             head, tail = word[:h], word[h + 2 :]
             resume = h - 1 if h else 0
-            for factor, repl in rules[hit.group()]:
+            for factor, repl in subs:
                 # a q^0 rule copies the coefficient: multiplying by one is exact
                 push(head + repl + tail, coeff if factor is None else coeff * factor, resume)
         return OqElement(self, out)
@@ -353,12 +408,11 @@ class OqAlgebra:
                 raise ValueError(f"{v} is not in the basis box")
             if coeff.is_zero():
                 raise ValueError("coefficients must be nonzero")
-            if not self.is_frobenius_element(coeff):
-                raise ValueError(
-                    "coefficient is not in the N-th power subalgebra"
-                )
-            for w in coeff.terms:
-                lifted.append(leading_index(tuple(a + b for a, b in zip(w, v))))
+            _, v2, v3, v4 = v
+            for w1, w2, w3, w4 in coeff.terms:
+                if w1 % n or w2 % n or w3 % n or w4 % n:
+                    raise ValueError("coefficient is not in the N-th power subalgebra")
+                lifted.append(leading_index((w1, w2 + v2, w3 + v3, w4 + v4)))
         total = self._combine(coeff_map)
         distinct = len(set(lifted)) == len(lifted)
         nonzero = not total.is_zero()
@@ -493,7 +547,9 @@ class OqAlgebra:
         self, acc: dict[Index, Scalar], left: Mapping[Index, Scalar], right: Mapping[Index, Scalar]
     ) -> dict[Index, Scalar]:
         """Add the product of two term dicts to ``acc``: b^u3 c^u4 moves right
-        past a^v1 d^v2, then the a/d exponents merge through ``_core``."""
+        past a^v1 d^v2, then the a/d exponents merge through ``_core``.  As in
+        ``_combine``, a new key is stored without a zero test and a merged
+        one is tested, since only a sum can vanish."""
         ring = self.ring
         q_pow, n = ring.q_pow, ring.order
         for u, cu in left.items():
@@ -504,7 +560,14 @@ class OqAlgebra:
                     factor = factor * q_pow(e)
                 b0, c0 = u[2] + v[2], u[3] + v[3]
                 for (alpha, beta, g), s in self._core(u[0], u[1], v[0], v[1]).items():
-                    accumulate(acc, (alpha, beta, g + b0, g + c0), factor * s)
+                    key = (alpha, beta, g + b0, g + c0)
+                    term = factor * s
+                    if key in acc:
+                        term = acc[key] + term
+                        if not term:
+                            del acc[key]
+                            continue
+                    acc[key] = term
         return acc
 
 

@@ -11,7 +11,8 @@ both with exact rational arithmetic (no floats anywhere):
   over one positive int denominator, in lowest terms.  A scalar known by
   construction to be c * zeta**k carries that as a tag, and its products
   read zeta**k from a table of the N root powers instead of convolving;
-  its numerators are built only when something reads them.
+  its numerators, and those of its products with untagged scalars, are
+  built only when something reads them.
 * generic mode: Laurent polynomials Q[v, 1/v] in a formal square root v,
   with q = v**2 and ``fractions.Fraction`` coefficients.  Nothing collapses
   here, which makes this mode useful as a stress test for rewriting
@@ -141,6 +142,28 @@ class ScalarRing:
             return self.from_rational(value)
         return None
 
+    def from_power_counts(self, counts, step: int) -> "Scalar":
+        """The scalar sum_i counts[i] * zeta**(step * i) (v**(step * i) in
+        generic mode), for int counts.
+
+        In root mode the result is tagged when it is c * zeta**k, as read
+        off the counts once they are folded modulo zeta**N = 1, or when it
+        reduces to some zeta**m.
+        """
+        if self.mode == GENERIC:
+            return Scalar(self, [(step * i, Fraction(c)) for i, c in enumerate(counts) if c])
+        n = self.order
+        coeffs = [0] * n
+        for i, c in enumerate(counts):
+            if c:
+                coeffs[step * i % n] += c
+        if coeffs.count(0) == n - 1:
+            c = next(filter(None, coeffs))
+            return self._monomial(coeffs.index(c), c, 1)
+        rep = (self._reduce(coeffs), 1)
+        m = self._exponents.get(rep)
+        return Scalar(self, rep) if m is None else self._powers[m]
+
     def zeta_pow(self, m: int) -> "Scalar":
         """The scalar zeta**m (root mode) or v**m (generic mode)."""
         if self.mode == GENERIC:
@@ -248,29 +271,53 @@ class Scalar:
     N is odd, so (c / den) * zeta**k with c != 0 determines k, c and den.
     Hashing always reads ``_rep``, so equal values hash alike.
 
+    A product of a tagged and an untagged scalar is lazy in the same way:
+    it is untagged, keeps the tag and the untagged factor in ``_lazy``, and
+    shifts, reduces and scales the factor's numerators on the first read of
+    its ``_rep``, which clears ``_lazy``.  Every other untagged scalar has
+    ``_lazy`` None, and a tagged one leaves it unset.  The factor kept is
+    never itself an unbuilt lazy product: a tag times one multiplies the two
+    tags.  A product that nothing reads, such as a new term of a sparse sum
+    whose coefficients are never compared, costs no numerator arithmetic.
+
     Generic mode: ``_rep`` is a tuple of (exponent, Fraction) pairs sorted
     by exponent, zeros dropped; ``_mono`` is None.
     """
 
-    __slots__ = ("ring", "_rep", "_mono")
+    __slots__ = ("ring", "_rep", "_mono", "_lazy")
 
     def __init__(self, ring: ScalarRing, rep, mono: tuple[int, int, int] | None = None):
-        """``rep`` may be None for a tagged scalar: its numerators stay unbuilt."""
+        """``rep`` may be None for a tagged scalar or a lazy product: its
+        numerators stay unbuilt.  The caller of a lazy product sets ``_lazy``."""
         self.ring = ring
         self._mono = mono
         if rep is None:
             return
+        self._lazy = None
         if ring.mode == GENERIC:
             rep = tuple(sorted((e, c) for e, c in rep if c))
         self._rep = rep
 
     def __getattr__(self, name: str):
-        # only a tagged scalar's unbuilt ``_rep`` slot is ever missing
-        if name != "_rep" or self._mono is None:
+        # only the unbuilt ``_rep`` slot of a tagged scalar or of a lazy
+        # product is ever missing
+        if name != "_rep":
             raise AttributeError(name)
-        k, c, den = self._mono
-        # zeta**k is a unit of Z[zeta]: its numerators have no common factor
-        rep = (tuple([c * x for x in self.ring._powers[k]._rep[0]]), den)
+        ring = self.ring
+        if self._mono is not None:
+            k, c, den = self._mono
+            # zeta**k is a unit of Z[zeta]: its numerators have no common factor
+            rep = (tuple([c * x for x in ring._powers[k]._rep[0]]), den)
+        else:
+            # c * zeta**k times dense: shift by k, reduce mod Phi_N, scale by c
+            (k, c, den), dense = self._lazy
+            nums, dense_den = dense._rep
+            if k:
+                nums = ring._reduce([0] * k + list(nums))
+            if c != 1:
+                nums = tuple([c * x for x in nums])
+            rep = ring._lowest(nums, den * dense_den)._rep
+            self._lazy = None
         self._rep = rep
         return rep
 
@@ -367,16 +414,16 @@ class Scalar:
         else:
             # both tagged: the product is a tag, its numerators stay unbuilt
             return ring._monomial(ma[0] + mb[0], ma[1] * mb[1], ma[2] * mb[2])
-        # c * zeta**k times dense: shift by k, reduce mod Phi_N, scale by c
-        k, c, den = tagged._mono
-        if c == den == 1 and not k:
+        if dense._lazy is not None:
+            # (t1) * ((t2) * x) is (t1 t2) * x: a lazy product never nests
+            (k, c, den), dense = dense._lazy
+            tagged = ring._monomial(tagged._mono[0] + k, tagged._mono[1] * c, tagged._mono[2] * den)
+        if tagged._mono == (0, 1, 1):
             return dense
-        nums, dense_den = dense._rep
-        if k:
-            nums = ring._reduce([0] * k + list(nums))
-        if c != 1:
-            nums = tuple([c * x for x in nums])
-        return ring._lowest(nums, den * dense_den)
+        # numerators built on first read: see __getattr__
+        out = Scalar(ring, None)
+        out._lazy = (tagged._mono, dense)
+        return out
 
     __rmul__ = __mul__
 

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from qskein import oq_sl2
+from qskein.linear import accumulate
 from qskein.oq_sl2 import (
     OqAlgebra,
     basis_box,
@@ -132,6 +134,60 @@ def test_word_engine_pair_straddling_the_rewrite(word):
     for ring in (GENERIC, ScalarRing.root_of_unity(5)):
         alg = OqAlgebra(ring)
         assert alg.normal_form(word) == _generator_product(alg, word)
+
+
+@pytest.mark.parametrize("ring", [GENERIC, ScalarRing.root_of_unity(5)], ids=["generic", "N5"])
+def test_word_engine_runs_of_swaps(ring):
+    """A swap rule moves a letter past a whole run in one step, with q^(e r);
+    the q^0 rule cb moves c past a run of b with the coefficient unchanged."""
+    alg = OqAlgebra(ring)
+    for word in ["bbbaa", "cccbb", "ccbbbd", "abbbccaa", "dcccbcd", "bcbcbcda"]:
+        assert alg.normal_form(word) == _generator_product(alg, word), word
+    assert alg.normal_form("bbbaa") == alg.basis_monomial((2, 0, 3, 0)) * ring.q_pow(12)
+    assert alg.normal_form("cccbb") == alg.basis_monomial((0, 0, 2, 3))
+
+
+@pytest.mark.parametrize("pair, wrong, word", [
+    ("ba", ((4, "ab"),), "bbbaa"),
+    ("cb", ((2, "bc"),), "ccbb"),
+])
+def test_word_engine_reads_swap_exponents_from_the_rules(monkeypatch, pair, wrong, word):
+    """A wrong exponent in _REWRITES makes the engine disagree with the
+    structured product on a word whose swaps move whole runs: the run step
+    multiplies by q^(e r) with e read from the rules."""
+    for ring in (GENERIC, ScalarRing.root_of_unity(5)):
+        assert OqAlgebra(ring).normal_form(word) == _generator_product(OqAlgebra(ring), word)
+    monkeypatch.setitem(oq_sl2._REWRITES, pair, wrong)
+    for ring in (GENERIC, ScalarRing.root_of_unity(5)):
+        alg = OqAlgebra(ring)  # a fresh algebra reads the patched rules
+        assert alg.normal_form(word) != _generator_product(alg, word)
+
+
+@pytest.mark.parametrize(
+    "ring", [GENERIC, ROOT3, ScalarRing.root_of_unity(5)], ids=["generic", "N3", "N5"]
+)
+def test_structured_product_stores_no_zero_coefficient(ring):
+    """(a - q^-2 b)(d + c): the bc terms of ad and of -q^-2 bc cancel, so the
+    product has exactly three terms, as the word engine finds too.  Random
+    products of such sums also agree with the word engine and keep no zero
+    coefficient."""
+    alg = OqAlgebra(ring)
+    a, b, c, d = (alg.generator(x) for x in "abcd")
+    q_2 = ring.q_pow(-2)
+    product = (a - b * q_2) * (d + c)
+    assert set(product.terms) == {(0, 0, 0, 0), (1, 0, 0, 1), (0, 1, 1, 0)}
+    assert all(product.terms.values())
+    assert product == alg.normal_form([(1, "ad"), (1, "ac"), (-q_2, "bd"), (-q_2, "bc")])
+    rng = random.Random(3031)
+    for _ in range(40):
+        x = {random_pbw_index(rng, 2): ring.q_pow(rng.randrange(-3, 4)) * rng.choice([1, -1])
+             for _ in range(rng.randint(1, 3))}
+        y = {random_pbw_index(rng, 2): ring.q_pow(rng.randrange(-3, 4)) * rng.choice([1, -1])
+             for _ in range(rng.randint(1, 3))}
+        product = alg.element(x) * alg.element(y)
+        assert all(product.terms.values())
+        words = [(cu * cv, pbw_word(u) + pbw_word(v)) for u, cu in x.items() for v, cv in y.items()]
+        assert product == alg.normal_form(words)
 
 
 def test_core_memo_is_never_mutated():
@@ -313,6 +369,58 @@ def test_lifted_leading_index_validates_inputs():
 
 
 # -- diagonal towers -------------------------------------------------------------
+
+
+def _scalar_diag_rows(ring, top, forward):
+    """Rows 0..top of a^t d^t (forward) or d^t a^t by the recurrence on
+    scalars: row t+1 gets q^-+(4g+2) times entry g at g + 1, and q^-+(4g)
+    times it at g."""
+    sign = -1 if forward else 1
+    rows = [{0: ring.one}]
+    while len(rows) <= top:
+        nxt = {}
+        for g, coeff in rows[-1].items():
+            accumulate(nxt, g + 1, coeff * ring.q_pow(sign * (4 * g + 2)))
+            accumulate(nxt, g, coeff * ring.q_pow(sign * 4 * g))
+        rows.append(nxt)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [ScalarRing.root_of_unity(n) for n in (3, 5, 7, 21)] + [GENERIC],
+    ids=["N3", "N5", "N7", "N21", "generic"],
+)
+def test_diagonal_rows_match_the_scalar_recurrence(ring):
+    """Rows t <= 2N + 1 (t <= 11 in the generic ring), requested in random
+    order in both directions, equal the scalar recurrence's rows, vanishing
+    entries dropped.  The top entry and every entry that is some zeta^m are
+    tagged."""
+    top = 2 * (ring.order or 5) + 1
+    want = {forward: _scalar_diag_rows(ring, top, forward) for forward in (True, False)}
+    requests = [(t, forward) for t in range(top + 1) for forward in (True, False)]
+    random.Random(top).shuffle(requests)
+    alg = OqAlgebra(ring)
+    for t, forward in requests:
+        row = alg._diag(t, forward)
+        assert row == want[forward][t], (t, forward)
+        assert all(row.values())
+        if ring.order is not None:
+            # the top entry, a single root power, is the one _wing_reduce inverts
+            assert t not in row or row[t]._mono is not None
+            for s in row.values():
+                assert s._mono is not None or ring.root_exponent(s) is None, (t, forward, s)
+        assert alg._diag(t, forward) is row
+
+
+def test_diagonal_row_collapses_at_the_order():
+    """At N = 5, a^5 d^5 = d^5 a^5 = 1 + (bc)^5: the middle entries vanish."""
+    ring = ScalarRing.root_of_unity(5)
+    alg = OqAlgebra(ring)
+    for forward in (True, False):
+        row = alg._diag(5, forward)
+        assert row == {0: ring.one, 5: ring.one}
+        assert all(s._mono is not None for s in row.values())
 
 
 def test_diagonal_power_membership():

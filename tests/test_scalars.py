@@ -352,3 +352,64 @@ def test_lazy_tags_match_dense_values(order):
         assert z == ring.zero and ring.zero == z and not z
         assert all(z == other for other in zeros)
         assert hash(z) == hash(ring.zero)
+
+
+@pytest.mark.parametrize("order", [3, 15, 21])
+def test_lazy_products_match_dense_products(order):
+    """A tag times an untagged scalar builds its numerators on first read,
+    and agrees on ==, hash, repr and truth with the product of two untagged
+    scalars; a tag times such a product multiplies the tags, so lazy
+    products never nest, however long the chain."""
+    ring = ScalarRing.root_of_unity(order)
+    rng = random.Random(order + 1)
+    dense = ring.zero
+    for m in range(order):
+        dense = dense + ring.zeta_pow(m) * Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    assert dense._mono is None and dense
+    for tag in _tagged_values(ring, rng)[::3]:
+        product = tag * dense
+        if tag == ring.one:
+            assert product is dense
+            continue
+        assert product._mono is None and not _numerators_built(product)
+        again = tag * product
+        assert again._lazy[1] is dense
+        twin = _dense_twin(ring, tag)
+        assert bool(product) == bool(tag)
+        assert product == twin * dense and twin * dense == product
+        assert _numerators_built(product) and product._lazy is None
+        assert hash(product) == hash(twin * dense)
+        assert repr(product) == repr(twin * dense)
+        assert again == twin * (twin * dense)
+    chain, q = dense, ring.q_pow(1)
+    for _ in range(5000):
+        chain = q * chain
+    assert chain._lazy[1] is dense
+    assert chain == dense * ring.q_pow(5000)
+
+
+@pytest.mark.parametrize("order", [1, 3, 5, 21])
+def test_from_power_counts(order):
+    """sum_i counts[i] zeta^(step i) against sums of root powers, tagged
+    exactly when the counts, folded modulo zeta^N = 1, are one c * zeta^k,
+    or when the sum is some zeta^m."""
+    ring = ScalarRing.root_of_unity(order)
+    rng = random.Random(order)
+    for step in (1, 2, -2):
+        for _ in range(30):
+            counts = [rng.choice([0, 0, 1, 2, 5]) for _ in range(order + rng.randint(0, 3))]
+            want = ring.zero
+            for i, c in enumerate(counts):
+                want = want + ring.zeta_pow(step * i) * c
+            got = ring.from_power_counts(counts, step)
+            assert got == want
+            folded = [0] * order
+            for i, c in enumerate(counts):
+                folded[step * i % order] += c
+            single = order - folded.count(0) == 1 or ring.root_exponent(got) is not None
+            assert (got._mono is not None) == single
+    # every count equal: the sum of all N-th roots of unity, zero for N > 1
+    assert not ring.from_power_counts([3] * order, 2) or order == 1
+    assert ring.from_power_counts([0, 0, 4], -2)._mono == (-4 % order, 4, 1)
+    generic = ScalarRing.generic()
+    assert generic.from_power_counts([1, 0, 3], -2) == generic.one + generic.zeta_pow(-4) * 3
