@@ -19,6 +19,8 @@ The polynomials are dense up to parity, so the inner loops (products,
 Horner's rule, division by T_N and the family recursions) run on dense
 coefficient lists indexed by exponent: ``dense`` converts a
 ``Polynomial`` once on the way in and ``from_dense`` once on the way out.
+Products, in ``Polynomial`` multiplication and Horner's rule, go through
+``linear.convolve``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .linear import SparseCombination, accumulate
+from .linear import SparseCombination, accumulate, convolve
 
 
 def _exact(v) -> int | Fraction:
@@ -78,7 +80,7 @@ class Polynomial(SparseCombination):
         return _exact(value) if isinstance(value, (int, Fraction)) else None
 
     def _mul_terms(self, other: "Polynomial") -> dict[int, int | Fraction]:
-        return _sparse(_dense_mul(dense(self), dense(other)))
+        return _sparse(convolve(dense(self), dense(other)))
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """Substitute ``inner`` for the variable, exactly (Horner's rule)."""
@@ -118,24 +120,11 @@ def from_dense(coeffs: list) -> Polynomial:
     return out
 
 
-def _dense_mul(a: list, b: list) -> list:
-    """Product of two coefficient lists; zero coefficients are skipped on both sides."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    b_terms = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        if x:
-            for j, y in b_terms:
-                out[i + j] += x * y
-    return out
-
-
 def _horner(rows: list[list], inner: list) -> list:
     """sum_k rows[k] * inner**k, with one product by ``inner`` per power."""
     out: list = []
     for row in reversed(rows):
-        out = _dense_mul(out, inner)
+        out = convolve(out, inner)
         out.extend([0] * (len(row) - len(out)))
         for i, v in enumerate(row):
             if v:

@@ -4,8 +4,10 @@
 ``SparseCombination`` elements and the products of the scalar, bigon and
 quantum-torus layers.  The Chebyshev layer's products, Horner's rule,
 division by T_N and family recursions run on dense coefficient lists
-instead.  ``SparseCombination`` holds the basis-independent arithmetic of
-``OqElement``, ``QTElement`` and ``Polynomial``.  ``integer_solve`` is the
+instead.  ``convolve`` is the one product of dense coefficient lists: the
+Chebyshev layer's, the dense root-mode scalar product's and the cyclotomic
+polynomials'.  ``SparseCombination`` holds the basis-independent arithmetic
+of ``OqElement``, ``QTElement`` and ``Polynomial``.  ``integer_solve`` is the
 one Gauss-Jordan elimination over the integers; it is fraction-free, so its
 callers get integer numerators over the determinant, never a ``Fraction``.
 ``power`` is the one square-and-multiply, for scalars and elements alike.
@@ -30,6 +32,22 @@ def accumulate(acc: dict, key, value) -> None:
         acc[key] = total
     else:
         acc.pop(key, None)
+
+
+def convolve(a: Sequence, b: Sequence) -> list:
+    """Product of two coefficient lists; zero coefficients are skipped on both sides.
+
+    Returns len(a) + len(b) - 1 entries, or [] when either operand is empty.
+    """
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    b_terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in b_terms:
+                out[i + j] += x * y
+    return out
 
 
 def power(base, n: int, one):

@@ -73,6 +73,12 @@ def is_pbw_index(k) -> bool:
     )
 
 
+def _check_box_index(v: Index, n: int) -> None:
+    """Raise unless ``v`` is a PBW index in the basis box: first entry 0, all below n."""
+    if not (is_pbw_index(v) and v[0] == 0 and max(v) < n):
+        raise ValueError(f"{v} is not in the basis box")
+
+
 def leading_index(k: Sequence[int]) -> Index:
     """Lex-leading PBW index of the expansion of a^k1 d^k2 b^k3 c^k4.
 
@@ -339,8 +345,7 @@ class OqAlgebra:
         v = tuple(v)
         if not is_pbw_index(u):
             raise ValueError(f"{u} is not a PBW index")
-        if not (is_pbw_index(v) and v[0] == 0 and max(v) < n):
-            raise ValueError(f"{v} is not in the basis box")
+        _check_box_index(v, n)
         return leading_index(tuple(n * a + b for a, b in zip(u, v)))
 
     # -- diagonal tower membership ----------------------------------------------
@@ -404,8 +409,7 @@ class OqAlgebra:
         lifted: list[Index] = []
         for v, coeff in coeff_map.items():
             v = tuple(v)
-            if not (is_pbw_index(v) and v[0] == 0 and max(v) < n):
-                raise ValueError(f"{v} is not in the basis box")
+            _check_box_index(v, n)
             if coeff.is_zero():
                 raise ValueError("coefficients must be nonzero")
             _, v2, v3, v4 = v
@@ -515,53 +519,38 @@ class OqAlgebra:
         return SpanningExpression(coefficients=coeffs)
 
     def _combine(self, coeffs: Mapping[Index, "OqElement"]) -> "OqElement":
-        """The element sum_v coeffs[v] * O_v, every product accumulated in one dict.
-
-        ``_mul_into`` specialised to a right factor O_v with coefficient one:
-        each term c_w O_w of coeffs[v] adds c_w q^e times the core of
-        a^w1 d^w2 a^v1 d^v2, shifted by b^(w3 + v3) c^(w4 + v4), where
-        e = 2 (w3 + w4) (v1 - v2).  Only a sum can vanish: the terms of an
-        element and of a core are nonzero, and so is their product, as both
-        scalar rings are integral domains.
-        """
-        ring = self.ring
-        one, q_pow, n, core = ring.one, ring.q_pow, ring.order, self._core
+        """The element sum_v coeffs[v] * O_v, every product accumulated in one dict."""
         acc: dict[Index, Scalar] = {}
-        for (v1, v2, v3, v4), coeff in coeffs.items():
-            for (w1, w2, w3, w4), cw in coeff.terms.items():
-                e = 2 * (w3 + w4) * (v1 - v2)
-                factor = cw * q_pow(e) if n is None or e % n else cw  # q has order N
-                b0, c0 = w3 + v3, w4 + v4
-                for (alpha, beta, g), s in core(w1, w2, v1, v2).items():
-                    key = (alpha, beta, g + b0, g + c0)
-                    term = factor if s is one else factor * s
-                    if key in acc:
-                        term = acc[key] + term
-                        if not term:
-                            del acc[key]
-                            continue
-                    acc[key] = term
+        one = self.ring.one
+        for v, coeff in coeffs.items():
+            self._mul_into(acc, coeff.terms, {v: one})
         return OqElement(self, acc)
 
     def _mul_into(
         self, acc: dict[Index, Scalar], left: Mapping[Index, Scalar], right: Mapping[Index, Scalar]
     ) -> dict[Index, Scalar]:
-        """Add the product of two term dicts to ``acc``: b^u3 c^u4 moves right
-        past a^v1 d^v2, then the a/d exponents merge through ``_core``.  As in
-        ``_combine``, a new key is stored without a zero test and a merged
-        one is tested, since only a sum can vanish."""
+        """Add the product of two term dicts to ``acc``.
+
+        Each pair of terms c_u O_u, c_v O_v adds c_u c_v q^e times the core
+        of a^u1 d^u2 a^v1 d^v2, shifted by b^(u3 + v3) c^(u4 + v4), where
+        e = 2 (u3 + u4) (v1 - v2) is the cost of moving b^u3 c^u4 right past
+        a^v1 d^v2.  A new key is stored without a zero test and a merged one
+        is tested.  Only a sum can vanish: the terms of an element and of a
+        core are nonzero, and so is their product, as both scalar rings are
+        integral domains.
+        """
         ring = self.ring
-        q_pow, n = ring.q_pow, ring.order
-        for u, cu in left.items():
-            for v, cv in right.items():
-                factor = cu * cv
-                e = 2 * (u[2] + u[3]) * (v[0] - v[1])
+        one, q_pow, n, core = ring.one, ring.q_pow, ring.order, self._core
+        for (u1, u2, u3, u4), cu in left.items():
+            for (v1, v2, v3, v4), cv in right.items():
+                factor = cu if cv is one else cu * cv
+                e = 2 * (u3 + u4) * (v1 - v2)
                 if n is None or e % n:  # q has order N in root mode
                     factor = factor * q_pow(e)
-                b0, c0 = u[2] + v[2], u[3] + v[3]
-                for (alpha, beta, g), s in self._core(u[0], u[1], v[0], v[1]).items():
+                b0, c0 = u3 + v3, u4 + v4
+                for (alpha, beta, g), s in core(u1, u2, v1, v2).items():
                     key = (alpha, beta, g + b0, g + c0)
-                    term = factor * s
+                    term = factor if s is one else factor * s
                     if key in acc:
                         term = acc[key] + term
                         if not term:

@@ -86,6 +86,13 @@ class Triangulation(_TriangulationFields):
         )
         if corners != fan_pairs:
             raise ValueError("consecutive fan entries do not match the triangle corners")
+        # a closed orientable surface of genus g has V - E + F = 2 - 2g
+        euler = len(self.fans) - n + len(self.triangles)
+        if euler % 2 or euler > 2:
+            raise ValueError(
+                f"Euler characteristic {euler} (punctures - edges + triangles) "
+                "is not that of a closed orientable surface"
+            )
         return self
 
     @property

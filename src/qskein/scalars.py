@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Union
 
-from .linear import accumulate, integer_solve, power
+from .linear import accumulate, convolve, integer_solve, power
 
 Rational = Union[int, Fraction]
 
@@ -69,13 +69,7 @@ def cyclotomic_coefficients(n: int) -> tuple[int, ...]:
     den = [1]
     for d in range(1, n):
         if n % d == 0:
-            phi_d = cyclotomic_coefficients(d)
-            new = [0] * (len(den) + len(phi_d) - 1)
-            for i, a in enumerate(den):
-                if a:
-                    for j, b in enumerate(phi_d):
-                        new[i + j] += a * b
-            den = new
+            den = convolve(den, cyclotomic_coefficients(d))
     return tuple(_poly_divide_exact(num, den))
 
 
@@ -399,15 +393,9 @@ class Scalar:
         ma, mb = self._mono, other._mono
         if ma is None:
             if mb is None:
-                # dense times dense: integer convolution, reduced mod Phi_N
+                # dense times dense: 2d - 1 >= d entries, reduced mod Phi_N
                 (a, da), (b, db) = self._rep, other._rep
-                prod = [0] * (2 * ring._degree - 1)
-                for i, x in enumerate(a):
-                    if x:
-                        for j, y in enumerate(b, i):
-                            if y:
-                                prod[j] += x * y
-                return ring._lowest(ring._reduce(prod), da * db)
+                return ring._lowest(ring._reduce(convolve(a, b)), da * db)
             tagged, dense = other, self
         elif mb is None:
             tagged, dense = self, other

@@ -1,5 +1,6 @@
 """Command line behavior: payload shapes, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -173,6 +174,8 @@ def test_verify_inconsistent_fans_rejected(tmp_path, capsys):
         ({"edges": 3.7}, "integer"),
         # refused before any per-edge list is allocated
         ({"edges": 10**12}, "edge count"),
+        # consistent fans, but V - E + F = 2 - 3 + 2 = 1 is odd
+        ({"fans": {"v0": [0, 1, 2], "v1": [0, 1, 2]}}, "Euler characteristic 1"),
     ]
     cases = [(json.dumps({**torus, **change}), phrase) for change, phrase in changes]
     # nested too deeply for the JSON decoder; json.dumps cannot build it
@@ -409,3 +412,20 @@ def test_module_entry_point():
     proc = run_module("dims", "manifold", "--genus", "0", "--markings", "0", "--N", "3")
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"bound": 1}
+
+
+# SHA-256 over every golden command's exit code and report without elapsed_ms.
+# A change meant to keep reports byte-identical must keep it; one that alters
+# a report on purpose updates it and says why.
+GOLDEN_REPORTS_SHA256 = "02a5f158ecdca3a60e8ba6ad7ccba267a3bc51204bb9ed2c72bc432345ae7d54"
+
+
+def test_golden_reports(capsys):
+    digest = hashlib.sha256()
+    for suite in cli.SUITES:
+        for order in ("3", "7", "11", "21"):
+            for seed in ("0", "1"):
+                argv = ["verify", suite, "--N", order, "--seed", seed]
+                code, out, _ = run_cli(capsys, argv)
+                digest.update(f"{' '.join(argv)}\n{code}\n{_strip_timing(out)}\n".encode())
+    assert digest.hexdigest() == GOLDEN_REPORTS_SHA256

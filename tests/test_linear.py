@@ -1,9 +1,11 @@
-"""Fraction-free integer elimination, checked against Gauss-Jordan over Fraction."""
+"""Exact kernels of ``linear``: fraction-free integer elimination, checked
+against Gauss-Jordan over Fraction, and convolution, checked against the
+schoolbook double loop."""
 
 import random
 from fractions import Fraction
 
-from qskein.linear import integer_solve
+from qskein.linear import convolve, integer_solve
 
 
 def _fraction_solve(a, b):
@@ -62,3 +64,25 @@ def test_integer_solve_matches_fraction_gauss_jordan():
         swapped += not a[0][0]
     assert singular > 25 and swapped > 25
 
+
+def _schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_convolve_matches_the_schoolbook_product():
+    rng = random.Random(5)
+    entries = (0, 0, 1, -1, 3, -7, 10**30, Fraction(2, 3), Fraction(-5, 7))
+    for _ in range(200):
+        a = [rng.choice(entries) for _ in range(rng.randint(1, 9))]
+        b = [rng.choice(entries) for _ in range(rng.randint(1, 9))]
+        want = _schoolbook(a, b)
+        assert convolve(a, b) == want
+        assert convolve(tuple(a), tuple(b)) == want
+    # an all-zero operand still gives the full length
+    assert convolve([0, 0], [1, 2, 3]) == [0, 0, 0, 0]
+    for a, b in (([], []), ([], [1, 2]), ((3,), ()), ((), (0,))):
+        assert convolve(a, b) == []
