@@ -15,12 +15,15 @@ Coefficients are ints where integral and exact Fractions otherwise.
 sum_{j<N} c_j(T_N(x)) * x**j, which witnesses that 1, x, ..., x**(N-1)
 generate everything over the subring hit by T_N.
 
-The polynomials are dense up to parity, so the inner loops (products,
-Horner's rule, division by T_N and the family recursions) run on dense
-coefficient lists indexed by exponent: ``dense`` converts a
-``Polynomial`` once on the way in and ``from_dense`` once on the way out.
-Products, in ``Polynomial`` multiplication and Horner's rule, go through
-``linear.convolve``.
+Every family member has the parity of its index.  Each family is one
+table, index -> row, where a row lists the member's coefficients at the
+exponents of its parity, from the lowest up.  A loop of list operations
+grows a table from its top row; no recursion and no ``Polynomial`` is
+involved.  The ``lru_cache`` functions build a member's ``Polynomial`` from
+its row once.  ``chebyshev_reduce`` and ``ChebyshevForm.substitute`` read
+T_N's terms below x**N from the table.  Products and ``compose`` run on
+dense coefficient lists indexed by exponent (``dense`` and ``from_dense``
+convert) through ``linear.convolve``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
+from operator import sub
 from typing import NamedTuple
 
 from .linear import SparseCombination, accumulate, convolve
@@ -84,7 +88,12 @@ class Polynomial(SparseCombination):
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """Substitute ``inner`` for the variable, exactly (Horner's rule)."""
-        return from_dense(_horner([[c] for c in dense(self)], dense(inner)))
+        inner_coeffs = dense(inner)
+        out: list = []
+        for c in reversed(dense(self)):
+            out = convolve(out, inner_coeffs) or [0]
+            out[0] += c
+        return from_dense(out)
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(self.terms.items())))
@@ -112,63 +121,68 @@ def _sparse(coeffs: list) -> dict[int, int | Fraction]:
     return {e: v for e, v in enumerate(coeffs) if v}
 
 
-def from_dense(coeffs: list) -> Polynomial:
-    """The polynomial with these coefficients, built without re-validating them."""
+def _from_terms(terms: dict) -> Polynomial:
+    """The polynomial with these nonzero terms, built without re-validating them."""
     out = object.__new__(Polynomial)
     out.parent = None
-    out.terms = _sparse(coeffs)
+    out.terms = terms
     return out
 
 
-def _horner(rows: list[list], inner: list) -> list:
-    """sum_k rows[k] * inner**k, with one product by ``inner`` per power."""
-    out: list = []
-    for row in reversed(rows):
-        out = convolve(out, inner)
-        out.extend([0] * (len(row) - len(out)))
-        for i, v in enumerate(row):
-            if v:
-                out[i] += v
-    return out
+def from_dense(coeffs) -> Polynomial:
+    """The polynomial with these coefficients, built without re-validating them."""
+    return _from_terms(_sparse(coeffs))
 
 
-def _build_below(family, first: int, n: int) -> None:
-    """Build family(first), ..., family(n - 1) bottom-up, so the stack stays shallow.
+def _row(rows: dict[int, tuple], n: int, interleaved: bool = False) -> tuple:
+    """Row n of a family table, growing the table from its top row up to n.
 
-    Every miss calls this first, so the cache holds just first .. first + currsize - 1.
+    Every member has the parity of its index, so row i holds only the
+    coefficients of x**e for e = i % 2, i % 2 + 2, ..., i.  Row i is
+    x*P_(i-1) - P_(i-2), plus x for odd i and -1 for even i in the
+    interleaved (A) family; x*P_(i-1) is row i-1 itself for odd i and row
+    i-1 after a 0 for even i.  Rows are stored with ``dict.setdefault``
+    under their index, so threads that grow one table at once all keep the
+    first row stored for each index, and every stored row is right.
     """
-    for i in range(first + family.cache_info().currsize, n):
-        family(i)
+    row = rows.get(n)
+    if row is None:
+        if n < interleaved:  # T and S start at index 0, A at index 1
+            raise ValueError(
+                "the interleaved family starts at index 1" if interleaved
+                else "index must be a natural number"
+            )
+        for i in range(len(rows) + interleaved, n + 1):
+            shifted = rows[i - 1] if i % 2 else (0,) + rows[i - 1]
+            new = [*map(sub, shifted, rows[i - 2]), shifted[-1]]
+            if interleaved:
+                new[0] += 1 if i % 2 else -1
+            rows.setdefault(i, tuple(new))
+        row = rows[n]
+    return row
 
 
-def _x_times_minus(p1: Polynomial, p2: Polynomial) -> list:
-    """Coefficient list of x*p1 - p2, the step of the T, S and A recursions."""
-    out = [0] + dense(p1)
-    for e, v in p2.terms.items():
-        out[e] -= v
-    return out
+# Family tables: index -> row, seeded with the first two members and grown on
+# demand by ``_row``.
+_T_ROWS: dict[int, tuple] = {0: (2,), 1: (1,)}
+_S_ROWS: dict[int, tuple] = {0: (1,), 1: (1,)}
+_A_ROWS: dict[int, tuple] = {1: (1,), 2: (-1, 1)}
 
 
-def _recur(family, n: int, zeroth: int) -> Polynomial:
-    """P_n of the family P_0 = zeroth, P_1 = x, P_n = x*P_(n-1) - P_(n-2)."""
-    if n < 0:
-        raise ValueError("index must be a natural number")
-    if n == 0:
-        return Polynomial({0: zeroth})
-    if n == 1:
-        return Polynomial.x()
-    _build_below(family, 0, n)
-    return from_dense(_x_times_minus(family(n - 1), family(n - 2)))
+def _member(rows: dict[int, tuple], n: int, interleaved: bool = False) -> Polynomial:
+    """The family member of index n, from its row."""
+    terms = zip(range(n % 2, n + 1, 2), _row(rows, n, interleaved))
+    return _from_terms({e: v for e, v in terms if v})
 
 
 @lru_cache(maxsize=None)
 def chebyshev_t(n: int) -> Polynomial:
-    return _recur(chebyshev_t, n, 2)
+    return _member(_T_ROWS, n)
 
 
 @lru_cache(maxsize=None)
 def chebyshev_s(n: int) -> Polynomial:
-    return _recur(chebyshev_s, n, 1)
+    return _member(_S_ROWS, n)
 
 
 @lru_cache(maxsize=None)
@@ -178,19 +192,13 @@ def chebyshev_a(n: int) -> Polynomial:
     Built from itself: A_n = x*A_(n-1) - A_(n-2) + (x for odd n, -1 for
     even n), so no S polynomial is needed.
     """
-    if n < 1:
-        raise ValueError("the interleaved family starts at index 1")
-    if n == 1:
-        return Polynomial.x()
-    if n == 2:
-        return Polynomial({2: 1, 0: -1})
-    _build_below(chebyshev_a, 1, n)
-    out = _x_times_minus(chebyshev_a(n - 1), chebyshev_a(n - 2))
-    if n % 2:
-        out[1] += 1
-    else:
-        out[0] -= 1
-    return from_dense(out)
+    return _member(_A_ROWS, n, interleaved=True)
+
+
+@lru_cache(maxsize=None)
+def _low_terms(order: int) -> tuple[tuple[int, int], ...]:
+    """The (exponent, coefficient) pairs of T_order below its leading term."""
+    return tuple(zip(range(order % 2, order, 2), _row(_T_ROWS, order)))
 
 
 class ChebyshevForm(NamedTuple):
@@ -205,14 +213,26 @@ class ChebyshevForm(NamedTuple):
     def substitute(self) -> Polynomial:
         """Expand back to a plain polynomial (round-trip oracle).
 
-        Horner's rule on the rows R_k = sum_j c_(j,k) x**j of sum_k R_k * T_N**k.
+        Horner's rule on the rows R_k = sum_j c_(j,k) x**j of sum_k R_k * T_N**k,
+        undoing ``chebyshev_reduce``'s divisions: q*T_N + R_k is R_k followed
+        by q's coefficients, plus q times T_N's terms below x**N.
         """
-        height = max((max(col.terms) + 1 for col in self.columns if col.terms), default=0)
-        rows = [[0] * len(self.columns) for _ in range(height)]
+        order = self.order
+        low = _low_terms(order)
+        rows: list[list] = []
         for j, col in enumerate(self.columns):
             for k, v in col.terms.items():
+                if k >= len(rows):
+                    rows.extend([0] * order for _ in range(k + 1 - len(rows)))
                 rows[k][j] = v
-        return from_dense(_horner(rows, dense(chebyshev_t(self.order))))
+        out: list = []
+        for row in reversed(rows):
+            quotient, out = out, row + out
+            for m, c in enumerate(quotient):
+                if c:
+                    for t, v in low:
+                        out[m + t] += c * v
+        return from_dense(out)
 
 
 def chebyshev_reduce(p: Polynomial, order: int) -> ChebyshevForm:
@@ -221,23 +241,25 @@ def chebyshev_reduce(p: Polynomial, order: int) -> ChebyshevForm:
     Works by repeated division by T_order, which is monic: p = q*T + r_0,
     q = q'*T + r_1, ..., and column j collects the x**j terms of the r_k.
     Each division is synthetic division of a coefficient list, from the
-    top degree down.
+    top degree down, by T_order's terms below x**order; the terms of r_k
+    go straight into the column dicts.
     """
     if order < 1:
         raise ValueError("order must be positive")
-    t_terms = list(chebyshev_t(order).terms.items())
-    rows: list[list] = []  # rows[k] = r_k as a coefficient list of length order
+    low = _low_terms(order)
+    columns: list[dict] = [{} for _ in range(order)]
     rest = dense(p)
+    k = 0
     while rest:
-        quotient = [0] * max(len(rest) - order, 0)
         for m in range(len(rest) - 1, order - 1, -1):
             c = rest[m]
             if c:
                 shift = m - order
-                quotient[shift] = c
-                for t, v in t_terms:
+                for t, v in low:
                     rest[shift + t] -= c * v
-        rows.append(rest[:order] + [0] * (order - len(rest)))
-        rest = quotient
-    cols = zip(*rows) if rows else [()] * order
-    return ChebyshevForm(order, tuple(map(from_dense, cols)))
+        for j, v in enumerate(rest[:order]):
+            if v:
+                columns[j][k] = v
+        rest = rest[order:]  # the quotient: each rest[m] above was its digit
+        k += 1
+    return ChebyshevForm(order, tuple(map(_from_terms, columns)))

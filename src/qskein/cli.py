@@ -111,7 +111,7 @@ def _cmd_dims(args) -> int:
 def _load_suite(args) -> list:
     order = args.order
     if order % 2 == 0 or order < 1:
-        raise ValueError("N must be odd")
+        raise ValueError(f"N must be odd and positive, got {order}")
     if args.suite == "counts":
         return suites.counts_suite(order)
     if order < 3:
@@ -127,8 +127,11 @@ def _load_suite(args) -> list:
         if args.triangulation:
             from .quantum_torus import Triangulation
 
-            with open(args.triangulation, encoding="utf-8") as handle:
-                tri = Triangulation.from_json(handle.read())
+            try:
+                with open(args.triangulation, encoding="utf-8") as handle:
+                    tri = Triangulation.from_json(handle.read())
+            except ValueError as exc:
+                raise ValueError(f"{args.triangulation}: {exc}") from exc
         return suites.qtorus_suite(order, args.trials, tri)
     if args.suite == "torus-skein":
         if args.kmax < 1:

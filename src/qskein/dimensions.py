@@ -83,7 +83,7 @@ def r_of_surface(s: SurfaceDescriptor) -> int:
 
 def _check_order(order: int):
     if order < 1 or order % 2 == 0:
-        raise ValueError("order must be odd")
+        raise ValueError(f"order must be odd and positive, got {order}")
 
 
 def _power(base: int, exponent: int) -> int:

@@ -3,7 +3,7 @@
 ``accumulate`` is the add-and-prune step behind the sparse sums: addition of
 ``SparseCombination`` elements and the products of the scalar, bigon and
 quantum-torus layers.  The Chebyshev layer's products, Horner's rule,
-division by T_N and family recursions run on dense coefficient lists
+division by T_N and family tables run on dense coefficient lists
 instead.  ``convolve`` is the one product of dense coefficient lists: the
 Chebyshev layer's, the dense root-mode scalar product's and the cyclotomic
 polynomials'.  ``SparseCombination`` holds the basis-independent arithmetic

@@ -132,7 +132,7 @@ class Triangulation(_TriangulationFields):
     def from_json(cls, text: str) -> "Triangulation":
         try:
             return cls.from_dict(json.loads(text))
-        except RecursionError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"malformed triangulation data: {exc}") from exc
 
     def to_dict(self) -> dict:

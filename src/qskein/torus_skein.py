@@ -13,6 +13,7 @@ truncation.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 from .chebyshev import Polynomial, chebyshev_a, chebyshev_t, dense
@@ -33,8 +34,17 @@ def a_basis_expand(p: Polynomial) -> tuple[int | Fraction, dict[int, int | Fract
         c = work[d]
         if c:
             coeffs[d] = c
-            for e, a in chebyshev_a(d).terms.items():
-                work[e] -= c * a
+            terms = chebyshev_a(d).terms.items()
+            if c == 1 and type(c) is int:
+                # subtract A_d itself, with no products; p is often A_d
+                # itself (the kill rule), so stop once the rest is a constant
+                for e, a in terms:
+                    work[e] -= a
+                if not any(islice(work, 1, d)):
+                    break
+            else:
+                for e, a in terms:
+                    work[e] -= c * a
     constant = work[0] if work else 0
     return constant or 0, coeffs  # a cancelled Fraction constant reads as 0
 

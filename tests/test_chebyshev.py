@@ -1,13 +1,17 @@
 """Chebyshev-style recurrences and the power-basis reduction."""
 
-import inspect
+import os
 import random
+import subprocess
 import sys
+import threading
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
+from qskein import chebyshev
 from qskein.chebyshev import (
     ChebyshevForm,
     Polynomial,
@@ -16,7 +20,9 @@ from qskein.chebyshev import (
     chebyshev_s,
     chebyshev_t,
 )
-from qskein.torus_skein import a_basis_expand
+from qskein.torus_skein import a_basis_build, a_basis_expand
+
+SRC = str(Path(chebyshev.__file__).resolve().parents[1])
 
 
 def test_seed_values():
@@ -153,20 +159,92 @@ def test_reduce_columns_only_low_x_degrees():
     assert form.substitute() == Polynomial({11: Fraction(1), 7: Fraction(3)})
 
 
+# Runs in a fresh interpreter, whose tables hold only their seed rows.
+_COLD_PROBE = """
+import inspect, sys
+from qskein import chebyshev, suites
+from qskein.chebyshev import Polynomial, chebyshev_a, chebyshev_s, chebyshev_t
+seeds = (chebyshev._T_ROWS, chebyshev._S_ROWS, chebyshev._A_ROWS)
+suites.chebyshev_suite(21, 5)
+suites.torus_skein_suite(21, 40, 5)
+assert [len(rows) for rows in seeds] == [2, 2, 2], "tables grew before any check ran"
+sys.setrecursionlimit(len(inspect.stack(0)) + 20)
+built = [family(1200) for family in (chebyshev_t, chebyshev_s, chebyshev_a)]
+sys.setrecursionlimit(1000)
+assert [p.degree() for p in built] == [1200] * 3
+x = Polynomial.x()
+assert chebyshev_t(1200) == x * chebyshev_t(1199) - chebyshev_t(1198)
+assert chebyshev_a(1200) == chebyshev_s(1200) + chebyshev_a(1198)
+"""
+
+
 def test_cold_families_need_no_deep_recursion():
-    families = (chebyshev_t, chebyshev_s, chebyshev_a)
-    for family in families:
-        family.cache_clear()
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    """Suite construction grows no table, and cold tables grow without recursion.
+
+    1200 is past every index the tests and the CI commands reach (840).
+    """
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_PROBE],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("interleaved", [False, True], ids=["T", "A"])
+def test_concurrent_growth_stores_the_right_rows(interleaved):
+    """Threads growing one fresh table at once store the rows grown alone."""
+    table = chebyshev._A_ROWS if interleaved else chebyshev._T_ROWS
+    first, top, workers = int(interleaved), 240, 4
+    chebyshev._row(table, top, interleaved)
+    want = {n: table[n] for n in range(first, top + 1)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        built = [family(400) for family in families]
+        for _ in range(3):
+            rows = {n: want[n] for n in (first, first + 1)}
+            barrier = threading.Barrier(workers)
+
+            def grow(start):
+                barrier.wait()
+                for n in range(start, top + 1, workers):
+                    chebyshev._row(rows, n, interleaved)
+
+            threads = [threading.Thread(target=grow, args=(first + w,)) for w in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert rows == want
     finally:
-        sys.setrecursionlimit(limit)
-    assert [p.degree() for p in built] == [400, 400, 400]
-    x = Polynomial.x()
-    assert chebyshev_t(400) == x * chebyshev_t(399) - chebyshev_t(398)
-    assert chebyshev_a(400) == chebyshev_s(400) + chebyshev_a(398)
+        sys.setswitchinterval(interval)
+
+
+def test_table_rows_survive_their_readers():
+    """Reduce, substitute, compose and the A-basis read the tables and change nothing."""
+    order = 7
+    t_want = {
+        order - 2 * k: (-1) ** k * order * comb(order - k, k) // (order - k)
+        for k in range(order // 2 + 1)
+    }
+    t_n, row = chebyshev_t(order), chebyshev._T_ROWS[order]
+    assert t_n.terms == t_want
+    a_before = {i: chebyshev._A_ROWS[i] for i in range(1, 41)}
+    rng = random.Random(5)
+    for _ in range(10):
+        p = _random_sparse_polynomial(rng, 5 * order)
+        assert chebyshev_reduce(p, order).substitute() == p
+        p.compose(t_n)
+        t_n.compose(p)
+        constant, coeffs = a_basis_expand(p * Fraction(1, 3))
+        a_basis_build(constant, coeffs)
+    for i in (order, 5 * order, 40):
+        a_basis_expand(chebyshev_a(i))
+        a_basis_expand(chebyshev_t(i))
+    assert chebyshev_t(order) is t_n and t_n.terms == t_want
+    assert chebyshev._T_ROWS[order] == row == tuple(t_want[e] for e in sorted(t_want))
+    assert {i: chebyshev._A_ROWS[i] for i in range(1, 41)} == a_before
 
 
 def _random_rational_polynomial(rng, degree):

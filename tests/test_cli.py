@@ -136,6 +136,25 @@ def test_verify_even_order_rejected(capsys):
     assert err == "error: --max-exp must be positive\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "counts", "--N", "-3"],
+        ["verify", "bigon", "--N", "-3"],
+        ["dims", "surface", "--genus", "0", "--punctures", "0", "--boundary", "2", "--N", "-3"],
+        ["dims", "manifold", "--genus", "1", "--markings", "0", "--N", "-3"],
+    ],
+    ids=["verify-counts", "verify-bigon", "dims-surface", "dims-manifold"],
+)
+def test_negative_odd_order_refused_by_value(capsys, argv):
+    """-3 is odd, so the refusal must say positive too, and name the value."""
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be odd and positive, got -3" in err
+
+
 def test_verify_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nonsense"])
@@ -181,6 +200,8 @@ def test_verify_inconsistent_fans_rejected(tmp_path, capsys):
     # nested too deeply for the JSON decoder; json.dumps cannot build it
     nested = '{"edges": 3, "triangles": ' + "[" * 5000 + "]" * 5000 + ', "fans": {}}'
     cases.append((nested, "malformed"))
+    # not JSON at all: the decoder's message alone would not say which input
+    cases.append(("not json", "malformed triangulation data: Expecting value"))
     path = tmp_path / "bad.json"
     for text, phrase in cases:
         path.write_text(text)
@@ -189,7 +210,7 @@ def test_verify_inconsistent_fans_rejected(tmp_path, capsys):
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
         assert phrase in err
 
 

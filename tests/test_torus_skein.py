@@ -57,6 +57,29 @@ def test_a_expand_edge_cases():
     assert a_basis_build(constant, coeffs) == p
 
 
+def test_a_expand_monic_members_and_what_follows_them():
+    """A leading coefficient 1 subtracts the row itself; the rest must still be read."""
+    x = Polynomial.x()
+    for i in (1, 2, 9, 40):
+        a_i = chebyshev_a(i)
+        assert a_basis_expand(a_i) == (0, {i: 1})
+        assert a_basis_expand(a_i + 5) == (5, {i: 1})
+        assert a_basis_expand(a_i * Fraction(1, 3)) == (0, {i: Fraction(1, 3)})
+    # x^2 = A_2 + 1 sits below A_9 in the other parity, and x^8 in the same one
+    assert a_basis_expand(chebyshev_a(9) + x * x) == (1, {9: 1, 2: 1})
+    p = chebyshev_a(9) + x**8 * 3 + Fraction(1, 2)
+    constant, coeffs = a_basis_expand(p)
+    assert coeffs[9] == 1 and coeffs[8] == 3
+    assert a_basis_build(constant, coeffs) == p
+    # a Fraction equal to 1 takes the general step, so the results stay Fractions
+    p = Polynomial({5: Fraction(1, 2)}) * 2
+    assert type(p.terms[5]) is Fraction
+    constant, coeffs = a_basis_expand(p)
+    assert coeffs[5] == 1 and len(coeffs) == 3
+    assert all(type(v) is Fraction for v in coeffs.values())
+    assert a_basis_build(constant, coeffs) == p
+
+
 def test_s1s2_element_validation():
     S1S2Element(3, Fraction(1), ((1, Fraction(2)), (4, Fraction(-1))))
     with pytest.raises(ValueError):
