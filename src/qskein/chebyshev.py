@@ -10,7 +10,9 @@ Three polynomial families:
   recursion: A_n - x*A_(n-1) + A_(n-2) is x for odd n and -1 for even
   n >= 3 (A_3 = x^3 - x, while x*A_2 - A_1 = x^3 - 2x).
 
-Coefficients are ints where integral and exact Fractions otherwise.
+Coefficients are exact: ints or Fractions.  The constructor stores
+integral values as ints; arithmetic on Fractions may leave integral
+Fractions, which compare and hash as the equal ints.
 ``chebyshev_reduce`` rewrites an arbitrary polynomial as
 sum_{j<N} c_j(T_N(x)) * x**j, which witnesses that 1, x, ..., x**(N-1)
 generate everything over the subring hit by T_N.
@@ -46,7 +48,7 @@ def _exact(v) -> int | Fraction:
 
 
 class Polynomial(SparseCombination):
-    """Sparse univariate polynomial by exponent; integral coefficients are ints."""
+    """Sparse univariate polynomial by exponent, with int or Fraction coefficients."""
 
     __slots__ = ()
     _identity = 0

@@ -1,13 +1,15 @@
 """Exact linear algebra shared by the layers.
 
 ``accumulate`` is the add-and-prune step behind the sparse sums: addition of
-``SparseCombination`` elements and the products of the scalar, bigon and
-quantum-torus layers.  The Chebyshev layer's products, Horner's rule,
-division by T_N and family tables run on dense coefficient lists
-instead.  ``convolve`` is the one product of dense coefficient lists: the
-Chebyshev layer's, the dense root-mode scalar product's and the cyclotomic
-polynomials'.  ``SparseCombination`` holds the basis-independent arithmetic
-of ``OqElement``, ``QTElement`` and ``Polynomial``.  ``integer_solve`` is the
+``SparseCombination`` elements, generic-mode scalar arithmetic, the bigon
+word rewriting and the quantum-torus product.  The bigon structured
+product, ``OqAlgebra._mul_into``, merges its keys itself.  The Chebyshev
+layer's products, Horner's rule, division by T_N and family tables run on
+dense coefficient lists instead.  ``convolve`` is the one product of dense
+coefficient lists: the Chebyshev layer's, the root-mode product of two
+dense scalar factors and the cyclotomic polynomials'.
+``SparseCombination`` holds the basis-independent arithmetic of
+``OqElement``, ``QTElement`` and ``Polynomial``.  ``integer_solve`` is the
 one Gauss-Jordan elimination over the integers; it is fraction-free, so its
 callers get integer numerators over the determinant, never a ``Fraction``.
 ``power`` is the one square-and-multiply, for scalars and elements alike.

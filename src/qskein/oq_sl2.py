@@ -15,10 +15,9 @@ cached diagonal expansions of a^t d^t and d^t a^t.
 On top of the arithmetic sit the finite-spanning and independence
 certificates used at odd roots of unity.  They work over the N^3 index box
 with first entry zero and its wing of extra spanning indices, which
-``dimensions`` enumerates and this module re-exports: expression of
-arbitrary basis monomials over those sets with coefficients in the
-subalgebra generated by N-th powers of the generators, and degree
-certificates that witness linear independence.
+``dimensions`` enumerates: expression of arbitrary basis monomials over
+those sets with coefficients in the subalgebra generated by N-th powers of
+the generators, and degree certificates that witness linear independence.
 """
 
 from __future__ import annotations
@@ -28,15 +27,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Mapping, NamedTuple, Sequence
 
-from .dimensions import (  # noqa: F401 - the box and wing, re-exported
-    Index,
-    basis_box,
-    iter_basis_box,
-    iter_spanning_set,
-    iter_spanning_wing,
-    spanning_set,
-    spanning_wing,
-)
+from .dimensions import Index
 from .linear import SparseCombination, accumulate
 from .scalars import ROOT_OF_UNITY, Scalar, ScalarRing
 

@@ -8,11 +8,10 @@ both with exact rational arithmetic (no floats anywhere):
   ``zeta`` as the square root of the quantum parameter, so q = zeta**2 also
   has exact order N (N is odd).  A scalar is a tuple of Python int
   numerators, the coefficients of 1, zeta, ..., zeta**(d-1) (d = deg Phi_N),
-  over one positive int denominator, in lowest terms.  A scalar known by
-  construction to be c * zeta**k carries that as a tag, and its products
-  read zeta**k from a table of the N root powers instead of convolving;
-  its numerators, and those of its products with untagged scalars, are
-  built only when something reads them.
+  over one positive int denominator, in lowest terms.  Every scalar is held
+  as a tag c * zeta**k times an optional dense factor: products multiply
+  the tags, and convolve only when both sides have a factor; the
+  numerators are built only when something reads them.
 * generic mode: Laurent polynomials Q[v, 1/v] in a formal square root v,
   with q = v**2 and ``fractions.Fraction`` coefficients.  Nothing collapses
   here, which makes this mode useful as a stress test for rewriting
@@ -37,6 +36,9 @@ Rational = Union[int, Fraction]
 ROOT_OF_UNITY = "root-of-unity"
 GENERIC = "generic"
 
+# the identity tag: 1 * zeta**0, carried by one and by every dense scalar
+_ONE = (0, 1, 1)
+
 
 def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
     """Exact division of integer polynomials (lists, index = degree)."""
@@ -53,6 +55,16 @@ def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
     if any(num[: len(den) - 1]):
         raise ArithmeticError("non-exact polynomial division")
     return out
+
+
+def _lowest(nums: tuple[int, ...], den: int) -> tuple:
+    """``(nums, den)`` in lowest terms, for ``den`` > 0."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = tuple([x // g for x in nums])
+    return nums, den
 
 
 @lru_cache(maxsize=None)
@@ -93,7 +105,7 @@ class ScalarRing:
             self._phi_low = tuple((j, c) for j, c in enumerate(phi[:d]) if c)
             # the root-power table: self._powers[m] is zeta**m, 0 <= m < N
             self._powers = [
-                Scalar(self, (self._reduce([0] * m + [1] + [0] * d), 1), (m, 1, 1))
+                Scalar(self, (self._reduce([0] * m + [1] + [0] * d), 1), (m, 1, 1) if m else _ONE)
                 for m in range(order)
             ]
             self._exponents = {s._rep: m for m, s in enumerate(self._powers)}
@@ -182,15 +194,6 @@ class ScalarRing:
             return self._powers[k]
         return Scalar(self, None, (k, c, den))
 
-    def _lowest(self, nums: tuple[int, ...], den: int) -> "Scalar":
-        """The scalar with numerators ``nums`` over ``den`` > 0, in lowest terms."""
-        if den != 1:
-            g = gcd(den, *nums)
-            if g != 1:
-                den //= g
-                nums = tuple([x // g for x in nums])
-        return Scalar(self, (nums, den))
-
     def _reduce(self, coeffs: list[int]) -> tuple[int, ...]:
         """Numerators of sum coeffs[i] * zeta**i over 1, zeta, ..., zeta**(d-1).
 
@@ -245,73 +248,69 @@ class ScalarRing:
 class Scalar:
     """Immutable element of a :class:`ScalarRing`.
 
-    Root mode: ``_rep`` is ``(nums, den)``, a tuple of d = deg Phi_N int
-    numerators (the coefficients of 1, zeta, ..., zeta**(d-1)) over one int
-    ``den`` > 0 with gcd(den, *nums) == 1, so equal values have equal
-    ``_rep`` and hash.  ``_mono`` is None or a tag ``(k, c, den)`` with
-    0 <= k < N, an int c and the same ``den``, gcd(c, den) == 1, meaning
-    the scalar is exactly (c / den) * zeta**k.  The tag is set on the ring's
-    zero, one and root powers, on rationals, on negatives and products of
-    tagged scalars, on inverses of tagged scalars, and on sums of two tagged
-    scalars with the same k.
+    Root mode: a scalar is a tag ``_mono`` times a factor ``_base``.  The
+    tag ``(k, c, den)``, with 0 <= k < N, ints c and den > 0 and
+    gcd(c, den) == 1, is (c / den) * zeta**k.  The factor is None (the
+    scalar is a monomial) or ``(nums, den)``: d = deg Phi_N int numerators,
+    the coefficients of 1, zeta, ..., zeta**(d-1), over one int den > 0 with
+    gcd(den, *nums) == 1.  ``_rep`` is the scalar's own ``(nums, den)``, so
+    equal values have equal ``_rep`` and hash.  A dense scalar (a sum, an
+    inverse, a product of two dense scalars) carries the identity tag
+    ``_ONE`` = (0, 1, 1), that very tuple, and its ``_rep`` from the start;
+    products test for the tag by identity.  Every other scalar builds
+    ``_rep`` on first read (``__getattr__``) from its tag and factor, and
+    keeps all three: tag and factor never change once set, so products
+    reading them in any thread see one value.
 
-    A tagged scalar's numerators are lazy: ``_rep`` is built from the tag
-    on its first read (``__getattr__``) and then kept.  Dense arithmetic,
-    equality with an untagged scalar, hashing, ``repr`` and
-    ``ScalarRing.root_exponent`` read it; products, inverses, negatives,
-    truth values and sums with the same k of tagged scalars read the tag
-    alone.  Two tagged scalars are equal when their tags are, or when both
-    are zero (c == 0, whatever k): zeta**m is irrational for 0 < m < N, as
-    N is odd, so (c / den) * zeta**k with c != 0 determines k, c and den.
-    Hashing always reads ``_rep``, so equal values hash alike.
-
-    A product of a tagged and an untagged scalar is lazy in the same way:
-    it is untagged, keeps the tag and the untagged factor in ``_lazy``, and
-    shifts, reduces and scales the factor's numerators on the first read of
-    its ``_rep``, which clears ``_lazy``.  Every other untagged scalar has
-    ``_lazy`` None, and a tagged one leaves it unset.  The factor kept is
-    never itself an unbuilt lazy product: a tag times one multiplies the two
-    tags.  A product that nothing reads, such as a new term of a sparse sum
-    whose coefficients are never compared, costs no numerator arithmetic.
+    Products multiply the tags, and the factors only when both sides have
+    one, so a chain of monomial products keeps one factor.  Truth values,
+    negatives, and products, inverses and same-k sums of monomials read no
+    numerators.  Two monomials are equal when their tags are, or when both
+    are zero (c == 0, whatever k): zeta**m is irrational for 0 < m < N, as N
+    is odd, so (c / den) * zeta**k with c != 0 determines k, c and den.
+    Every other equality, hashing, dense arithmetic, ``repr`` and
+    ``ScalarRing.root_exponent`` read ``_rep``.  A product that nothing
+    reads, such as a new term of a sparse sum whose coefficients are never
+    compared, costs no numerator arithmetic.
 
     Generic mode: ``_rep`` is a tuple of (exponent, Fraction) pairs sorted
-    by exponent, zeros dropped; ``_mono`` is None.
+    by exponent, zeros dropped; ``_mono`` and ``_base`` are None.
     """
 
-    __slots__ = ("ring", "_rep", "_mono", "_lazy")
+    __slots__ = ("ring", "_rep", "_mono", "_base")
 
-    def __init__(self, ring: ScalarRing, rep, mono: tuple[int, int, int] | None = None):
-        """``rep`` may be None for a tagged scalar or a lazy product: its
-        numerators stay unbuilt.  The caller of a lazy product sets ``_lazy``."""
+    def __init__(self, ring: ScalarRing, rep, mono: tuple | None = None, base: tuple | None = None):
+        """Root mode: ``rep`` alone is a dense scalar; beside a tag it may be None."""
         self.ring = ring
+        if mono is None:
+            if ring.mode == GENERIC:
+                rep = tuple(sorted((e, c) for e, c in rep if c))
+            else:
+                mono, base = _ONE, rep
         self._mono = mono
-        if rep is None:
-            return
-        self._lazy = None
-        if ring.mode == GENERIC:
-            rep = tuple(sorted((e, c) for e, c in rep if c))
-        self._rep = rep
+        self._base = base
+        if rep is not None:
+            self._rep = rep
 
     def __getattr__(self, name: str):
-        # only the unbuilt ``_rep`` slot of a tagged scalar or of a lazy
-        # product is ever missing
+        # only the unbuilt ``_rep`` slot of a root-mode scalar is ever missing
         if name != "_rep":
             raise AttributeError(name)
-        ring = self.ring
-        if self._mono is not None:
-            k, c, den = self._mono
+        k, c, den = self._mono
+        if self._base is None:
             # zeta**k is a unit of Z[zeta]: its numerators have no common factor
-            rep = (tuple([c * x for x in ring._powers[k]._rep[0]]), den)
+            rep = (tuple([c * x for x in self.ring._powers[k]._rep[0]]), den)
         else:
-            # c * zeta**k times dense: shift by k, reduce mod Phi_N, scale by c
-            (k, c, den), dense = self._lazy
-            nums, dense_den = dense._rep
+            # shift the factor by k, reduce mod Phi_N, scale by c.  zeta**k is a
+            # unit of Z[zeta], so only c != +-1 or den != 1 can leave a common factor
+            nums, base_den = self._base
             if k:
-                nums = ring._reduce([0] * k + list(nums))
+                nums = self.ring._reduce([0] * k + list(nums))
             if c != 1:
                 nums = tuple([c * x for x in nums])
-            rep = ring._lowest(nums, den * dense_den)._rep
-            self._lazy = None
+            if den != 1 or c * c != 1:
+                nums, base_den = _lowest(nums, den * base_den)
+            rep = (nums, base_den)
         self._rep = rep
         return rep
 
@@ -321,11 +320,10 @@ class Scalar:
         return not self
 
     def __bool__(self) -> bool:
-        if self._mono is not None:
-            return self._mono[1] != 0
-        if self.ring.mode == GENERIC:
+        mono = self._mono
+        if mono is None:
             return bool(self._rep)
-        return any(self._rep[0])
+        return mono[1] != 0 and (self._base is None or any(self._base[0]))
 
     def is_one(self) -> bool:
         return self == self.ring.one
@@ -338,33 +336,30 @@ class Scalar:
             other = ring.coerce(other)
             if other is None:
                 return NotImplemented
-        if ring.mode == GENERIC:
+        ma, mb = self._mono, other._mono
+        if ma is None:  # generic mode
             acc = dict(self._rep)
             for e, c in other._rep:
                 accumulate(acc, e, c)
             return Scalar(ring, acc.items())
-        ma, mb = self._mono, other._mono
-        if ma is not None and mb is not None and ma[0] == mb[0]:
-            # c1/d1 zeta**k + c2/d2 zeta**k stays a tagged monomial
-            k, c1, d1 = ma
-            _, c2, d2 = mb
-            return ring._monomial(k, c1 * d2 + c2 * d1, d1 * d2)
+        if ma[0] == mb[0] and self._base is None and other._base is None:
+            # c1/d1 zeta**k + c2/d2 zeta**k stays a monomial
+            return ring._monomial(ma[0], ma[1] * mb[2] + mb[1] * ma[2], ma[2] * mb[2])
         (a, da), (b, db) = self._rep, other._rep
         if da == db:
-            return ring._lowest(tuple([x + y for x, y in zip(a, b)]), da)
-        return ring._lowest(tuple([x * db + y * da for x, y in zip(a, b)]), da * db)
+            return Scalar(ring, _lowest(tuple([x + y for x, y in zip(a, b)]), da))
+        return Scalar(ring, _lowest(tuple([x * db + y * da for x, y in zip(a, b)]), da * db))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.ring.mode == GENERIC:
-            return Scalar(self.ring, tuple((e, -c) for e, c in self._rep))
-        mono = self._mono
-        if mono is not None:
-            k, c, den = mono
-            return Scalar(self.ring, None, (k, -c, den))
-        nums, den = self._rep
-        return Scalar(self.ring, (tuple([-x for x in nums]), den))
+        ring, mono, base = self.ring, self._mono, self._base
+        if mono is None:  # generic mode
+            return Scalar(ring, tuple((e, -c) for e, c in self._rep))
+        k, c, den = mono
+        if c == -1 and not k and den == 1:  # -(-x) takes the identity tag again
+            return ring.one if base is None else Scalar(ring, base)
+        return Scalar(ring, None, (k, -c, den), base)
 
     def __sub__(self, other):
         other = self.ring.coerce(other)
@@ -384,34 +379,32 @@ class Scalar:
             other = ring.coerce(other)
             if other is None:
                 return NotImplemented
-        if ring.mode == GENERIC:
+        ma, mb = self._mono, other._mono
+        if ma is None:  # generic mode
             acc: dict[int, Fraction] = {}
             for e1, c1 in self._rep:
                 for e2, c2 in other._rep:
                     accumulate(acc, e1 + e2, c1 * c2)
             return Scalar(ring, acc.items())
-        ma, mb = self._mono, other._mono
-        if ma is None:
-            if mb is None:
-                # dense times dense: 2d - 1 >= d entries, reduced mod Phi_N
-                (a, da), (b, db) = self._rep, other._rep
-                return ring._lowest(ring._reduce(convolve(a, b)), da * db)
-            tagged, dense = other, self
-        elif mb is None:
-            tagged, dense = self, other
+        base, b = self._base, other._base
+        if base is None:
+            if b is None:
+                # monomial times monomial: a tag, its numerators stay unbuilt
+                return ring._monomial(ma[0] + mb[0], ma[1] * mb[1], ma[2] * mb[2])
+            if ma is _ONE:  # one times x is x, with its numerators if built
+                return other
+            base = b
+        elif b is None:
+            if mb is _ONE:
+                return self
         else:
-            # both tagged: the product is a tag, its numerators stay unbuilt
-            return ring._monomial(ma[0] + mb[0], ma[1] * mb[1], ma[2] * mb[2])
-        if dense._lazy is not None:
-            # (t1) * ((t2) * x) is (t1 t2) * x: a lazy product never nests
-            (k, c, den), dense = dense._lazy
-            tagged = ring._monomial(tagged._mono[0] + k, tagged._mono[1] * c, tagged._mono[2] * den)
-        if tagged._mono == (0, 1, 1):
-            return dense
-        # numerators built on first read: see __getattr__
-        out = Scalar(ring, None)
-        out._lazy = (tagged._mono, dense)
-        return out
+            # factor times factor: 2d - 1 >= d entries, reduced mod Phi_N
+            base = _lowest(ring._reduce(convolve(base[0], b[0])), base[1] * b[1])
+        # the identity tag leaves the other tag as it is
+        tag = mb if ma is _ONE else ma if mb is _ONE else ring._monomial(
+            ma[0] + mb[0], ma[1] * mb[1], ma[2] * mb[2])._mono
+        # a dense product keeps its numerators; any other builds them on first read
+        return Scalar(ring, base if tag is _ONE else None, tag, base)
 
     __rmul__ = __mul__
 
@@ -420,14 +413,14 @@ class Scalar:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
         ring = self.ring
-        if ring.mode == GENERIC:
+        if self._mono is None:  # generic mode
             if len(self._rep) != 1:
                 raise ZeroDivisionError(
                     "only monomials are invertible in generic mode"
                 )
             (e, c), = self._rep
             return Scalar(ring, ((-e, Fraction(1) / c),))
-        if self._mono is not None:
+        if self._base is None:
             # ((c / den) * zeta**k)**-1 = (den / c) * zeta**-k
             k, c, den = self._mono
             return ring._monomial(-k, den if c > 0 else -den, abs(c))
@@ -445,7 +438,7 @@ class Scalar:
         # _lowest wants a positive denominator
         if det < 0:
             det, den = -det, -den
-        return ring._lowest(tuple([den * row[0] for row in x]), det)
+        return Scalar(ring, _lowest(tuple([den * row[0] for row in x]), det))
 
     def __truediv__(self, other):
         other = self.ring.coerce(other)
@@ -470,7 +463,7 @@ class Scalar:
         if self.ring is not other.ring and self.ring != other.ring:
             return False
         ma, mb = self._mono, other._mono
-        if ma is not None and mb is not None:
+        if ma is not None and self._base is None and other._base is None:
             return ma == mb or (ma[1] == 0 and mb[1] == 0)
         return self._rep == other._rep
 

@@ -35,9 +35,10 @@ def a_basis_expand(p: Polynomial) -> tuple[int | Fraction, dict[int, int | Fract
         if c:
             coeffs[d] = c
             terms = chebyshev_a(d).terms.items()
-            if c == 1 and type(c) is int:
+            if c == 1:
                 # subtract A_d itself, with no products; p is often A_d
-                # itself (the kill rule), so stop once the rest is a constant
+                # itself (the kill rule), so stop once the rest is a constant.
+                # c may be an int or an integral Fraction left by arithmetic
                 for e, a in terms:
                     work[e] -= a
                 if not any(islice(work, 1, d)):

@@ -9,14 +9,8 @@ import pytest
 
 from qskein import oq_sl2
 from qskein.linear import accumulate
-from qskein.oq_sl2 import (
-    OqAlgebra,
-    basis_box,
-    is_pbw_index,
-    leading_index,
-    spanning_set,
-    spanning_wing,
-)
+from qskein.dimensions import basis_box, spanning_set, spanning_wing
+from qskein.oq_sl2 import OqAlgebra, is_pbw_index, leading_index
 from qskein.scalars import ScalarRing
 
 
@@ -407,9 +401,9 @@ def test_diagonal_rows_match_the_scalar_recurrence(ring):
         assert all(row.values())
         if ring.order is not None:
             # the top entry, a single root power, is the one _wing_reduce inverts
-            assert t not in row or row[t]._mono is not None
+            assert t not in row or row[t]._base is None
             for s in row.values():
-                assert s._mono is not None or ring.root_exponent(s) is None, (t, forward, s)
+                assert s._base is None or ring.root_exponent(s) is None, (t, forward, s)
         assert alg._diag(t, forward) is row
 
 
@@ -420,7 +414,7 @@ def test_diagonal_row_collapses_at_the_order():
     for forward in (True, False):
         row = alg._diag(5, forward)
         assert row == {0: ring.one, 5: ring.one}
-        assert all(s._mono is not None for s in row.values())
+        assert all(s._base is None for s in row.values())
 
 
 def test_diagonal_power_membership():

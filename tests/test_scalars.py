@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qskein.scalars import ScalarRing, cyclotomic_coefficients
+from qskein.scalars import Scalar, ScalarRing, _lowest, cyclotomic_coefficients
 
 
 def test_cyclotomic_coefficients_small():
@@ -105,7 +105,7 @@ def _coefficients(s):
     nums, den = s._rep
     assert den > 0 and math.gcd(den, *nums) == 1
     values = [Fraction(n, den) for n in nums]
-    if s._mono is not None:
+    if s._base is None:
         k, c, tag_den = s._mono
         assert tag_den == den
         power = _reference_coefficients(s.ring, [0] * k + [1])
@@ -136,7 +136,8 @@ def test_products_of_every_operand_shape(order):
         for m in range(order):
             dense = dense + ring.zeta_pow(m) * Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         operands.append(dense)
-    assert operands[-1]._mono is None and operands[2]._mono is not None
+    assert operands[-1]._mono == (0, 1, 1) and operands[-1]._base is not None
+    assert operands[2]._base is None
     coeffs = [_coefficients(x) for x in operands]
     for x, cx in zip(operands, coeffs):
         for y, cy in zip(operands, coeffs):
@@ -184,14 +185,14 @@ def test_sums_of_tagged_scalars(order):
             c2 = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
             (x, cx), (y, cy) = term(k, c1), term(k, c2)
             for total, want in ((x + y, c1 + c2), (x - y, c1 - c2)):
-                assert total._mono is not None and total._mono[0] == k
+                assert total._base is None and total._mono[0] == k
                 # _coefficients checks lowest terms and that the tag fits the value
                 assert _coefficients(total) == [want * v for v in powers[k]]
         # exact cancellation, with fractional and integral coefficients
         c = Fraction(rng.randint(1, 9), rng.randint(2, 6))
         x = ring.zeta_pow(k) * c
         for total in (x - x, x + (-x), -x + x, ring.zeta_pow(k) * 3 - ring.zeta_pow(k) * 3):
-            assert total._mono is not None and total._mono[0] == k
+            assert total._base is None and total._mono[0] == k
             assert total == ring.zero and hash(total) == hash(ring.zero)
             assert total._rep == ring.zero._rep and not total
         half = ring.zeta_pow(k) * Fraction(1, 2)
@@ -203,7 +204,7 @@ def test_sums_of_tagged_scalars(order):
             c2 = Fraction(-rng.randint(1, 9), rng.randint(1, 6))
             (x, cx), (y, cy) = term(k, c1), term(j, c2)
             total = x + y
-            assert total._mono is None
+            assert total._mono == (0, 1, 1) and total._base is not None
             assert _coefficients(total) == [a + b for a, b in zip(cx, cy)]
 
 
@@ -296,9 +297,9 @@ def _tagged_values(ring, rng):
 
 
 def _dense_twin(ring, s):
-    """The value of a tagged scalar, built densely from its tag by ring._lowest."""
+    """The value of a tagged scalar, built densely from the numerators of its tag."""
     k, c, den = s._mono
-    return ring._lowest(ring._reduce([0] * k + [c] + [0] * ring._degree), den)
+    return Scalar(ring, _lowest(ring._reduce([0] * k + [c] + [0] * ring._degree), den))
 
 
 def _numerators_built(s):
@@ -317,17 +318,17 @@ def test_lazy_tags_match_dense_values(order):
     ring = ScalarRing.root_of_unity(order)
     rng = random.Random(order)
     values = _tagged_values(ring, rng)
-    assert all(s._mono is not None for s in values)
+    assert all(s._base is None for s in values)
     # products, inverses and negatives of tags read only the tags; a result
     # that is a root power is the ring's table entry, built with the ring
     derived = [x * y for x in values[::7] for y in values[2::11]]
     derived += [-x for x in values] + [x.inverse() for x in values if x]
     for s in derived:
-        assert s._mono is not None
+        assert s._base is None
         assert not _numerators_built(s) or s is ring.zeta_pow(s._mono[0])
     for i, s in enumerate(values + derived):
         dense = _dense_twin(ring, s)
-        assert dense._mono is None
+        assert dense._mono == (0, 1, 1) and _numerators_built(dense)
         assert s == dense and dense == s
         assert hash(s) == hash(dense)
         # the numerators the eager code gave: c times those of zeta**k, over den
@@ -348,44 +349,101 @@ def test_lazy_tags_match_dense_values(order):
     zeros += [ring.zeta_pow(k) * Fraction(1, 3) - ring.zeta_pow(k) * Fraction(1, 3)
               for k in range(order)]
     assert {z._mono[0] for z in zeros} == set(range(order))
+    assert all(z._base is None for z in zeros)
     for z in zeros:
         assert z == ring.zero and ring.zero == z and not z
         assert all(z == other for other in zeros)
         assert hash(z) == hash(ring.zero)
 
 
+def _dense_value(ring, rng):
+    """A dense scalar: a sum of every root power with random coefficients."""
+    dense = ring.zero
+    for m in range(ring.order):
+        dense = dense + ring.zeta_pow(m) * Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return dense
+
+
 @pytest.mark.parametrize("order", [3, 15, 21])
 def test_lazy_products_match_dense_products(order):
-    """A tag times an untagged scalar builds its numerators on first read,
-    and agrees on ==, hash, repr and truth with the product of two untagged
-    scalars; a tag times such a product multiplies the tags, so lazy
-    products never nest, however long the chain."""
+    """A monomial times a dense scalar keeps the dense factor and builds its
+    numerators on first read; it agrees on ==, hash, repr, truth and
+    negation with the product of two dense scalars.  A monomial times such
+    a product multiplies the tags, so one factor is kept however long the
+    chain."""
     ring = ScalarRing.root_of_unity(order)
     rng = random.Random(order + 1)
-    dense = ring.zero
-    for m in range(order):
-        dense = dense + ring.zeta_pow(m) * Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-    assert dense._mono is None and dense
+    dense = _dense_value(ring, rng)
+    assert dense._mono == (0, 1, 1) and dense._base is not None and dense
+    assert _numerators_built(dense)
     for tag in _tagged_values(ring, rng)[::3]:
-        product = tag * dense
         if tag == ring.one:
-            assert product is dense
+            assert tag * dense is dense and dense * tag is dense
             continue
-        assert product._mono is None and not _numerators_built(product)
+        product = tag * dense
+        assert product._base is dense._base
+        # the dense side's identity tag leaves the monomial's tag as it is
+        assert product._mono is tag._mono and not _numerators_built(product)
         again = tag * product
-        assert again._lazy[1] is dense
+        assert again._base is dense._base
         twin = _dense_twin(ring, tag)
+        # truth values and negatives read the tag, not the numerators
         assert bool(product) == bool(tag)
+        negated = -product
+        assert negated._base is dense._base
+        assert not _numerators_built(product) and not _numerators_built(negated)
         assert product == twin * dense and twin * dense == product
-        assert _numerators_built(product) and product._lazy is None
+        assert negated == -(twin * dense)
+        # the built numerators sit beside the tag and factor, which stay as set
+        assert _numerators_built(product)
+        assert product._mono is tag._mono and product._base is dense._base
         assert hash(product) == hash(twin * dense)
         assert repr(product) == repr(twin * dense)
         assert again == twin * (twin * dense)
     chain, q = dense, ring.q_pow(1)
     for _ in range(5000):
         chain = q * chain
-    assert chain._lazy[1] is dense
+    assert chain._base is dense._base
     assert chain == dense * ring.q_pow(5000)
+
+
+@pytest.mark.parametrize("order", [3, 15, 21])
+def test_products_of_tagged_products(order):
+    """The product of two monomial-times-dense products multiplies the tags
+    and the factors, reads neither operand's numerators, and equals the
+    product of the same values built densely."""
+    ring = ScalarRing.root_of_unity(order)
+    rng = random.Random(order + 2)
+    x, y = _dense_value(ring, rng), _dense_value(ring, rng)
+    tags = [s for s in _tagged_values(ring, rng) if s != ring.one]
+    for s, t in zip(tags[::4], tags[1::5]):
+        left, right = s * x, t * y
+        product = left * right
+        assert not _numerators_built(left) and not _numerators_built(right)
+        assert product._base is not None
+        want = (_dense_twin(ring, s) * x) * (_dense_twin(ring, t) * y)
+        assert product == want and hash(product) == hash(want)
+        assert bool(product) == bool(s and t)
+        assert left * left == (s * s) * (x * x)
+
+
+@pytest.mark.parametrize("order", [3, 15, 21])
+def test_one_identity_tag(order):
+    """One, a twice-negated scalar and a scalar built from numerators alone
+    all carry the very tuple that is one's tag, so one times them is them."""
+    ring = ScalarRing.root_of_unity(order)
+    one, dense = ring.one, _dense_value(ring, random.Random(order + 3))
+    assert -(-one) is one
+    back = -(-dense)
+    assert back._mono is one._mono and back._rep is dense._rep and back == dense
+    rebuilt = Scalar(ring, dense._rep)
+    assert rebuilt._mono is one._mono and rebuilt._base is dense._rep and rebuilt
+    for x in (back, rebuilt):
+        assert one * x is x and x * one is x
+        assert x * ring.zeta_pow(1) == dense * ring.zeta_pow(1)
+        assert hash(x) == hash(dense) and -x == -dense
+    zero = Scalar(ring, ((0,) * ring._degree, 1))
+    assert not zero and zero == ring.zero and zero * dense == ring.zero
 
 
 @pytest.mark.parametrize("order", [1, 3, 5, 21])
@@ -407,9 +465,10 @@ def test_from_power_counts(order):
             for i, c in enumerate(counts):
                 folded[step * i % order] += c
             single = order - folded.count(0) == 1 or ring.root_exponent(got) is not None
-            assert (got._mono is not None) == single
+            assert (got._base is None) == single
     # every count equal: the sum of all N-th roots of unity, zero for N > 1
     assert not ring.from_power_counts([3] * order, 2) or order == 1
-    assert ring.from_power_counts([0, 0, 4], -2)._mono == (-4 % order, 4, 1)
+    got = ring.from_power_counts([0, 0, 4], -2)
+    assert got._mono == (-4 % order, 4, 1) and got._base is None
     generic = ScalarRing.generic()
     assert generic.from_power_counts([1, 0, 3], -2) == generic.one + generic.zeta_pow(-4) * 3
