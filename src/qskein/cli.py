@@ -7,14 +7,17 @@ Two command families:
   qskein verify SUITE [--N N] [--seed S] [--trials T] [--max-exp E]
                       [--kmax K] [--triangulation FILE]
 
-verify SUITE builds its checks with that suite's builder in suites
-(suites.bigon_suite, suites.torus_skein_suite, ...), which loads the suite's
-own module alone.  Output is JSON on stdout (add --pretty for indentation).
-Reports are deterministic for a fixed command line and seed apart from
-elapsed_ms.
+verify SUITE (one of suites.SUITES) builds its checks with that suite's
+builder in suites (suites.bigon_suite, suites.torus_skein_suite, ...), which
+loads the suite's own module alone.  Output is JSON on stdout (add --pretty
+for indentation).  Reports are deterministic for a fixed command line and
+seed apart from elapsed_ms.
 Exit codes: 0 all checks pass, 1 at least one failure, 2 usage or input
 error, including a dims count too large to print, verify work above
-suites.MAX_WORK and a bigon --max-exp above suites.MAX_EXP.
+suites.MAX_WORK and a bigon --max-exp above suites.MAX_EXP.  --trials,
+--max-exp and --kmax must be positive for every suite, whether or not it
+reads them, and only qtorus reads --triangulation: any other suite refuses
+it.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ import json
 import sys
 
 from . import suites
-
-SUITES = ("bigon", "qtorus", "torus-skein", "chebyshev", "counts")
 
 # Python converts integers of at most 4300 decimal digits to text by default.
 MAX_PRINTED_DIGITS = 4300
@@ -55,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mani.add_argument("--pretty", action="store_true")
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument("suite", choices=SUITES)
+    verify.add_argument("suite", choices=suites.SUITES)
     verify.add_argument("--N", type=int, default=3, dest="order")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--trials", type=int, default=50)
@@ -112,15 +113,17 @@ def _load_suite(args) -> list:
     order = args.order
     if order % 2 == 0 or order < 1:
         raise ValueError(f"N must be odd and positive, got {order}")
+    if order < 3 and args.suite != "counts":
+        raise ValueError("N must be an odd number >= 3 for this suite")
+    knobs = {"--trials": args.trials, "--max-exp": args.max_exp, "--kmax": args.kmax}
+    for flag, value in knobs.items():
+        if value < 1:
+            raise ValueError(f"{flag} must be positive")
+    if args.triangulation and args.suite != "qtorus":
+        raise ValueError(f"{args.suite} reads no --triangulation; only qtorus does")
     if args.suite == "counts":
         return suites.counts_suite(order)
-    if order < 3:
-        raise ValueError("N must be an odd number >= 3 for this suite")
-    if args.trials < 1:
-        raise ValueError("--trials must be positive")
     if args.suite == "bigon":
-        if args.max_exp < 1:
-            raise ValueError("--max-exp must be positive")
         return suites.bigon_suite(order, args.trials, args.max_exp)
     if args.suite == "qtorus":
         tri = None
@@ -134,8 +137,6 @@ def _load_suite(args) -> list:
                 raise ValueError(f"{args.triangulation}: {exc}") from exc
         return suites.qtorus_suite(order, args.trials, tri)
     if args.suite == "torus-skein":
-        if args.kmax < 1:
-            raise ValueError("--kmax must be positive")
         return suites.torus_skein_suite(order, args.kmax, args.trials)
     return suites.chebyshev_suite(order, args.trials)
 

@@ -8,9 +8,11 @@ Generators a, b, c, d satisfy (with q the square of the ring's root):
 The monomials a^k1 d^k2 b^k3 c^k4 with k1*k2 = 0 form a linear basis; we
 write their exponents as 4-tuples and call such tuples PBW indices.  Two
 independent multiplication routes are provided and cross-checked in the
-test suite: a rewriting engine on generator words, and a structured
-product that merges a/d exponents by one rule (``OqAlgebra._core``) over
-cached diagonal expansions of a^t d^t and d^t a^t.
+test suite: a rewriting engine on generator words, which reads these
+relations from two tables (``_SWAPS``, xy = q^e yx, and ``_DIAGONAL``,
+xy = q^e bc + 1), and a structured product that merges a/d exponents by
+one rule (``OqAlgebra._core``) over cached diagonal expansions of a^t d^t
+and d^t a^t.
 
 On top of the arithmetic sit the finite-spanning and independence
 certificates used at odd roots of unity.  They work over the N^3 index box
@@ -34,17 +36,10 @@ from .scalars import ROOT_OF_UNITY, Scalar, ScalarRing
 _LETTERS = "adbc"  # normal order of generators inside a monomial
 _RANK = {letter: i for i, letter in enumerate(_LETTERS)}
 
-# bad adjacent pair -> ((q-exponent, replacement), ...)
-_REWRITES: dict[str, tuple[tuple[int, str], ...]] = {
-    "da": ((2, "bc"), (0, "")),
-    "ad": ((-2, "bc"), (0, "")),
-    "ba": ((2, "ab"),),
-    "ca": ((2, "ac"),),
-    "bd": ((-2, "db"),),
-    "cd": ((-2, "dc"),),
-    "cb": ((0, "bc"),),
-}
-_REDUCIBLE = re.compile("|".join(_REWRITES))
+# the word engine's relations: xy = q^e yx in _SWAPS, xy = q^e bc + 1 in _DIAGONAL
+_SWAPS = {"ba": 2, "ca": 2, "bd": -2, "cd": -2, "cb": 0}
+_DIAGONAL = {"da": 2, "ad": -2}
+_REDUCIBLE = re.compile("|".join([*_SWAPS, *_DIAGONAL]))
 
 
 def _shift(counts: list[int], s: int, n: int | None) -> list[int]:
@@ -93,7 +88,6 @@ class OqAlgebra:
         self._diag_rows: dict[tuple[int, bool], dict[int, Scalar]] = {}
         self._cores: dict[Index, dict[tuple[int, int, int], Scalar]] = {}
         self._wing_cache: dict[tuple[int, int, int], dict[Index, "OqElement"]] = {}
-        self._rules: dict[str, tuple[int | None, tuple[tuple[Scalar | None, str], ...]]] | None = None
 
     @property
     def order(self) -> int:
@@ -220,33 +214,18 @@ class OqAlgebra:
 
     # -- word rewriting engine ---------------------------------------------------
 
-    def _rewrite_rules(self) -> dict[str, tuple[int | None, tuple[tuple[Scalar | None, str], ...]]]:
-        """``_REWRITES`` read for the word engine.
-
-        A swap rule xy -> q^e yx maps to (e, ()); any other rule maps to
-        (None, its substitutions), each q-exponent e as the scalar q^e, or
-        None for e = 0.
-        """
-        if self._rules is None:
-            q_pow = self.ring.q_pow
-            self._rules = {
-                pair: (subs[0][0], ()) if len(subs) == 1 and subs[0][1] == pair[::-1]
-                else (None, tuple((q_pow(e) if e else None, repl) for e, repl in subs))
-                for pair, subs in _REWRITES.items()
-            }
-        return self._rules
-
     def normal_form(self, words) -> "OqElement":
         """PBW form of a word (or scalar combination of words) in a, b, c, d.
 
         The leftmost reducible pair is rewritten first.  A swap rule
-        xy -> q^e yx moves y past the whole run x^r that ends at the pair,
-        in one step, with coefficient q^(e r); the ad and da rules rewrite
-        the pair alone.  Each agenda word keeps the position its scan
-        resumes from: a rewrite at h leaves the prefix before h, and a run
-        move the prefix before the run, free of reducible pairs, so the scan
-        of the new word starts one letter before that; where two paths reach
-        one word, the smaller position is kept.  This engine shares no code
+        xy -> q^e yx of ``_SWAPS`` moves y past the whole run x^r that ends
+        at the pair, in one step, with coefficient q^(e r); the rules
+        xy -> q^e bc + 1 of ``_DIAGONAL`` rewrite the pair alone.  Each
+        agenda word keeps the position its scan resumes from: a rewrite at h
+        leaves the prefix before h, and a run move the prefix before the
+        run, free of reducible pairs, so the scan of the new word starts one
+        letter before that; where two paths reach one word, the smaller
+        position is kept.  This engine shares no code
         with the structured product; the test suite compares the two on
         every word of up to six letters.
         """
@@ -278,7 +257,7 @@ class OqAlgebra:
                 c = self.ring.from_rational(c)
             if c:
                 push(w, c, 0)
-        rules, q_pow = self._rewrite_rules(), self.ring.q_pow
+        q_pow, swap_exponent = self.ring.q_pow, _SWAPS.get
         search, pop = _REDUCIBLE.search, agenda.popitem
         out: dict[Index, Scalar] = {}
         while agenda:
@@ -291,7 +270,7 @@ class OqAlgebra:
                 continue
             h = hit.start()
             pair = hit.group()
-            e, subs = rules[pair]
+            e = swap_exponent(pair)
             if e is not None:
                 x, y = pair
                 start = len(word[: h + 1].rstrip(x))  # where the run x^r begins
@@ -302,9 +281,9 @@ class OqAlgebra:
                 continue
             head, tail = word[:h], word[h + 2 :]
             resume = h - 1 if h else 0
-            for factor, repl in subs:
-                # a q^0 rule copies the coefficient: multiplying by one is exact
-                push(head + repl + tail, coeff if factor is None else coeff * factor, resume)
+            e = _DIAGONAL[pair]
+            push(head + "bc" + tail, coeff * q_pow(e) if e else coeff, resume)
+            push(head + tail, coeff, resume)
         return OqElement(self, out)
 
     # -- degree bookkeeping --------------------------------------------------------

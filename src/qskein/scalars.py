@@ -257,10 +257,11 @@ class Scalar:
     equal values have equal ``_rep`` and hash.  A dense scalar (a sum, an
     inverse, a product of two dense scalars) carries the identity tag
     ``_ONE`` = (0, 1, 1), that very tuple, and its ``_rep`` from the start;
-    products test for the tag by identity.  Every other scalar builds
-    ``_rep`` on first read (``__getattr__``) from its tag and factor, and
-    keeps all three: tag and factor never change once set, so products
-    reading them in any thread see one value.
+    products test for the tag by identity.  ``_rep`` is a property over
+    the slot ``_nums``, which holds None until it is built: every other
+    scalar builds ``_rep`` on first read from its tag and factor, and keeps
+    all three.  Tag and factor never change once set, so products reading
+    them in any thread see one value.
 
     Products multiply the tags, and the factors only when both sides have
     one, so a chain of monomial products keeps one factor.  Truth values,
@@ -277,7 +278,7 @@ class Scalar:
     by exponent, zeros dropped; ``_mono`` and ``_base`` are None.
     """
 
-    __slots__ = ("ring", "_rep", "_mono", "_base")
+    __slots__ = ("ring", "_nums", "_mono", "_base")
 
     def __init__(self, ring: ScalarRing, rep, mono: tuple | None = None, base: tuple | None = None):
         """Root mode: ``rep`` alone is a dense scalar; beside a tag it may be None."""
@@ -289,13 +290,14 @@ class Scalar:
                 mono, base = _ONE, rep
         self._mono = mono
         self._base = base
-        if rep is not None:
-            self._rep = rep
+        self._nums = rep
 
-    def __getattr__(self, name: str):
-        # only the unbuilt ``_rep`` slot of a root-mode scalar is ever missing
-        if name != "_rep":
-            raise AttributeError(name)
+    @property
+    def _rep(self):
+        rep = self._nums
+        if rep is not None:
+            return rep
+        # only a tagged root-mode scalar leaves ``_nums`` unbuilt
         k, c, den = self._mono
         if self._base is None:
             # zeta**k is a unit of Z[zeta]: its numerators have no common factor
@@ -311,7 +313,7 @@ class Scalar:
             if den != 1 or c * c != 1:
                 nums, base_den = _lowest(nums, den * base_den)
             rep = (nums, base_den)
-        self._rep = rep
+        self._nums = rep
         return rep
 
     # -- predicates ----------------------------------------------------------

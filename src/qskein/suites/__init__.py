@@ -6,10 +6,11 @@ so reports are deterministic for a given seed whatever order the checks
 run in.  Checks return a short detail string on success and raise
 CheckFailure (or any exception, reported as an error) otherwise.
 
-This module is the runner.  Each suite's builder lives in the module named
-after it (``bigon``, ``qtorus``, ``torus_skein``, ``chebyshev``, ``counts``)
-and loads on first use: ``suites.bigon_suite`` imports ``suites.bigon`` and
-the layers it needs, and no other suite.
+This module is the runner and holds the one list of suites, ``SUITES``.
+Each suite's builder lives in the module named after it (``bigon``,
+``qtorus``, ``torus_skein``, ``chebyshev``, ``counts``) and is found from its
+name on first use: ``suites.bigon_suite`` imports ``suites.bigon`` and the
+layers it needs, and no other suite.
 """
 
 import importlib
@@ -29,20 +30,15 @@ MAX_EXP = 12
 """Largest ``bigon`` exponent cap, checked before anything is built: the
 word-rewriting check's run time grows steeply in it, and unevenly by seed."""
 
-_BUILDERS = {
-    "bigon_suite": "bigon",
-    "qtorus_suite": "qtorus",
-    "torus_skein_suite": "torus_skein",
-    "chebyshev_suite": "chebyshev",
-    "counts_suite": "counts",
-}
-"""Builder name -> the suite module that defines it."""
+SUITES = ("bigon", "qtorus", "torus-skein", "chebyshev", "counts")
+"""The suites ``qskein verify`` runs.  Suite ``s`` is built by ``<m>_suite``
+in module ``m``, where m is s with "-" read as "_"."""
 
 
 def __getattr__(name: str):
     """Look a builder up in its suite module, importing the module on first use."""
-    module = _BUILDERS.get(name)
-    if module is None:
+    module = name.removesuffix("_suite")
+    if module == name or module not in [s.replace("-", "_") for s in SUITES]:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f"{__name__}.{module}"), name)
 

@@ -137,6 +137,30 @@ def test_verify_even_order_rejected(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["counts", "--trials", "0"], "--trials must be positive"),
+        (["chebyshev", "--kmax", "0"], "--kmax must be positive"),
+        (["qtorus", "--max-exp", "0"], "--max-exp must be positive"),
+        (["bigon", "--kmax", "-5"], "--kmax must be positive"),
+        (["chebyshev", "--triangulation", "/nonexistent"], "only qtorus"),
+    ],
+    ids=[
+        "counts-trials", "chebyshev-kmax", "qtorus-max-exp", "bigon-kmax",
+        "chebyshev-triangulation",
+    ],
+)
+def test_verify_refuses_bad_knobs_for_every_suite(capsys, argv, message):
+    """Every suite refuses a knob below 1, whether or not it reads it, and
+    every suite but qtorus refuses --triangulation, without opening the file."""
+    code, out, err = run_cli(capsys, ["verify", argv[0], "--N", "3", *argv[1:]])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "counts", "--N", "-3"],
@@ -443,7 +467,7 @@ GOLDEN_REPORTS_SHA256 = "02a5f158ecdca3a60e8ba6ad7ccba267a3bc51204bb9ed2c72bc432
 
 def test_golden_reports(capsys):
     digest = hashlib.sha256()
-    for suite in cli.SUITES:
+    for suite in suites.SUITES:
         for order in ("3", "7", "11", "21"):
             for seed in ("0", "1"):
                 argv = ["verify", suite, "--N", order, "--seed", seed]

@@ -142,18 +142,21 @@ def test_word_engine_runs_of_swaps(ring):
 
 
 @pytest.mark.parametrize("pair, wrong, word", [
-    ("ba", ((4, "ab"),), "bbbaa"),
-    ("cb", ((2, "bc"),), "ccbb"),
+    ("ba", ("_SWAPS", 4), "bbbaa"),
+    ("cb", ("_SWAPS", 2), "ccbb"),
+    ("da", ("_DIAGONAL", 0), "da"),
 ])
 def test_word_engine_reads_swap_exponents_from_the_rules(monkeypatch, pair, wrong, word):
-    """A wrong exponent in _REWRITES makes the engine disagree with the
+    """A wrong exponent in _SWAPS makes the engine disagree with the
     structured product on a word whose swaps move whole runs: the run step
-    multiplies by q^(e r) with e read from the rules."""
+    multiplies by q^(e r) with e read from the table.  A wrong exponent in
+    _DIAGONAL (da = bc + 1) makes it disagree on da itself."""
     for ring in (GENERIC, ScalarRing.root_of_unity(5)):
         assert OqAlgebra(ring).normal_form(word) == _generator_product(OqAlgebra(ring), word)
-    monkeypatch.setitem(oq_sl2._REWRITES, pair, wrong)
+    table, e = wrong
+    monkeypatch.setitem(getattr(oq_sl2, table), pair, e)
     for ring in (GENERIC, ScalarRing.root_of_unity(5)):
-        alg = OqAlgebra(ring)  # a fresh algebra reads the patched rules
+        alg = OqAlgebra(ring)
         assert alg.normal_form(word) != _generator_product(alg, word)
 
 

@@ -279,6 +279,15 @@ def test_generator_commutation_rule():
             assert yi * yj == yj * yi * torus.parameter ** (2 * sigma[i][j])
 
 
+def test_tori_built_alike_hash_equal_and_elements_print():
+    ring = ScalarRing.root_of_unity(5)
+    torus = QuantumTorus.from_triangulation(ring, once_punctured_torus())
+    twin = QuantumTorus.from_triangulation(ring, once_punctured_torus())
+    assert torus == twin and hash(torus) == hash(twin)
+    x = torus.generator(0) * torus.generator(1) + 3
+    assert repr(x) == "(1)*Y(1, 1, 0) + (3)*Y(0, 0, 0)"
+
+
 def _weyl_bracket(torus, word):
     """parameter^(-sum_{a<b} sigma_(w_a w_b)) Y_(w_1) ... Y_(w_m), by generator products."""
     product = torus.one()
