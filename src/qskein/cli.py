@@ -119,7 +119,7 @@ def _load_suite(args) -> list:
     for flag, value in knobs.items():
         if value < 1:
             raise ValueError(f"{flag} must be positive")
-    if args.triangulation and args.suite != "qtorus":
+    if args.triangulation is not None and args.suite != "qtorus":
         raise ValueError(f"{args.suite} reads no --triangulation; only qtorus does")
     if args.suite == "counts":
         return suites.counts_suite(order)
@@ -127,7 +127,7 @@ def _load_suite(args) -> list:
         return suites.bigon_suite(order, args.trials, args.max_exp)
     if args.suite == "qtorus":
         tri = None
-        if args.triangulation:
+        if args.triangulation is not None:
             from .quantum_torus import Triangulation
 
             try:

@@ -146,23 +146,30 @@ class OqAlgebra:
             C(t+1, g) = x^(4g) C(t, g) + x^(4g-2) C(t, g-1).
 
         The recurrence runs on the counts, indexed modulo N in root mode,
-        where x^N = 1.  A row becomes scalars on its first request in each
-        direction, without the entries that vanish, and is kept.
+        where x^N = 1.  For N > 1 the N-th roots of unity sum to 0, so each
+        new list has its minimum subtracted: the value stays, and the counts
+        stay far below the raw ones, which grow like 2^t / N.  A row becomes
+        scalars on its first request in each direction, without the entries
+        that vanish, and is kept.
         """
         rows = self._diag_rows
         row = rows.get((t, forward))
         if row is not None:
             return row
         counts, n = self._diag_counts, self.ring.order
+        level = (n or 0) > 1
         while len(counts) <= t:
             prev = counts[-1]
             nxt = [prev[0]]
             for g in range(1, len(prev)):
-                nxt.append([
+                c = [
                     u + v for u, v in zip_longest(
                         _shift(prev[g], 4 * g, n), _shift(prev[g - 1], 4 * g - 2, n), fillvalue=0
                     )
-                ])
+                ]
+                low = min(c) if level else 0
+                nxt.append([u - low for u in c] if low else c)
+            # the first list is prev's and the last a rotation: both levelled
             nxt.append(_shift(prev[-1], 4 * len(prev) - 2, n))
             counts.append(nxt)
         convert, step = self.ring.from_power_counts, -2 if forward else 2

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from math import gcd
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .linear import SparseCombination, accumulate, integer_solve
@@ -412,6 +412,10 @@ class QuantumTorus:
                     raise ValueError("exchange matrix must be antisymmetric")
         self.sigma = sigma
         self.rank = n
+        # the nonzero entries below the diagonal, (i, j, sigma_ij) with i > j
+        self._lower = tuple(
+            (i, j, sigma[i][j]) for i in range(n) for j in range(i) if sigma[i][j]
+        )
         self.parameter = parameter if parameter is not None else ring.zeta_pow(1)
         if self.parameter.ring != ring:
             raise ValueError("parameter from a different scalar ring")
@@ -474,14 +478,7 @@ class QuantumTorus:
 
     def _low(self, k: Sequence[int], l: Sequence[int]) -> int:
         """The lower-triangular form sum_{i>j} sigma_ij k_i l_j."""
-        total = 0
-        for i in range(self.rank):
-            if k[i]:
-                row = self.sigma[i]
-                for j in range(i):
-                    if row[j] and l[j]:
-                        total += row[j] * k[i] * l[j]
-        return total
+        return sum([s * k[i] * l[j] for i, j, s in self._lower])
 
     def _twist(self, e: int) -> Scalar:
         """parameter**e, read from the ring's table of root powers."""
@@ -503,12 +500,21 @@ class QTElement(SparseCombination):
         return (0,) * self.parent.rank
 
     def _mul_terms(self, other: "QTElement") -> dict[Vector, Scalar]:
+        """Y^k Y^l = parameter^(2 low(k, l)) Y^(k+l): the twist is a root power
+        r . l, with r = 2e k^T L for the torus parameter zeta^e and L the
+        lower triangle of sigma, built once per left term."""
         acc: dict[Vector, Scalar] = {}
         torus = self.parent
+        lower, scale = torus._lower, 2 * torus._exponent
+        right = list(other.terms.items())
         for k, ck in self.terms.items():
-            for l, cl in other.terms.items():
-                key = tuple(a + b for a, b in zip(k, l))
-                accumulate(acc, key, ck * cl * torus._twist(2 * torus._low(k, l)))
+            row = [0] * torus.rank
+            for i, j, s in lower:
+                if k[i]:
+                    row[j] += scale * s * k[i]
+            twisted = ck.mul_zeta_pow
+            for l, cl in right:
+                accumulate(acc, tuple(map(add, k, l)), twisted(cl, sum(map(mul, row, l))))
         return acc
 
     @staticmethod
@@ -546,7 +552,7 @@ def frobenius_map(x: QTElement, target: QuantumTorus, order: int) -> QTElement:
         raise ValueError("source parameter is not the expected power")
     return QTElement(
         target,
-        {tuple(order * e for e in k): v for k, v in x.terms.items()},
+        {tuple([order * e for e in k]): v for k, v in x.terms.items()},
     )
 
 
@@ -554,7 +560,7 @@ def qt_deg(x: QTElement, zbasis: ZBasis) -> Vector:
     """Lex-largest grading vector (first p coordinates) over the support."""
     if x.is_zero():
         raise ValueError("degree of the zero element is undefined")
-    return max(zbasis.grading(k) for k in x.terms)
+    return max(map(zbasis.grading, x.terms))
 
 
 class CenterFreeCertificate(NamedTuple):

@@ -410,6 +410,18 @@ class Scalar:
 
     __rmul__ = __mul__
 
+    def mul_zeta_pow(self, other: "Scalar", m: int) -> "Scalar":
+        """self * other * zeta**m (v**m in generic mode), for a scalar of this ring.
+
+        Two monomials of this very ring give one tag, built by a single
+        ``_monomial`` call; any other operands take the two products.
+        """
+        ring, ma = self.ring, self._mono
+        if ma is not None and self._base is None and other._base is None and other.ring is ring:
+            mb = other._mono
+            return ring._monomial(ma[0] + mb[0] + m, ma[1] * mb[1], ma[2] * mb[2])
+        return self * other * ring.zeta_pow(m)
+
     def inverse(self) -> "Scalar":
         """Multiplicative inverse; generic mode inverts monomials only."""
         if self.is_zero():

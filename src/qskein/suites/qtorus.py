@@ -3,10 +3,13 @@
 import random
 from functools import cache, partial
 from itertools import product
+from operator import mul
 from typing import Sequence
 
 from .. import quantum_torus
+from ..linear import accumulate
 from ..quantum_torus import (
+    QTElement,
     QuantumTorus,
     Triangulation,
     balanced_check,
@@ -31,21 +34,20 @@ def _random_balanced_element(
     rng: random.Random,
     cap: int = 2,
 ):
+    """One or two monomials Y^v, v = sum_c coords_c basis_c with coords in
+    [-cap, cap], coefficients +-1..4; the unit if they cancel."""
     n = tri.edge_count
-    terms = torus.zero()
-    for _ in range(rng.randint(1, 2)):
-        coords = [rng.randint(-cap, cap) for _ in range(n)]
-        vec = [0] * n
-        for c, bv in zip(coords, basis):
-            for j in range(n):
-                vec[j] += c * bv[j]
-        coeff = rng.randint(1, 4)
+    columns = list(zip(*basis))
+    randrange, from_rational = rng.randrange, torus.ring.from_rational
+    terms: dict = {}
+    for _ in range(randrange(1, 3)):
+        coords = [randrange(-cap, cap + 1) for _ in range(n)]
+        vec = tuple([sum(map(mul, coords, col)) for col in columns])
+        coeff = randrange(1, 5)
         if rng.random() < 0.5:
             coeff = -coeff
-        terms = terms + torus.ordered_monomial(tuple(vec), coeff)
-    if terms.is_zero():
-        terms = torus.one()
-    return terms
+        accumulate(terms, vec, from_rational(coeff))
+    return QTElement(torus, terms) if terms else torus.one()
 
 
 def qtorus_suite(

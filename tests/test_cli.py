@@ -144,15 +144,19 @@ def test_verify_even_order_rejected(capsys):
         (["qtorus", "--max-exp", "0"], "--max-exp must be positive"),
         (["bigon", "--kmax", "-5"], "--kmax must be positive"),
         (["chebyshev", "--triangulation", "/nonexistent"], "only qtorus"),
+        (["bigon", "--triangulation", ""], "only qtorus"),
+        (["qtorus", "--triangulation", ""], "No such file or directory: ''"),
     ],
     ids=[
         "counts-trials", "chebyshev-kmax", "qtorus-max-exp", "bigon-kmax",
-        "chebyshev-triangulation",
+        "chebyshev-triangulation", "bigon-empty-triangulation",
+        "qtorus-empty-triangulation",
     ],
 )
 def test_verify_refuses_bad_knobs_for_every_suite(capsys, argv, message):
     """Every suite refuses a knob below 1, whether or not it reads it, and
-    every suite but qtorus refuses --triangulation, without opening the file."""
+    every suite but qtorus refuses --triangulation, without opening the file.
+    An empty path names no file, so it is refused, not read as no path."""
     code, out, err = run_cli(capsys, ["verify", argv[0], "--N", "3", *argv[1:]])
     assert code == 2
     assert out == ""

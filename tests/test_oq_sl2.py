@@ -410,6 +410,49 @@ def test_diagonal_rows_match_the_scalar_recurrence(ring):
         assert alg._diag(t, forward) is row
 
 
+def _raw_diag_counts(n, top):
+    """Rows 0..top of the count recurrence modulo x^n = 1, never levelled:
+    C(t+1, g) = x^(4g) C(t, g) + x^(4g-2) C(t, g-1)."""
+    rows = [[[1] + [0] * (n - 1)]]
+    while len(rows) <= top:
+        prev = rows[-1]
+        nxt = []
+        for g in range(len(prev) + 1):
+            c = [0] * n
+            if g < len(prev):
+                for i, u in enumerate(prev[g]):
+                    c[(i + 4 * g) % n] += u
+            if g:
+                for i, u in enumerate(prev[g - 1]):
+                    c[(i + 4 * g - 2) % n] += u
+            nxt.append(c)
+        rows.append(nxt)
+    return rows
+
+
+@pytest.mark.parametrize("order", [5, 7])
+def test_levelled_diagonal_counts_convert_like_the_raw_ones(order):
+    """The kept count lists have minimum 0, and every row t <= 2N converts
+    to the same scalars as the raw counts, in both directions."""
+    ring = ScalarRing.root_of_unity(order)
+    top = 2 * order
+    raw = _raw_diag_counts(order, top)
+    alg = OqAlgebra(ring)
+    for forward in (True, False):
+        step = -2 if forward else 2
+        for t in range(top + 1):
+            want = {g: ring.from_power_counts(c, step) for g, c in enumerate(raw[t])}
+            assert alg._diag(t, forward) == {g: s for g, s in want.items() if s}, (t, forward)
+    kept = alg._diag_counts
+    assert len(kept) == top + 1
+    for t, (levelled, counts) in enumerate(zip(kept, raw)):
+        for g, (c, r) in enumerate(zip(levelled, counts)):
+            assert min(c) == 0 and all(0 <= u <= v for u, v in zip(c, r)), (t, g)
+            assert len({v - u for u, v in zip(c, r)}) == 1, (t, g)
+    # the raw counts of the top row reach 2^(2N) / N; the levelled ones stay lower
+    assert max(map(max, kept[top])) < max(map(max, raw[top]))
+
+
 def test_diagonal_row_collapses_at_the_order():
     """At N = 5, a^5 d^5 = d^5 a^5 = 1 + (bc)^5: the middle entries vanish."""
     ring = ScalarRing.root_of_unity(5)

@@ -333,6 +333,57 @@ def test_weyl_product_rule():
         assert lhs == rhs
 
 
+def _double_sum_product(x, y):
+    """x * y term by term: Y^k Y^l = parameter^(2 sum_{i>j} sigma_ij k_i l_j) Y^(k+l)."""
+    torus = x.torus
+    sigma, n = torus.sigma, torus.rank
+    out = {}
+    for k, ck in x.terms.items():
+        for l, cl in y.terms.items():
+            low = sum(sigma[i][j] * k[i] * l[j] for i in range(n) for j in range(i))
+            key = tuple(a + b for a, b in zip(k, l))
+            out[key] = out.get(key, torus.ring.zero) + ck * cl * torus.parameter ** (2 * low)
+    return {key: v for key, v in out.items() if v}
+
+
+@pytest.mark.parametrize(
+    "ring, exponent",
+    [(ScalarRing.root_of_unity(5), 1), (ScalarRing.root_of_unity(5), 3),
+     (ScalarRing.generic(), 1), (ScalarRing.generic(), -2)],
+    ids=["N5", "N5-zeta3", "generic", "generic-v-2"],
+)
+def test_product_is_the_double_sum_twist(ring, exponent):
+    """Products of multi-term elements with tagged, dense and rational
+    coefficients, some keys colliding, equal the full double sum."""
+    rng = random.Random(exponent)
+    z = ring.zeta_pow
+    coefficients = [ring.one, z(1) * 3, z(2) * Fraction(-2, 7), z(0) + z(1) * Fraction(2, 3),
+                    z(3) - 5, -ring.one]
+    for tri in (once_punctured_torus(), four_punctured_sphere()):
+        torus = QuantumTorus.from_triangulation(ring, tri, z(exponent))
+        n = tri.edge_count
+        for _ in range(25):
+            x, y = (
+                torus.zero().add_all(
+                    torus.ordered_monomial(
+                        [rng.randint(-2, 2) for _ in range(n)], rng.choice(coefficients)
+                    )
+                    for _ in range(rng.randint(1, 5))
+                )
+                for _ in range(2)
+            )
+            assert (x * y).terms == _double_sum_product(x, y)
+            assert (y * x).terms == _double_sum_product(y, x)
+        # Y^a Y^b and Y^b Y^a land on one key; the coefficients below cancel there
+        a, b = (1,) + (0,) * (n - 1), (0, 1) + (0,) * (n - 2)
+        x = torus.ordered_monomial(a) + torus.ordered_monomial(b)
+        c = -(torus.parameter ** (2 * (torus._low(a, b) - torus._low(b, a))))
+        y = torus.ordered_monomial(b) + torus.ordered_monomial(a, c)
+        product = (x * y).terms
+        assert product == _double_sum_product(x, y)
+        assert len(product) == 2 and (1, 1) + (0,) * (n - 2) not in product
+
+
 def test_weyl_inverse_pairs():
     tri = once_punctured_torus()
     torus = QuantumTorus.from_triangulation(RING, tri)

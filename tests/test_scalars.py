@@ -471,3 +471,42 @@ def test_from_power_counts(order):
     assert got._mono == (-4 % order, 4, 1) and got._base is None
     generic = ScalarRing.generic()
     assert generic.from_power_counts([1, 0, 3], -2) == generic.one + generic.zeta_pow(-4) * 3
+
+
+@pytest.mark.parametrize("order", [5, 7, 21])
+def test_mul_zeta_pow_is_two_products_and_a_root_power(order):
+    """x.mul_zeta_pow(y, m) equals x * y * zeta**m for tags, dense scalars
+    and zeros, any m; two tags give a tag with no numerators built."""
+    ring = ScalarRing.root_of_unity(order)
+    rng = random.Random(order)
+    tags = _tagged_values(ring, rng)[::3]
+    dense = [ring.one + ring.zeta_pow(1) * Fraction(2, 3), ring.zeta_pow(2) - Fraction(5, 4)]
+    assert all(s._base is not None for s in dense)
+    operands = tags + dense + [ring.zero, ring.one]
+    exponents = [0, 1, -1, order, -order - 3, 10**6 + 7, -(10**9)]
+    for x in operands:
+        for y in operands[:: 2 if x._base is None else 1]:
+            for m in exponents:
+                want = x * y * ring.zeta_pow(m)
+                got = x.mul_zeta_pow(y, m)
+                assert got == want and hash(got) == hash(want)
+    for x in tags:
+        for y in tags[::5]:
+            got = x.mul_zeta_pow(y, 3)
+            assert got._base is None
+            assert not _numerators_built(got) or got is ring.zeta_pow(got._mono[0])
+    # a scalar of an equal ring built apart takes the two products
+    other = ScalarRing.root_of_unity(order)
+    x, y = ring.zeta_pow(2) * 3, other.zeta_pow(1) * Fraction(1, 2)
+    assert x.mul_zeta_pow(y, -4) == ring.zeta_pow(-1) * Fraction(3, 2)
+
+
+def test_mul_zeta_pow_generic_mode():
+    ring = ScalarRing.generic()
+    v = ring.zeta_pow
+    operands = [ring.one, ring.zero, v(3) * Fraction(-2, 5), v(-1) + v(4) * 7, ring.from_rational(3)]
+    for x in operands:
+        for y in operands:
+            for m in (0, 2, -7, 10**6):
+                assert x.mul_zeta_pow(y, m) == x * y * v(m)
+    assert (v(1) + 1).mul_zeta_pow(v(2), -3) == ring.one + v(-1)

@@ -1,4 +1,5 @@
-"""Suite internals: the bigon suite's random draws and the shared spanning count."""
+"""Suite internals: the bigon and qtorus suites' random draws and the shared
+spanning count."""
 
 import random
 from fractions import Fraction
@@ -7,8 +8,15 @@ import pytest
 
 from qskein import suites
 from qskein.oq_sl2 import OqAlgebra
+from qskein.quantum_torus import (
+    QuantumTorus,
+    balanced_lattice_basis,
+    four_punctured_sphere,
+    once_punctured_torus,
+)
 from qskein.scalars import ScalarRing
 from qskein.suites.bigon import _random_frobenius_element, _random_pbw_index
+from qskein.suites.qtorus import _random_balanced_element
 
 
 def old_random_frobenius_element(alg, rng, cap=2, fallbacks=None):
@@ -42,6 +50,43 @@ def test_random_frobenius_element_matches_the_old_definition(order, cap):
         assert new_rng.getstate() == old_rng.getstate()
     if cap == 0:  # every index is 0, so some draws cancel and fall back to one
         assert fallbacks
+
+
+def old_random_balanced_element(torus, tri, basis, rng, cap=2):
+    """The earlier definition, through element sums of ordered monomials."""
+    n = tri.edge_count
+    terms = torus.zero()
+    for _ in range(rng.randint(1, 2)):
+        coords = [rng.randint(-cap, cap) for _ in range(n)]
+        vec = [0] * n
+        for c, bv in zip(coords, basis):
+            for j in range(n):
+                vec[j] += c * bv[j]
+        coeff = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            coeff = -coeff
+        terms = terms + torus.ordered_monomial(tuple(vec), coeff)
+    if terms.is_zero():
+        terms = torus.one()
+    return terms
+
+
+@pytest.mark.parametrize("make", [once_punctured_torus, four_punctured_sphere])
+@pytest.mark.parametrize("order, cap", [(3, 2), (11, 2), (5, 0), (7, 3)])
+def test_random_balanced_element_matches_the_old_definition(make, order, cap):
+    tri = make()
+    ring = ScalarRing.root_of_unity(order)
+    torus = QuantumTorus.from_triangulation(ring, tri, ring.zeta_pow(1) ** (order * order))
+    basis = balanced_lattice_basis(tri)
+    for seed in range(4):
+        new_rng, old_rng = random.Random(seed), random.Random(seed)
+        for _ in range(150):
+            new = _random_balanced_element(torus, tri, basis, new_rng, cap)
+            old = old_random_balanced_element(torus, tri, basis, old_rng, cap)
+            assert new == old
+            assert list(new.terms) == list(old.terms)
+            assert repr(new) == repr(old)
+            assert new_rng.getstate() == old_rng.getstate()
 
 
 @pytest.mark.parametrize(
