@@ -36,7 +36,7 @@ from functools import lru_cache
 from operator import sub
 from typing import NamedTuple
 
-from .linear import SparseCombination, accumulate, convolve
+from .linear import SparseCombination, accumulate, convolve, term_text
 
 
 def _exact(v) -> int | Fraction:
@@ -102,11 +102,7 @@ class Polynomial(SparseCombination):
 
     @staticmethod
     def _format_term(e: int, v: int | Fraction) -> str:
-        if e == 0:
-            return str(v)
-        if e == 1:
-            return "x" if v == 1 else f"{v}*x"
-        return f"x^{e}" if v == 1 else f"{v}*x^{e}"
+        return term_text(v, "x", e)
 
 
 def dense(p: Polynomial) -> list:

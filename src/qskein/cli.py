@@ -9,7 +9,8 @@ Two command families:
 
 verify SUITE (one of suites.SUITES) builds its checks with that suite's
 builder in suites (suites.bigon_suite, suites.torus_skein_suite, ...), which
-loads the suite's own module alone.  Output is JSON on stdout (add --pretty
+loads the suite's own module alone; the builder gets N and the knobs
+suites.SUITES lists for the suite.  Output is JSON on stdout (add --pretty
 for indentation).  Reports are deterministic for a fixed command line and
 seed apart from elapsed_ms.
 Exit codes: 0 all checks pass, 1 at least one failure, 2 usage or input
@@ -119,26 +120,21 @@ def _load_suite(args) -> list:
     for flag, value in knobs.items():
         if value < 1:
             raise ValueError(f"{flag} must be positive")
-    if args.triangulation is not None and args.suite != "qtorus":
-        raise ValueError(f"{args.suite} reads no --triangulation; only qtorus does")
-    if args.suite == "counts":
-        return suites.counts_suite(order)
-    if args.suite == "bigon":
-        return suites.bigon_suite(order, args.trials, args.max_exp)
-    if args.suite == "qtorus":
-        tri = None
-        if args.triangulation is not None:
-            from .quantum_torus import Triangulation
+    params = suites.SUITES[args.suite]
+    values = vars(args)
+    if args.triangulation is not None:
+        if "triangulation" not in params:
+            raise ValueError(f"{args.suite} reads no --triangulation; only qtorus does")
+        from .quantum_torus import Triangulation
 
-            try:
-                with open(args.triangulation, encoding="utf-8") as handle:
-                    tri = Triangulation.from_json(handle.read())
-            except ValueError as exc:
-                raise ValueError(f"{args.triangulation}: {exc}") from exc
-        return suites.qtorus_suite(order, args.trials, tri)
-    if args.suite == "torus-skein":
-        return suites.torus_skein_suite(order, args.kmax, args.trials)
-    return suites.chebyshev_suite(order, args.trials)
+        try:
+            with open(args.triangulation, encoding="utf-8") as handle:
+                tri = Triangulation.from_json(handle.read())
+        except ValueError as exc:
+            raise ValueError(f"{args.triangulation}: {exc}") from exc
+        values = {**values, "triangulation": tri}
+    builder = getattr(suites, args.suite.replace("-", "_") + "_suite")
+    return builder(order, *[values[name] for name in params])
 
 
 def _cmd_verify(args) -> int:

@@ -13,6 +13,8 @@ dense scalar factors and the cyclotomic polynomials'.
 one Gauss-Jordan elimination over the integers; it is fraction-free, so its
 callers get integer numerators over the determinant, never a ``Fraction``.
 ``power`` is the one square-and-multiply, for scalars and elements alike.
+``term_text`` spells one term c*var^e of a scalar's or a polynomial's
+``repr``.
 """
 
 from __future__ import annotations
@@ -34,6 +36,14 @@ def accumulate(acc: dict, key, value) -> None:
         acc[key] = total
     else:
         acc.pop(key, None)
+
+
+def term_text(c, var: str, e: int) -> str:
+    """One term c*var^e of a ``repr``: c alone when e == 0, no factor 1 otherwise."""
+    if e == 0:
+        return str(c)
+    monomial = var if e == 1 else f"{var}^{e}"
+    return monomial if c == 1 else f"{c}*{monomial}"
 
 
 def convolve(a: Sequence, b: Sequence) -> list:

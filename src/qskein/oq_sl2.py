@@ -59,6 +59,14 @@ def is_pbw_index(k) -> bool:
     )
 
 
+def _pbw(k: Sequence[int]) -> Index:
+    """``k`` as a tuple, raising unless it is a PBW index."""
+    k = tuple(k)
+    if not is_pbw_index(k):
+        raise ValueError(f"{k} is not a PBW index")
+    return k
+
+
 def _check_box_index(v: Index, n: int) -> None:
     """Raise unless ``v`` is a PBW index in the basis box: first entry 0, all below n."""
     if not (is_pbw_index(v) and v[0] == 0 and max(v) < n):
@@ -112,9 +120,7 @@ class OqAlgebra:
     def element(self, terms: Mapping[Index, Scalar | int | Fraction]) -> "OqElement":
         clean: dict[Index, Scalar] = {}
         for k, v in terms.items():
-            k = tuple(k)
-            if not is_pbw_index(k):
-                raise ValueError(f"{k} is not a PBW index")
+            k = _pbw(k)
             if not isinstance(v, Scalar):
                 v = self.ring.from_rational(v)
             elif v.ring != self.ring:
@@ -123,10 +129,7 @@ class OqAlgebra:
         return OqElement(self, clean)
 
     def basis_monomial(self, k: Sequence[int]) -> "OqElement":
-        k = tuple(k)
-        if not is_pbw_index(k):
-            raise ValueError(f"{k} is not a PBW index")
-        return OqElement(self, {k: self.ring.one})
+        return OqElement(self, {_pbw(k): self.ring.one})
 
     def generator(self, letter: str) -> "OqElement":
         if letter not in _RANK:
@@ -318,10 +321,8 @@ class OqAlgebra:
         injective on its domain, which the tests check exhaustively on ranges.
         """
         n = self.order
-        u = tuple(u)
+        u = _pbw(u)
         v = tuple(v)
-        if not is_pbw_index(u):
-            raise ValueError(f"{u} is not a PBW index")
         _check_box_index(v, n)
         return leading_index(tuple(n * a + b for a, b in zip(u, v)))
 
@@ -357,10 +358,7 @@ class OqAlgebra:
     def frobenius_monomial(self, u: Sequence[int]) -> "OqElement":
         """Basis monomial of the N-th power subalgebra with PBW index N*u."""
         n = self.order
-        u = tuple(u)
-        if not is_pbw_index(u):
-            raise ValueError(f"{u} is not a PBW index")
-        return OqElement(self, {tuple(n * e for e in u): self.ring.one})
+        return OqElement(self, {tuple(n * e for e in _pbw(u)): self.ring.one})
 
     def is_frobenius_element(self, x: "OqElement") -> bool:
         """Whether x is supported on indices divisible by N in every slot."""
@@ -415,9 +413,7 @@ class OqAlgebra:
         The identity is re-expanded and checked before returning.
         """
         n = self.order
-        m = tuple(m)
-        if not is_pbw_index(m):
-            raise ValueError(f"{m} is not a PBW index")
+        m = _pbw(m)
         k1, k2, k3, k4 = m
         u, v = divmod(k1, n)
         coeffs: dict[Index, OqElement] = {}
@@ -474,9 +470,7 @@ class OqAlgebra:
         checked before returning.
         """
         n = self.order
-        m = tuple(m)
-        if not is_pbw_index(m):
-            raise ValueError(f"{m} is not a PBW index")
+        m = _pbw(m)
         k1, k2, k3, k4 = m
         u, w = divmod(k1, n)
         g2, r2 = divmod(k2, n)

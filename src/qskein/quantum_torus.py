@@ -56,7 +56,11 @@ class Triangulation(_TriangulationFields):
         if 2 * n != 3 * len(self.triangles):
             raise ValueError("triangle slots must number twice the edge count")
         ends = [0] * n
+        seen = set()
         for name, fan in self.fans:
+            if name in seen:
+                raise ValueError(f"puncture {name!r} has two fans")
+            seen.add(name)
             if not fan:
                 raise ValueError(f"fan of {name!r} is empty")
             for e in fan:
@@ -248,6 +252,11 @@ def _gf2_reduce(rows: Iterable[int]) -> dict[int, int]:
     return reduced
 
 
+def _triangle_parities(tri: Triangulation) -> dict[int, int]:
+    """Reduced GF(2) rows of the triangle parities, one bit per edge of a triangle."""
+    return _gf2_reduce((1 << a) ^ (1 << b) ^ (1 << c) for a, b, c in tri.triangles)
+
+
 def balanced_lattice_basis(tri: Triangulation) -> list[Vector]:
     """Row Hermite basis of the lattice L of balanced exponent vectors.
 
@@ -258,7 +267,7 @@ def balanced_lattice_basis(tri: Triangulation) -> list[Vector]:
     entry in [0, it), so it is the unique row Hermite form of L.
     """
     n = tri.edge_count
-    parities = _gf2_reduce((1 << a) ^ (1 << b) ^ (1 << c) for a, b, c in tri.triangles)
+    parities = _triangle_parities(tri)
     # one solution per free column f: e_f plus the pivots whose row has f
     solutions = _gf2_reduce(
         (1 << f) | sum(1 << lead for lead, row in parities.items() if row >> f & 1)
@@ -317,18 +326,28 @@ def _complete_unimodular_rows(crows: list[Vector], n: int) -> list[Vector]:
 
 class ZBasis:
     """Basis of the balanced lattice whose first p rows are the puncture
-    monomial exponents; grades elements by their first p coordinates."""
+    monomial exponents; grades elements by their first p coordinates.
+
+    Raises ValueError unless the rows are a basis of the balanced lattice:
+    one balanced row per edge, with |det| the lattice's index in Z^n.  That
+    index is 2^r for r the GF(2) rank of the triangle parities, the product
+    of the diagonal of ``balanced_lattice_basis``.
+    """
 
     def __init__(self, tri: Triangulation, vectors: tuple[Vector, ...]):
         self.triangulation = tri
         self.vectors = vectors
         self.p = len(tri.punctures)
-        n = len(vectors)
+        n = tri.edge_count
+        if len(vectors) != n or not all(balanced_check(tri, v) for v in vectors):
+            raise ValueError("basis rows must be one balanced vector per edge")
         det, adj = integer_solve(
             [list(v) + [int(i == j) for j in range(n)] for i, v in enumerate(vectors)]
         )
-        if not det:
-            raise ArithmeticError("singular matrix")
+        if abs(det) != 1 << len(_triangle_parities(tri)):
+            raise ValueError(
+                f"rows of determinant {det} are not a basis of the balanced lattice"
+            )
         # the inverse adj / det as integer columns over the least common
         # denominator, which is positive
         g = gcd(det, *(x for row in adj for x in row))
@@ -358,7 +377,8 @@ def balanced_puncture_basis(tri: Triangulation) -> ZBasis:
 
     Raises if the puncture vectors cannot be completed to a basis (they
     always can for the triangulations treated here; the failure mode is a
-    hard error, never a silent fallback).
+    hard error, never a silent fallback).  ``ZBasis`` checks the completed
+    rows.
     """
     n = tri.edge_count
     basis = balanced_lattice_basis(tri)
@@ -377,8 +397,6 @@ def balanced_puncture_basis(tri: Triangulation) -> ZBasis:
             x.append(q)
         coords.append(tuple(x))
     completed = _complete_unimodular_rows(coords, n)
-    if abs(integer_solve(completed)[0]) != 1:
-        raise ArithmeticError("completion produced a non-unimodular matrix")
     columns = list(zip(*basis))
     vectors = [tuple(sum(map(mul, w, col)) for col in columns) for w in completed]
     for name, z in zip(tri.punctures, vectors):

@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Union
 
-from .linear import accumulate, convolve, integer_solve, power
+from .linear import accumulate, convolve, integer_solve, power, term_text
 
 Rational = Union[int, Fraction]
 
@@ -132,7 +132,7 @@ class ScalarRing:
     # -- basic constructors -------------------------------------------------
 
     def from_rational(self, value: Rational) -> "Scalar":
-        if not isinstance(value, int):
+        if not isinstance(value, (int, Fraction)):
             value = Fraction(value)
         if self.mode == ROOT_OF_UNITY:
             return self._monomial(0, value.numerator, value.denominator)
@@ -486,26 +486,7 @@ class Scalar:
 
     def __repr__(self) -> str:
         if self.ring.mode == GENERIC:
-            if not self._rep:
-                return "0"
-            parts = []
-            for e, c in self._rep:
-                if e == 0:
-                    parts.append(str(c))
-                elif e == 1:
-                    parts.append(f"{c}*v" if c != 1 else "v")
-                else:
-                    parts.append(f"{c}*v^{e}" if c != 1 else f"v^{e}")
-            return " + ".join(parts)
+            return " + ".join([term_text(c, "v", e) for e, c in self._rep]) or "0"
         nums, den = self._rep
-        parts = []
-        for i, n in enumerate(nums):
-            if n:
-                c = Fraction(n, den)
-                if i == 0:
-                    parts.append(str(c))
-                elif i == 1:
-                    parts.append(f"{c}*z" if c != 1 else "z")
-                else:
-                    parts.append(f"{c}*z^{i}" if c != 1 else f"z^{i}")
-        return " + ".join(parts) if parts else "0"
+        terms = [term_text(Fraction(n, den), "z", i) for i, n in enumerate(nums) if n]
+        return " + ".join(terms) or "0"

@@ -6,7 +6,7 @@ so reports are deterministic for a given seed whatever order the checks
 run in.  Checks return a short detail string on success and raise
 CheckFailure (or any exception, reported as an error) otherwise.
 
-This module is the runner and holds the one list of suites, ``SUITES``.
+This module is the runner and holds the one table of suites, ``SUITES``.
 Each suite's builder lives in the module named after it (``bigon``,
 ``qtorus``, ``torus_skein``, ``chebyshev``, ``counts``) and is found from its
 name on first use: ``suites.bigon_suite`` imports ``suites.bigon`` and the
@@ -30,9 +30,17 @@ MAX_EXP = 12
 """Largest ``bigon`` exponent cap, checked before anything is built: the
 word-rewriting check's run time grows steeply in it, and unevenly by seed."""
 
-SUITES = ("bigon", "qtorus", "torus-skein", "chebyshev", "counts")
-"""The suites ``qskein verify`` runs.  Suite ``s`` is built by ``<m>_suite``
-in module ``m``, where m is s with "-" read as "_"."""
+SUITES = {
+    "bigon": ("trials", "max_exp"),
+    "qtorus": ("trials", "triangulation"),
+    "torus-skein": ("kmax", "trials"),
+    "chebyshev": ("trials",),
+    "counts": (),
+}
+"""The suites ``qskein verify`` runs, each with the knobs its builder takes
+after N, in order, named as ``verify``'s options are (``max_exp`` for
+``--max-exp``).  Suite ``s`` is built by ``<m>_suite`` in module ``m``, where
+m is s with "-" read as "_"."""
 
 
 def __getattr__(name: str):

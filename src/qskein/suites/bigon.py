@@ -1,6 +1,7 @@
 """The ``bigon`` suite: O_q(SL2), the stated skein algebra of the bigon."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 from ..dimensions import spanning_count_formula
@@ -33,7 +34,7 @@ def _random_frobenius_element(alg: OqAlgebra, rng: random.Random, cap: int = 2):
         c, den = rng.randint(1, 5), rng.randint(1, 3)
         if rng.random() < 0.5:
             c = -c
-        accumulate(terms, (n * k1, n * k2, n * k3, n * k4), ring._monomial(0, c, den))
+        accumulate(terms, (n * k1, n * k2, n * k3, n * k4), ring.from_rational(Fraction(c, den)))
     return OqElement(alg, terms) if terms else alg.one()
 
 

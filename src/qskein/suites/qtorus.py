@@ -3,7 +3,7 @@
 import random
 from functools import cache, partial
 from itertools import product
-from operator import mul
+from operator import add, mul
 from typing import Sequence
 
 from .. import quantum_torus
@@ -68,104 +68,88 @@ def qtorus_suite(
     )
     _refuse_oversized("qtorus", size)
     ring = ScalarRing.root_of_unity(order)
-
     checks: list[Check] = []
     for label, tri in fixtures:
-        mu = ring.zeta_pow(1)
-        nu = mu ** (order * order)
-        target = QuantumTorus.from_triangulation(ring, tri, mu)
-        source = QuantumTorus.from_triangulation(ring, tri, nu)
-        lattice = balanced_lattice_basis(tri)
-        # built on first use inside a check, so a failure is that check's error
-        zbasis = cache(partial(balanced_puncture_basis, tri))
+        checks += _fixture_checks(label, tri, ring, order, trials)
+    return checks
 
-        def check_sigma(rng, tri=tri) -> str:
-            sigma = quantum_torus.exchange_matrix(tri)
-            n = len(sigma)
-            for i in range(n):
-                for j in range(n):
-                    where = f"({i}, {j})"
-                    _require(sigma[i][j] == -sigma[j][i], f"not antisymmetric at {where}")
-                    _require(-2 <= sigma[i][j] <= 2, f"entry {where} is out of range")
-            return f"{n}x{n} exchange matrix is antisymmetric with entries in -2..2"
 
-        def check_central(rng, tri=tri, target=target) -> str:
-            for name in tri.punctures:
-                h = central_puncture_element(target, name)
-                _require(is_central(target, h), f"puncture element {name} not central")
-                _require(
-                    balanced_check(tri, next(iter(h.terms))),
-                    f"puncture exponent at {name} is not balanced",
-                )
-            return f"{len(tri.punctures)} puncture monomials are central and balanced"
+def _fixture_checks(
+    label: str, tri: Triangulation, ring: ScalarRing, order: int, trials: int
+) -> list[Check]:
+    """The checks of one triangulation, with ids ``qtorus-<label>-...``."""
+    mu = ring.zeta_pow(1)
+    nu = mu ** (order * order)
+    target = QuantumTorus.from_triangulation(ring, tri, mu)
+    source = QuantumTorus.from_triangulation(ring, tri, nu)
+    lattice = balanced_lattice_basis(tri)
+    # built on first use inside a check, so a failure is that check's error
+    zbasis = cache(partial(balanced_puncture_basis, tri))
 
-        def check_frobenius(
-            rng, tri=tri, target=target, source=source, lattice=lattice
-        ) -> str:
-            for t in range(trials):
-                x = _random_balanced_element(source, tri, lattice, rng)
-                y = _random_balanced_element(source, tri, lattice, rng)
-                lhs = frobenius_map(x * y, target, order)
-                rhs = frobenius_map(x, target, order) * frobenius_map(y, target, order)
-                _require(lhs == rhs, f"power map is not multiplicative at trial {t}")
-            return f"{trials} random balanced pairs map multiplicatively"
+    def check_sigma(rng) -> str:
+        sigma = quantum_torus.exchange_matrix(tri)
+        n = len(sigma)
+        for i in range(n):
+            for j in range(n):
+                where = f"({i}, {j})"
+                _require(sigma[i][j] == -sigma[j][i], f"not antisymmetric at {where}")
+                _require(-2 <= sigma[i][j] <= 2, f"entry {where} is out of range")
+        return f"{n}x{n} exchange matrix is antisymmetric with entries in -2..2"
 
-        def check_deg_additive(
-            rng, tri=tri, target=target, lattice=lattice, zbasis=zbasis
-        ) -> str:
-            zb = zbasis()
-            for t in range(trials):
-                x = _random_balanced_element(target, tri, lattice, rng)
-                y = _random_balanced_element(target, tri, lattice, rng)
-                prod = x * y
-                _require(
-                    not prod.is_zero(),
-                    f"product of nonzero elements vanished at trial {t}",
-                )
-                _require(
-                    qt_deg(prod, zb) == tuple(
-                        a + b for a, b in zip(qt_deg(x, zb), qt_deg(y, zb))
-                    ),
-                    f"degree is not additive at trial {t}",
-                )
-            return f"degree additive on {trials} random pairs"
+    def check_central(rng) -> str:
+        for name in tri.punctures:
+            h = central_puncture_element(target, name)
+            _require(is_central(target, h), f"puncture element {name} not central")
+            _require(balanced_check(tri, next(iter(h.terms))),
+                     f"puncture exponent at {name} is not balanced")
+        return f"{len(tri.punctures)} puncture monomials are central and balanced"
 
-        def check_basis(rng, tri=tri, zbasis=zbasis) -> str:
-            zb = zbasis()
-            for name, z in zip(tri.punctures, zb.vectors):
-                want = quantum_torus.central_puncture_exponent(tri, name)
-                _require(z == want, f"row for {name} is not the puncture exponent")
-            for z in zb.vectors:
-                _require(balanced_check(tri, z), "basis vector is not balanced")
-            return f"unimodular balanced basis of rank {len(zb.vectors)}"
+    def check_frobenius(rng) -> str:
+        for t in range(trials):
+            x = _random_balanced_element(source, tri, lattice, rng)
+            y = _random_balanced_element(source, tri, lattice, rng)
+            lhs = frobenius_map(x * y, target, order)
+            rhs = frobenius_map(x, target, order) * frobenius_map(y, target, order)
+            _require(lhs == rhs, f"power map is not multiplicative at trial {t}")
+        return f"{trials} random balanced pairs map multiplicatively"
 
-        def check_center_free(rng, tri=tri, target=target, source=source,
-                              lattice=lattice, zbasis=zbasis) -> str:
-            zb = zbasis()
-            p = len(tri.punctures)
-            box = list(product(range(order), repeat=p))
-            x_map = {}
-            elements = {}
-            for k in box:
-                l = _random_balanced_element(source, tri, lattice, rng)
-                elements[k] = l
-                x_map[k] = qt_deg(l, zb)
-            cert = center_free_certificate(
-                order, x_map, target=target, zbasis=zb, elements=elements
-            )
-            _require(cert.certified, f"certificate refused: {_false_fields(cert)} false")
-            return f"certified over the full residue box of size {len(box)}"
+    def check_deg_additive(rng) -> str:
+        zb = zbasis()
+        for t in range(trials):
+            x = _random_balanced_element(target, tri, lattice, rng)
+            y = _random_balanced_element(target, tri, lattice, rng)
+            prod = x * y
+            _require(not prod.is_zero(), f"product of nonzero elements vanished at trial {t}")
+            _require(qt_deg(prod, zb) == tuple(map(add, qt_deg(x, zb), qt_deg(y, zb))),
+                     f"degree is not additive at trial {t}")
+        return f"degree additive on {trials} random pairs"
 
-        suffix = label
-        checks.extend(
-            [
-                (f"qtorus-{suffix}-exchange-matrix", check_sigma),
-                (f"qtorus-{suffix}-puncture-monomials-central", check_central),
-                (f"qtorus-{suffix}-power-map-multiplicative", check_frobenius),
-                (f"qtorus-{suffix}-degree-additive", check_deg_additive),
-                (f"qtorus-{suffix}-puncture-basis", check_basis),
-            ]
-        )
-        if len(tri.punctures) == 1:
-            checks.append((f"qtorus-{suffix}-center-free", check_center_free))
+    def check_basis(rng) -> str:
+        zb = zbasis()
+        for name, z in zip(tri.punctures, zb.vectors):
+            want = quantum_torus.central_puncture_exponent(tri, name)
+            _require(z == want, f"row for {name} is not the puncture exponent")
+        for z in zb.vectors:
+            _require(balanced_check(tri, z), "basis vector is not balanced")
+        return f"unimodular balanced basis of rank {len(zb.vectors)}"
+
+    def check_center_free(rng) -> str:
+        zb = zbasis()
+        p = len(tri.punctures)
+        box = list(product(range(order), repeat=p))
+        elements = {k: _random_balanced_element(source, tri, lattice, rng) for k in box}
+        x_map = {k: qt_deg(l, zb) for k, l in elements.items()}
+        cert = center_free_certificate(order, x_map, target=target, zbasis=zb, elements=elements)
+        _require(cert.certified, f"certificate refused: {_false_fields(cert)} false")
+        return f"certified over the full residue box of size {len(box)}"
+
+    checks = [
+        (f"qtorus-{label}-exchange-matrix", check_sigma),
+        (f"qtorus-{label}-puncture-monomials-central", check_central),
+        (f"qtorus-{label}-power-map-multiplicative", check_frobenius),
+        (f"qtorus-{label}-degree-additive", check_deg_additive),
+        (f"qtorus-{label}-puncture-basis", check_basis),
+    ]
+    if len(tri.punctures) == 1:
+        checks.append((f"qtorus-{label}-center-free", check_center_free))
     return checks

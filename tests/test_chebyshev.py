@@ -374,3 +374,15 @@ def test_compose_edge_cases():
     )
     # (x^2 - x)(1) = 0: the rows cancel inside Horner's rule
     assert Polynomial({2: 1, 1: -1}).compose(Polynomial({0: 1})) == ZERO
+
+
+def test_polynomial_repr_and_hash():
+    assert [repr(p) for p in (
+        Polynomial({}), Polynomial.constant(3), Polynomial.constant(Fraction(-1, 2)),
+        Polynomial.x(), Polynomial({0: Fraction(-1, 2), 1: 1, 2: Fraction(3, 4), 3: -2}),
+        Polynomial({1: -1, 4: 1}),
+    )] == ["0", "3", "-1/2", "x", "-2*x^3 + 3/4*x^2 + x + -1/2", "x^4 + -1*x"]
+    p = Polynomial({1: 2, 0: 1})
+    same = Polynomial({0: Fraction(2, 2), 1: Fraction(4, 2)})
+    assert hash(p) == hash(same)
+    assert len({p, same, Polynomial.x()}) == 2

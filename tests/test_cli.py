@@ -183,6 +183,26 @@ def test_negative_odd_order_refused_by_value(capsys, argv):
     assert "must be odd and positive, got -3" in err
 
 
+@pytest.mark.parametrize("suite", ["bigon", "qtorus", "torus-skein", "chebyshev"])
+def test_order_one_refused_by_every_suite_but_counts(capsys, suite):
+    code, out, err = run_cli(capsys, ["verify", suite, "--N", "1"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: N must be an odd number >= 3 for this suite\n"
+
+
+def test_counts_runs_at_order_one(capsys):
+    code, out, err = run_cli(capsys, ["verify", "counts", "--N", "1"])
+    assert code == 0
+    assert json.loads(out)["summary"] == {"pass": 2, "fail": 0, "error": 0}
+
+
+def test_suite_knobs_are_verify_options():
+    for suite, knobs in suites.SUITES.items():
+        args = vars(cli._build_parser().parse_args(["verify", suite]))
+        assert set(knobs) <= set(args), suite
+
+
 def test_verify_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nonsense"])

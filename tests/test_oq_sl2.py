@@ -713,3 +713,22 @@ def test_false_degree_formula_names_the_input(monkeypatch):
     with pytest.raises(ArithmeticError, match=re.escape("at (1, 2, 0, 3)")):
         alg.monomial_degree((1, 2, 0, 3))
 
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda alg: alg.element({(1, 1, 0, 0): 1}),
+        lambda alg: alg.basis_monomial((1, 1, 0, 0)),
+        lambda alg: alg.lifted_leading_index((1, 1, 0, 0), (0, 0, 0, 0)),
+        lambda alg: alg.frobenius_monomial((1, 1, 0, 0)),
+        lambda alg: alg.localized_express((1, 1, 0, 0)),
+        lambda alg: alg.express_in_spanning((1, 1, 0, 0)),
+    ],
+    ids=["element", "basis_monomial", "lifted_leading_index", "frobenius_monomial",
+         "localized_express", "express_in_spanning"],
+)
+def test_methods_taking_a_pbw_index_refuse_others_alike(call):
+    alg = OqAlgebra(ScalarRing.root_of_unity(3))
+    with pytest.raises(ValueError, match=r"^\(1, 1, 0, 0\) is not a PBW index$"):
+        call(alg)

@@ -15,6 +15,7 @@ from qskein import quantum_torus
 from qskein.quantum_torus import (
     QuantumTorus,
     Triangulation,
+    ZBasis,
     balanced_check,
     balanced_lattice_basis,
     balanced_puncture_basis,
@@ -99,6 +100,29 @@ def test_triangulation_validation():
     tri = once_punctured_torus()
     with pytest.raises(ValueError):
         tri.check_euler_count(genus=2, punctures=1)
+
+
+@pytest.mark.parametrize(
+    "triangles, fan, message",
+    [
+        # each passes the totals check: a 6-entry fan and two triangles on 3 edges
+        (((0, 1, 2), (0, 1, 2)), (0, 1, 2, 0, 1, 5), "fan of 'v' uses unknown edge 5"),
+        (((0, 1, 2), (0, 1, 2)), (0, 0, 0, 1, 1, 2), "exactly two ends in the fans"),
+        (((0, 1), (0, 1, 2, 2)), (0, 1, 2, 0, 1, 2), "triangles must be edge triples"),
+        (((0, 1, 2), (0, 1, 7)), (0, 1, 2, 0, 1, 2), "triangle uses unknown edge 7"),
+        (((0, 1, 2), (0, 1, 1)), (0, 1, 2, 0, 1, 2), "exactly two triangle slots"),
+    ],
+)
+def test_triangulation_refuses_each_bad_edge(triangles, fan, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Triangulation(3, triangles, (("v", fan),))
+
+
+def test_triangulation_refuses_a_repeated_fan_name():
+    sphere = four_punctured_sphere()
+    fans = tuple(zip(("v0", "v0", "v2", "v3"), (fan for _, fan in sphere.fans)))
+    with pytest.raises(ValueError, match="puncture 'v0' has two fans"):
+        Triangulation(sphere.edge_count, sphere.triangles, fans)
 
 
 def test_fan_lookup():
@@ -480,6 +504,43 @@ def test_coordinates_reject_unbalanced():
     zb = balanced_puncture_basis(tri)
     with pytest.raises(ValueError):
         zb.coordinates((1, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda rows: ((1, 0, 0), (0, 1, 0), (0, 0, 1)), "one balanced vector per edge"),
+        (lambda rows: tuple(tuple(2 * x for x in row) for row in rows), "determinant 16 "),
+        (lambda rows: rows[:2] + ((0, 2, 0),), "determinant -4 "),
+        (lambda rows: rows[:2] + ((2, 0, 0),), "determinant 0 "),
+        (lambda rows: rows[:2], "one balanced vector per edge"),
+    ],
+    ids=["unit-rows", "doubled-rows", "index-2-row", "dependent-row", "too-few-rows"],
+)
+def test_zbasis_refuses_rows_that_are_not_a_basis_of_the_balanced_lattice(change, message):
+    """The torus's balanced lattice has index 2 in Z^3: (1, 0, 0) is not in it,
+    and rows of determinant other than +-2 do not span it."""
+    tri = once_punctured_torus()
+    with pytest.raises(ValueError, match=message):
+        ZBasis(tri, change(balanced_puncture_basis(tri).vectors))
+
+
+def test_zbasis_with_a_negative_determinant():
+    rng = random.Random(3)
+    for tri in (once_punctured_torus(), four_punctured_sphere()):
+        zb = balanced_puncture_basis(tri)
+        p, n = zb.p, tri.edge_count
+        rows = list(zb.vectors)
+        rows[p], rows[p + 1] = rows[p + 1], rows[p]
+        swapped = ZBasis(tri, tuple(rows))
+        lattice = balanced_lattice_basis(tri)
+        for _ in range(50):
+            coeffs = [rng.randint(-9, 9) for _ in range(n)]
+            k = tuple(sum(c * v[j] for c, v in zip(coeffs, lattice)) for j in range(n))
+            want = list(zb.coordinates(k))
+            want[p], want[p + 1] = want[p + 1], want[p]
+            assert swapped.coordinates(k) == tuple(want)
+            assert swapped.grading(k) == zb.grading(k)
 
 
 def _fraction_inverse(matrix):

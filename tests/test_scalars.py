@@ -510,3 +510,19 @@ def test_mul_zeta_pow_generic_mode():
             for m in (0, 2, -7, 10**6):
                 assert x.mul_zeta_pow(y, m) == x * y * v(m)
     assert (v(1) + 1).mul_zeta_pow(v(2), -3) == ring.one + v(-1)
+
+
+def test_reprs_write_each_term_once_with_no_factor_one():
+    generic = ScalarRing.generic()
+    v = generic.zeta_pow(1)
+    third = generic.from_rational(Fraction(1, 3))
+    assert [repr(x) for x in (
+        generic.zero, generic.one, v, v * Fraction(3, 2), third - v - 2 * v * v,
+        v ** -2 * Fraction(-5, 7) + v,
+    )] == ["0", "1", "v", "3/2*v", "1/3 + -1*v + -2*v^2", "-5/7*v^-2 + v"]
+    root = ScalarRing.root_of_unity(5)
+    z = root.zeta_pow(1)
+    assert [repr(x) for x in (
+        root.zero, root.one, z, 2 * z + z * z, Fraction(1, 2) - z * z * Fraction(3, 2),
+        root.zeta_pow(4),
+    )] == ["0", "1", "z", "2*z + z^2", "1/2 + -3/2*z^2", "-1 + -1*z + -1*z^2 + -1*z^3"]

@@ -1,6 +1,7 @@
 """Suite internals: the bigon and qtorus suites' random draws and the shared
 spanning count."""
 
+import inspect
 import random
 from fractions import Fraction
 
@@ -102,3 +103,11 @@ def test_spanning_count_checks_share_one_enumeration(monkeypatch, suite, check_i
     monkeypatch.setattr("qskein.dimensions.spanning_count_formula", lambda n: 0)
     with pytest.raises(suites.CheckFailure, match=r"^enumeration 40 != formula 0$"):
         checks[check_id](random.Random(0))
+
+
+@pytest.mark.parametrize("suite", list(suites.SUITES))
+def test_suite_table_lists_each_builders_knobs_in_order(suite):
+    builder = getattr(suites, suite.replace("-", "_") + "_suite")
+    order, *knobs = inspect.signature(builder).parameters
+    assert order == "order"
+    assert tuple(knobs) == suites.SUITES[suite]
