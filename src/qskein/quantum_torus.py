@@ -135,7 +135,7 @@ class Triangulation(_TriangulationFields):
     @classmethod
     def from_json(cls, text: str) -> "Triangulation":
         try:
-            return cls.from_dict(json.loads(text))
+            return cls.from_dict(json.loads(text, object_pairs_hook=_JSONObject))
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"malformed triangulation data: {exc}") from exc
 
@@ -148,6 +148,18 @@ class Triangulation(_TriangulationFields):
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
+
+
+class _JSONObject(dict):
+    """A JSON object whose ``items()`` are all its pairs, a repeated key's
+    too, so a puncture named twice reaches the constructor with both fans."""
+
+    def __init__(self, pairs: list):
+        super().__init__(pairs)
+        self._pairs = pairs
+
+    def items(self):
+        return self._pairs
 
 
 def _integer(value) -> int:
@@ -563,10 +575,12 @@ def frobenius_map(x: QTElement, target: QuantumTorus, order: int) -> QTElement:
     order**2 (same scalar ring, same exchange matrix); on Weyl monomials
     the map sends [Y^k] to [Y^(order k)] and is an algebra embedding.
     """
-    source = x.torus
-    if source.ring != target.ring or source.sigma != target.sigma:
+    source, ring = x.torus, target.ring
+    if (source.ring is not ring and source.ring != ring) or source.sigma != target.sigma:
         raise ValueError("source and target tori are incompatible")
-    if source.parameter != target._twist(order * order):
+    # both parameters are root powers: compare exponents, modulo N in root mode
+    e = target._exponent * order * order
+    if source._exponent != (e % ring.order if ring.order else e):
         raise ValueError("source parameter is not the expected power")
     return QTElement(
         target,

@@ -11,7 +11,9 @@ both with exact rational arithmetic (no floats anywhere):
   over one positive int denominator, in lowest terms.  Every scalar is held
   as a tag c * zeta**k times an optional dense factor: products multiply
   the tags, and convolve only when both sides have a factor; the
-  numerators are built only when something reads them.
+  numerators are built only when something reads them.  Reduction modulo
+  Phi_N adds c times a stored row, zeta**i reduced, for each nonzero
+  entry c at d <= i < N.
 * generic mode: Laurent polynomials Q[v, 1/v] in a formal square root v,
   with q = v**2 and ``fractions.Fraction`` coefficients.  Nothing collapses
   here, which makes this mode useful as a stress test for rewriting
@@ -90,6 +92,10 @@ class ScalarRing:
 
     Use :meth:`root_of_unity` or :meth:`generic` to build one.  Two handles
     with the same mode and order are interchangeable.
+
+    A root-mode ring builds each zeta**m, m < N, once, as zeta times
+    zeta**(m-1) with zeta**d = -sum phi[j] zeta**j substituted: the root-power
+    table ``_powers``, whose rows m >= d are the fold table ``_reduce`` reads.
     """
 
     def __init__(self, mode: str, order: int | None = None):
@@ -101,12 +107,26 @@ class ScalarRing:
             phi = cyclotomic_coefficients(order)
             d = len(phi) - 1
             self._degree = d
-            # Phi_N is monic, so zeta**d = -sum phi[j] zeta**j over these j < d
-            self._phi_low = tuple((j, c) for j, c in enumerate(phi[:d]) if c)
+            # Phi_N is monic, so zeta**d = -sum phi[j] zeta**j over j < d
+            low = [-c for c in phi[:d]]
+            rows, row = [], [1] + [0] * (d - 1)
+            for _ in range(order):
+                rows.append(tuple(row))
+                top = row[-1]
+                row = [0, *row[:-1]]
+                if top:
+                    row = [x + top * y for x, y in zip(row, low)]
+            # the fold table: self._fold[i - d] is zeta**i, d <= i < N, as the
+            # indices j of its numerators c > 0 and of those c < 0, each listed
+            # |c| times (almost every c is +-1), so folding adds no products
+            self._fold = [
+                (tuple(j for j, c in enumerate(r) for _ in range(c)),
+                 tuple(j for j, c in enumerate(r) for _ in range(-c)))
+                for r in rows[d:]
+            ]
             # the root-power table: self._powers[m] is zeta**m, 0 <= m < N
             self._powers = [
-                Scalar(self, (self._reduce([0] * m + [1] + [0] * d), 1), (m, 1, 1) if m else _ONE)
-                for m in range(order)
+                Scalar(self, (r, 1), (m, 1, 1) if m else _ONE) for m, r in enumerate(rows)
             ]
             self._exponents = {s._rep: m for m, s in enumerate(self._powers)}
             self.one = self._powers[0]
@@ -197,18 +217,20 @@ class ScalarRing:
     def _reduce(self, coeffs: list[int]) -> tuple[int, ...]:
         """Numerators of sum coeffs[i] * zeta**i over 1, zeta, ..., zeta**(d-1).
 
+        Entries at i >= N fold onto i - N (zeta**N = 1); then each entry c
+        at d <= i < N adds c times the fold table's row for zeta**i.
         ``coeffs`` needs at least d entries and is overwritten.
         """
         n, d = self.order, self._degree
         for i in range(len(coeffs) - 1, n - 1, -1):  # zeta**N = 1
             if coeffs[i]:
                 coeffs[i - n] += coeffs[i]
-        for i in range(min(len(coeffs), n) - 1, d - 1, -1):  # Phi_N(zeta) = 0
-            c = coeffs[i]
+        for c, (plus, minus) in zip(coeffs[d:n], self._fold):  # Phi_N(zeta) = 0
             if c:
-                base = i - d
-                for j, p in self._phi_low:
-                    coeffs[base + j] -= c * p
+                for j in plus:
+                    coeffs[j] += c
+                for j in minus:
+                    coeffs[j] -= c
         return tuple(coeffs[:d])
 
     def root_exponent(self, s: "Scalar") -> int | None:

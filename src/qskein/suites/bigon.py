@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from ..dimensions import spanning_count_formula
@@ -18,23 +19,46 @@ from . import (
     _require,
 )
 
+# rng.choice(seq) picks seq[rng._randbelow(len(seq))] and rng.randint(a, b)
+# returns a + rng._randbelow(b - a + 1), so choosing from a tuple of a..b
+# draws what randint(a, b) would, from the same stream, for less
+_ONE_OR_TWO = (1, 2)
+
+
+@lru_cache(maxsize=None)
+def _up_to(cap: int) -> tuple[int, ...]:
+    return tuple(range(cap + 1))
+
+
+@lru_cache(maxsize=8)
+def _coefficients(ring: ScalarRing) -> tuple:
+    """``[c - 1][den - 1]`` is the pair (c / den, -c / den) of scalars, c <= 5, den <= 3."""
+    return tuple(
+        tuple((ring.from_rational(Fraction(c, den)), ring.from_rational(Fraction(-c, den)))
+              for den in (1, 2, 3))
+        for c in range(1, 6)
+    )
+
 
 def _random_pbw_index(rng: random.Random, cap: int):
-    k1 = rng.randint(0, cap)
-    k2 = 0 if k1 else rng.randint(0, cap)
-    return (k1, k2, rng.randint(0, cap), rng.randint(0, cap))
+    """The draws of randint(0, cap) for k1, for k2 when k1 == 0, then for k3 and k4."""
+    draws = _up_to(cap)
+    k1 = rng.choice(draws)
+    return (k1, 0 if k1 else rng.choice(draws), rng.choice(draws), rng.choice(draws))
 
 
 def _random_frobenius_element(alg: OqAlgebra, rng: random.Random, cap: int = 2):
-    """One or two random rational multiples of N-th power monomials; one if they cancel."""
-    n, ring = alg.order, alg.ring
+    """One or two random rational multiples of N-th power monomials; one if they cancel.
+
+    It draws randint(1, 2) terms; each draws its index, c = randint(1, 5),
+    den = randint(1, 3) and a sign (random() < 0.5 negates c / den).
+    """
+    n, coefficients, choice = alg.order, _coefficients(alg.ring), rng.choice
     terms = {}
-    for _ in range(rng.randint(1, 2)):
+    for _ in range(choice(_ONE_OR_TWO)):
         k1, k2, k3, k4 = _random_pbw_index(rng, cap)
-        c, den = rng.randint(1, 5), rng.randint(1, 3)
-        if rng.random() < 0.5:
-            c = -c
-        accumulate(terms, (n * k1, n * k2, n * k3, n * k4), ring.from_rational(Fraction(c, den)))
+        coeff = choice(choice(coefficients))[rng.random() < 0.5]
+        accumulate(terms, (n * k1, n * k2, n * k3, n * k4), coeff)
     return OqElement(alg, terms) if terms else alg.one()
 
 

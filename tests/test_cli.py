@@ -262,6 +262,16 @@ def test_verify_inconsistent_fans_rejected(tmp_path, capsys):
         assert phrase in err
 
 
+def test_verify_repeated_fan_key_rejected(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text(four_punctured_sphere().to_json().replace('"v1"', '"v0"'))
+    code, out, err = run_cli(
+        capsys, ["verify", "qtorus", "--N", "3", "--triangulation", str(path)]
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: puncture 'v0' has two fans\n"
+
+
 def test_readme_triangulation_example_runs(tmp_path, capsys):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme[readme.index("### Triangulation files"):]

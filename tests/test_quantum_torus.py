@@ -77,6 +77,15 @@ def test_triangulation_json_round_trip():
     assert set(data["fans"]) == {"v0", "v1", "v2", "v3"}
 
 
+def test_triangulation_json_repeated_fan_key_refused():
+    """A puncture named twice keeps both fans, and the constructor refuses the
+    second by name; json.loads alone would keep the last and lose a fan."""
+    text = four_punctured_sphere().to_json().replace('"v1"', '"v0"')
+    assert text.count('"v0"') == 2
+    with pytest.raises(ValueError, match=r"^puncture 'v0' has two fans$"):
+        Triangulation.from_json(text)
+
+
 def test_triangulation_validation():
     with pytest.raises(ValueError):
         # an edge with only one end in the fans
@@ -472,6 +481,55 @@ def test_frobenius_parameter_check():
     # only powers of the root are accepted as torus parameters
     with pytest.raises(ValueError):
         QuantumTorus.from_triangulation(RING, tri, RING.one + RING.zeta_pow(1))
+
+
+FROBENIUS_RINGS = [ScalarRing.root_of_unity(5), ScalarRing.generic()]
+
+
+def _frobenius_target(ring):
+    """The torus of once_punctured_torus() at parameter zeta**2 (v**2), and
+    the parameter its order-3 Frobenius source must have."""
+    target = QuantumTorus.from_triangulation(ring, once_punctured_torus(), ring.zeta_pow(2))
+    return target, ring.zeta_pow(2 * 3 * 3)
+
+
+@pytest.mark.parametrize("ring", FROBENIUS_RINGS, ids=["root", "generic"])
+def test_frobenius_map_refuses_another_ring(ring):
+    target, nu = _frobenius_target(ring)
+    other = ScalarRing.root_of_unity(7)
+    source = QuantumTorus(other, target.sigma, other.zeta_pow(2 * 3 * 3))
+    with pytest.raises(ValueError, match=r"^source and target tori are incompatible$"):
+        frobenius_map(source.generator(0), target, 3)
+    # an equal ring built apart is the same ring
+    twin = ScalarRing.root_of_unity(5) if ring.order else ScalarRing.generic()
+    source = QuantumTorus(twin, target.sigma, twin.zeta_pow(2 * 3 * 3))
+    assert frobenius_map(source.generator(0), target, 3) == target.ordered_monomial((3, 0, 0))
+
+
+@pytest.mark.parametrize("ring", FROBENIUS_RINGS, ids=["root", "generic"])
+def test_frobenius_map_refuses_another_exchange_matrix(ring):
+    target, nu = _frobenius_target(ring)
+    source = QuantumTorus(ring, [[-x for x in row] for row in target.sigma], nu)
+    with pytest.raises(ValueError, match=r"^source and target tori are incompatible$"):
+        frobenius_map(source.generator(0), target, 3)
+
+
+@pytest.mark.parametrize("ring", FROBENIUS_RINGS, ids=["root", "generic"])
+def test_frobenius_map_refuses_another_parameter(ring):
+    """The source parameter must be the target's (zeta**2) to the power
+    order**2: zeta**18 = zeta**3 at N = 5 for order 3, v**18 in generic
+    mode; every other root power is refused."""
+    target, _ = _frobenius_target(ring)
+    tri = once_punctured_torus()
+    for order in (1, 3, 5):
+        image = target.ordered_monomial((0, order, 0))
+        for m in range(-20, 21):
+            source = QuantumTorus.from_triangulation(ring, tri, ring.zeta_pow(m))
+            if ring.zeta_pow(m) == ring.zeta_pow(2 * order * order):
+                assert frobenius_map(source.generator(1), target, order) == image
+            else:
+                with pytest.raises(ValueError, match=r"^source parameter is not the expected power$"):
+                    frobenius_map(source.generator(1), target, order)
 
 
 def test_frobenius_sends_generators_to_powers():

@@ -526,3 +526,54 @@ def test_reprs_write_each_term_once_with_no_factor_one():
         root.zero, root.one, z, 2 * z + z * z, Fraction(1, 2) - z * z * Fraction(3, 2),
         root.zeta_pow(4),
     )] == ["0", "1", "z", "2*z + z^2", "1/2 + -3/2*z^2", "-1 + -1*z + -1*z^2 + -1*z^3"]
+
+
+def _cascade_reduce(ring, coeffs):
+    """The earlier reduction: fold zeta**N = 1, then cancel Phi_N from the
+    top entry down, substituting zeta**d = -sum phi[j] zeta**j each time."""
+    n, d = ring.order, ring._degree
+    phi_low = [(j, c) for j, c in enumerate(cyclotomic_coefficients(n)[:d]) if c]
+    for i in range(len(coeffs) - 1, n - 1, -1):
+        if coeffs[i]:
+            coeffs[i - n] += coeffs[i]
+    for i in range(min(len(coeffs), n) - 1, d - 1, -1):
+        c = coeffs[i]
+        if c:
+            for j, p in phi_low:
+                coeffs[i - d + j] -= c * p
+    return tuple(coeffs[:d])
+
+
+@pytest.mark.parametrize("order", [1, 3, 5, 7, 9, 15, 21, 105])
+def test_fold_table_reduces_like_the_cascade(order):
+    """_reduce through the fold table equals the top-down cascade on random
+    int lists of every length d .. 3N and of the product length 2d - 1."""
+    ring = ScalarRing.root_of_unity(order)
+    d = ring._degree
+    rng = random.Random(order)
+    lengths = list(range(d, 3 * order + 1)) + [2 * d - 1] * 20
+    for length in lengths:
+        coeffs = [rng.choice([0, 0, 1, -1, rng.randint(-10**6, 10**6)]) for _ in range(length)]
+        assert ring._reduce(list(coeffs)) == _cascade_reduce(ring, list(coeffs))
+
+
+@pytest.mark.parametrize("order", [1, 3, 5, 7, 9, 15, 21, 105])
+def test_root_power_tables_match_the_cascade(order):
+    """_powers and _exponents, built from the fold rows, are the tables the
+    cascade gives: zeta**m reduced, tagged 1 * zeta**m, and m back from it."""
+    ring = ScalarRing.root_of_unity(order)
+    d = ring._degree
+    reps = [(_cascade_reduce(ring, [0] * m + [1] + [0] * d), 1) for m in range(order)]
+    assert [s._rep for s in ring._powers] == reps
+    assert [s._mono for s in ring._powers] == [(m, 1, 1) for m in range(order)]
+    assert ring._powers[0]._mono is ring.one._mono
+    assert ring._exponents == {rep: m for m, rep in enumerate(reps)}
+    assert len(ring._fold) == order - d
+    for (plus, minus), s in zip(ring._fold, ring._powers[d:]):
+        nums = [0] * d
+        for j in plus:
+            nums[j] += 1
+        for j in minus:
+            nums[j] -= 1
+        assert tuple(nums) == s._rep[0]
+        assert sorted(plus) == list(plus) and sorted(minus) == list(minus)

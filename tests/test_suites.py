@@ -20,12 +20,27 @@ from qskein.suites.bigon import _random_frobenius_element, _random_pbw_index
 from qskein.suites.qtorus import _random_balanced_element
 
 
+def old_random_pbw_index(rng, cap):
+    """The earlier definition, through randint."""
+    k1 = rng.randint(0, cap)
+    k2 = 0 if k1 else rng.randint(0, cap)
+    return (k1, k2, rng.randint(0, cap), rng.randint(0, cap))
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 3, 14, 40])
+def test_random_pbw_index_matches_the_old_definition(cap):
+    new_rng, old_rng = random.Random(cap), random.Random(cap)
+    for _ in range(2000):
+        assert _random_pbw_index(new_rng, cap) == old_random_pbw_index(old_rng, cap)
+        assert new_rng.getstate() == old_rng.getstate()
+
+
 def old_random_frobenius_element(alg, rng, cap=2, fallbacks=None):
-    """The earlier definition, through element sums and scalar multiples;
-    ``fallbacks`` counts the draws whose terms cancel."""
+    """The earlier definition, through randint, element sums and scalar
+    multiples; ``fallbacks`` counts the draws whose terms cancel."""
     out = alg.zero()
     for _ in range(rng.randint(1, 2)):
-        u = _random_pbw_index(rng, cap)
+        u = old_random_pbw_index(rng, cap)
         c = Fraction(rng.randint(1, 5), rng.randint(1, 3))
         if rng.random() < 0.5:
             c = -c
