@@ -117,11 +117,15 @@ class ScalarRing:
                 if top:
                     row = [x + top * y for x, y in zip(row, low)]
             # the fold table: self._fold[i - d] is zeta**i, d <= i < N, as the
-            # indices j of its numerators c > 0 and of those c < 0, each listed
-            # |c| times (almost every c is +-1), so folding adds no products
+            # indices j of its numerators 1, of its numerators -1 and of the
+            # rest, then the numerators r; each nonzero is listed once, as one
+            # shared int j, and the +-1 ones (all but a few unless N has four
+            # odd prime factors) fold with no products
+            cols = list(range(d))
             self._fold = [
-                (tuple(j for j, c in enumerate(r) for _ in range(c)),
-                 tuple(j for j, c in enumerate(r) for _ in range(-c)))
+                (tuple(j for j, c in zip(cols, r) if c == 1),
+                 tuple(j for j, c in zip(cols, r) if c == -1),
+                 tuple(j for j, c in zip(cols, r) if c * c > 1), r)
                 for r in rows[d:]
             ]
             # the root-power table: self._powers[m] is zeta**m, 0 <= m < N
@@ -225,12 +229,14 @@ class ScalarRing:
         for i in range(len(coeffs) - 1, n - 1, -1):  # zeta**N = 1
             if coeffs[i]:
                 coeffs[i - n] += coeffs[i]
-        for c, (plus, minus) in zip(coeffs[d:n], self._fold):  # Phi_N(zeta) = 0
+        for c, (plus, minus, rest, row) in zip(coeffs[d:n], self._fold):  # Phi_N(zeta) = 0
             if c:
                 for j in plus:
                     coeffs[j] += c
                 for j in minus:
                     coeffs[j] -= c
+                for j in rest:
+                    coeffs[j] += c * row[j]
         return tuple(coeffs[:d])
 
     def root_exponent(self, s: "Scalar") -> int | None:

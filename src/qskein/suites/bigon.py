@@ -30,9 +30,13 @@ def _up_to(cap: int) -> tuple[int, ...]:
     return tuple(range(cap + 1))
 
 
-@lru_cache(maxsize=8)
-def _coefficients(ring: ScalarRing) -> tuple:
-    """``[c - 1][den - 1]`` is the pair (c / den, -c / den) of scalars, c <= 5, den <= 3."""
+@lru_cache(maxsize=2)
+def _coefficients(ring: ScalarRing, ring_id: int) -> tuple:
+    """``[c - 1][den - 1]`` is the pair (c / den, -c / den) of scalars, c <= 5, den <= 3.
+
+    Pass ``id(ring)``: rings compare equal by mode and order, so the id keeps
+    an equal ring built apart from reading scalars of another ring object.
+    """
     return tuple(
         tuple((ring.from_rational(Fraction(c, den)), ring.from_rational(Fraction(-c, den)))
               for den in (1, 2, 3))
@@ -53,7 +57,7 @@ def _random_frobenius_element(alg: OqAlgebra, rng: random.Random, cap: int = 2):
     It draws randint(1, 2) terms; each draws its index, c = randint(1, 5),
     den = randint(1, 3) and a sign (random() < 0.5 negates c / den).
     """
-    n, coefficients, choice = alg.order, _coefficients(alg.ring), rng.choice
+    n, coefficients, choice = alg.order, _coefficients(alg.ring, id(alg.ring)), rng.choice
     terms = {}
     for _ in range(choice(_ONE_OR_TWO)):
         k1, k2, k3, k4 = _random_pbw_index(rng, cap)

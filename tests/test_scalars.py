@@ -569,11 +569,23 @@ def test_root_power_tables_match_the_cascade(order):
     assert ring._powers[0]._mono is ring.one._mono
     assert ring._exponents == {rep: m for m, rep in enumerate(reps)}
     assert len(ring._fold) == order - d
-    for (plus, minus), s in zip(ring._fold, ring._powers[d:]):
-        nums = [0] * d
-        for j in plus:
-            nums[j] += 1
-        for j in minus:
-            nums[j] -= 1
-        assert tuple(nums) == s._rep[0]
-        assert sorted(plus) == list(plus) and sorted(minus) == list(minus)
+    for (plus, minus, rest, row), s in zip(ring._fold, ring._powers[d:]):
+        assert row is s._rep[0]
+        assert [row[j] for j in plus] == [1] * len(plus)
+        assert [row[j] for j in minus] == [-1] * len(minus)
+        assert sorted(plus + minus + rest) == [j for j, c in enumerate(row) if c]
+
+
+def test_fold_rows_list_each_nonzero_once_at_four_odd_primes():
+    """At N = 1155 = 3 * 5 * 7 * 11 the fold rows have numerators up to 9 in
+    size; each nonzero is still listed once, and _reduce is the cascade."""
+    ring = ScalarRing.root_of_unity(1155)
+    d = ring._degree
+    rows = [row for _, _, _, row in ring._fold]
+    nonzeros = sum(len(row) - row.count(0) for row in rows)
+    assert sum(len(p) + len(m) + len(r) for p, m, r, _ in ring._fold) == nonzeros
+    assert max(max(map(abs, row)) for row in rows) == 9
+    rng = random.Random(1155)
+    for length in (d, 2 * d - 1, 1155, 3 * 1155):
+        coeffs = [rng.choice([0, 1, -1, rng.randint(-10**6, 10**6)]) for _ in range(length)]
+        assert ring._reduce(list(coeffs)) == _cascade_reduce(ring, list(coeffs))

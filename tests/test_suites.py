@@ -68,6 +68,19 @@ def test_random_frobenius_element_matches_the_old_definition(order, cap):
         assert fallbacks
 
 
+def test_random_frobenius_element_keeps_its_own_ring():
+    """Rings compare equal by order, but an algebra over a ring built apart
+    gets coefficients of that very ring, not of the first one drawn from."""
+    first, second = ScalarRing.root_of_unity(7), ScalarRing.root_of_unity(7)
+    assert first == second and first is not second
+    rng = random.Random(7)
+    for ring in (first, second, first):
+        alg = OqAlgebra(ring)
+        for _ in range(20):
+            element = _random_frobenius_element(alg, rng)
+            assert all(c.ring is ring for c in element.terms.values())
+
+
 def old_random_balanced_element(torus, tri, basis, rng, cap=2):
     """The earlier definition, through element sums of ordered monomials."""
     n = tri.edge_count
