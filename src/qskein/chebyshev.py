@@ -10,9 +10,10 @@ Three polynomial families:
   recursion: A_n - x*A_(n-1) + A_(n-2) is x for odd n and -1 for even
   n >= 3 (A_3 = x^3 - x, while x*A_2 - A_1 = x^3 - 2x).
 
-Coefficients are exact: ints or Fractions.  The constructor stores
-integral values as ints; arithmetic on Fractions may leave integral
-Fractions, which compare and hash as the equal ints.
+Coefficients are ints or Fractions (``Polynomial._coerce``) and exponents
+ints (``linear.integer``); floats, strings and bools raise TypeError.  The
+constructor stores integral values as ints; arithmetic on Fractions may
+leave integral Fractions, which compare and hash as the equal ints.
 ``chebyshev_reduce`` rewrites an arbitrary polynomial as
 sum_{j<N} c_j(T_N(x)) * x**j, which witnesses that 1, x, ..., x**(N-1)
 generate everything over the subring hit by T_N.
@@ -36,15 +37,7 @@ from functools import lru_cache
 from operator import sub
 from typing import NamedTuple
 
-from .linear import SparseCombination, accumulate, convolve, term_text
-
-
-def _exact(v) -> int | Fraction:
-    """``v`` as an int when it is integral, else as an exact Fraction."""
-    if type(v) is int:
-        return v
-    v = Fraction(v)
-    return v.numerator if v.denominator == 1 else v
+from .linear import SparseCombination, accumulate, convolve, exact, integer, term_text
 
 
 class Polynomial(SparseCombination):
@@ -57,9 +50,9 @@ class Polynomial(SparseCombination):
         items = coeffs.items() if isinstance(coeffs, Mapping) else (coeffs or ())
         terms: dict[int, int | Fraction] = {}
         for e, v in items:
-            if e < 0:
+            if integer(e) < 0:
                 raise ValueError("negative exponent")
-            accumulate(terms, e, _exact(v))
+            accumulate(terms, e, exact(self._coerce, v))
         super().__init__(None, terms)
 
     @classmethod
@@ -83,7 +76,12 @@ class Polynomial(SparseCombination):
 
     @staticmethod
     def _coerce(value) -> int | Fraction | None:
-        return _exact(value) if isinstance(value, (int, Fraction)) else None
+        """The coefficient rule: an int (not a bool), or a Fraction (as an int if integral)."""
+        if type(value) is int:
+            return value
+        if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+            return None
+        return value.numerator if value.denominator == 1 else value
 
     def _mul_terms(self, other: "Polynomial") -> dict[int, int | Fraction]:
         return _sparse(convolve(dense(self), dense(other)))

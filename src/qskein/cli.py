@@ -18,13 +18,14 @@ error, including a dims count too large to print, verify work above
 suites.MAX_WORK and a bigon --max-exp above suites.MAX_EXP.  --trials,
 --max-exp and --kmax must be positive for every suite, whether or not it
 reads them, and only qtorus reads --triangulation: any other suite refuses
-it.
+it.  A reader that closes stdout early changes no exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import suites
@@ -68,14 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: dict, pretty: bool):
-    if pretty:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(json.dumps(payload))
-
-
-def _cmd_dims(args) -> int:
+def _cmd_dims(args) -> tuple[int, dict | None]:
     from .dimensions import (
         Marked3ManifoldDescriptor,
         SurfaceDescriptor,
@@ -105,9 +99,8 @@ def _cmd_dims(args) -> int:
                 )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(payload, args.pretty)
-    return 0
+        return 2, None
+    return 0, payload
 
 
 def _load_suite(args) -> list:
@@ -137,12 +130,12 @@ def _load_suite(args) -> list:
     return builder(order, *[values[name] for name in params])
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, dict | None]:
     try:
         checks = _load_suite(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2, None
     results = suites.run_checks(checks, args.seed)
     summary = {"pass": 0, "fail": 0, "error": 0}
     for r in results:
@@ -162,16 +155,21 @@ def _cmd_verify(args) -> int:
         ],
         "summary": summary,
     }
-    _emit(report, args.pretty)
-    return 0 if summary["fail"] == 0 and summary["error"] == 0 else 1
+    return (0 if summary["fail"] == 0 and summary["error"] == 0 else 1), report
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "dims":
-        return _cmd_dims(args)
-    return _cmd_verify(args)
+    args = _build_parser().parse_args(argv)
+    status, payload = (_cmd_dims if args.command == "dims" else _cmd_verify)(args)
+    if payload is not None:
+        try:
+            print(json.dumps(payload, indent=2 if args.pretty else None))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone: point stdout at os.devnull so the flush at exit is quiet
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+    return status
 
 
 if __name__ == "__main__":

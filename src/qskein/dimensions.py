@@ -13,7 +13,8 @@ and are never refused.
 
 The bigon's index sets, the N^3 box and its spanning wing, are enumerated
 here next to the formula that counts them, so that counting them loads no
-algebra layer.
+algebra layer.  It imports nothing of the package, so it restates
+``linear.integer`` for its counts and orders: ints that are not bools.
 """
 
 from __future__ import annotations
@@ -24,6 +25,12 @@ from typing import Iterator, NamedTuple
 MAX_RESULT_BITS = 1 << 22
 """Largest bit length a count may have: about 1.26 million decimal digits,
 computed in well under a second."""
+
+
+def _integer(value) -> int:  # linear.integer, restated
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 class _SurfaceFields(NamedTuple):
@@ -47,7 +54,7 @@ class SurfaceDescriptor(_SurfaceFields):
     __slots__ = ()
 
     def __new__(cls, genus: int, punctures: int, boundary: int):
-        if genus < 0 or punctures < 0 or boundary < 0:
+        if min(map(_integer, (genus, punctures, boundary))) < 0:
             raise ValueError("surface data must be nonnegative")
         return super().__new__(cls, genus, punctures, boundary)
 
@@ -64,7 +71,7 @@ class Marked3ManifoldDescriptor(_ManifoldFields):
     __slots__ = ()
 
     def __new__(cls, genus: int, markings: int):
-        if genus < 0 or markings < 0:
+        if min(_integer(genus), _integer(markings)) < 0:
             raise ValueError("manifold data must be nonnegative")
         return super().__new__(cls, genus, markings)
 
@@ -82,7 +89,7 @@ def r_of_surface(s: SurfaceDescriptor) -> int:
 
 
 def _check_order(order: int):
-    if order < 1 or order % 2 == 0:
+    if _integer(order) < 1 or order % 2 == 0:
         raise ValueError(f"order must be odd and positive, got {order}")
 
 

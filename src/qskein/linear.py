@@ -15,6 +15,11 @@ callers get integer numerators over the determinant, never a ``Fraction``.
 ``power`` is the one square-and-multiply, for scalars and elements alike.
 ``term_text`` spells one term c*var^e of a scalar's or a polynomial's
 ``repr``.
+
+Input rules, each stated once: ``integer`` takes an int that is not a bool;
+a coefficient is such an int, a ``Fraction`` or a scalar of the ring in use
+(``ScalarRing.coerce``, ``Polynomial._coerce``), and ``exact`` applies that
+rule at an entry point.  Floats, strings and bools raise TypeError.
 """
 
 from __future__ import annotations
@@ -36,6 +41,21 @@ def accumulate(acc: dict, key, value) -> None:
         acc[key] = total
     else:
         acc.pop(key, None)
+
+
+def integer(value) -> int:
+    """``value`` itself if it is an int and not a bool; TypeError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def exact(coerce, value):
+    """``coerce(value)`` for a coefficient rule; TypeError where it gives None."""
+    out = coerce(value)
+    if out is None:
+        raise TypeError(f"expected an exact coefficient, got {value!r}")
+    return out
 
 
 def term_text(c, var: str, e: int) -> str:
@@ -83,8 +103,8 @@ class SparseCombination:
 
     * ``_identity``: the key of the unit basis element;
     * ``_mismatch``: the error message for mixing parents;
-    * ``_coerce(value)``: a plain scalar as a coefficient, None otherwise
-      (by default through the parent's scalar ring);
+    * ``_coerce(value)``: the coefficient rule, a plain scalar as a
+      coefficient, None otherwise (by default ``ScalarRing.coerce``);
     * ``_format_term(key, coeff)``: one term of ``repr``;
     * ``_mul_terms(other)``: the terms of the product of two elements.
     """

@@ -30,7 +30,7 @@ from itertools import zip_longest
 from typing import Mapping, NamedTuple, Sequence
 
 from .dimensions import Index
-from .linear import SparseCombination, accumulate
+from .linear import SparseCombination, accumulate, exact
 from .scalars import ROOT_OF_UNITY, Scalar, ScalarRing
 
 _LETTERS = "adbc"  # normal order of generators inside a monomial
@@ -54,7 +54,7 @@ def is_pbw_index(k) -> bool:
     return (
         isinstance(k, tuple)
         and len(k) == 4
-        and all(isinstance(e, int) and e >= 0 for e in k)
+        and all(type(e) is int and e >= 0 for e in k)
         and k[0] * k[1] == 0
     )
 
@@ -120,12 +120,7 @@ class OqAlgebra:
     def element(self, terms: Mapping[Index, Scalar | int | Fraction]) -> "OqElement":
         clean: dict[Index, Scalar] = {}
         for k, v in terms.items():
-            k = _pbw(k)
-            if not isinstance(v, Scalar):
-                v = self.ring.from_rational(v)
-            elif v.ring != self.ring:
-                raise ValueError("coefficient from a different scalar ring")
-            accumulate(clean, k, v)
+            accumulate(clean, _pbw(k), exact(self.ring.coerce, v))
         return OqElement(self, clean)
 
     def basis_monomial(self, k: Sequence[int]) -> "OqElement":
@@ -225,7 +220,10 @@ class OqAlgebra:
     # -- word rewriting engine ---------------------------------------------------
 
     def normal_form(self, words) -> "OqElement":
-        """PBW form of a word (or scalar combination of words) in a, b, c, d.
+        """PBW form of a word, or of a {word: coefficient} mapping, in a, b, c, d.
+
+        Coefficients follow ``ScalarRing.coerce``: an int, a Fraction or a
+        scalar of this algebra's ring; any other input raises TypeError.
 
         The leftmost reducible pair is rewritten first.  A swap rule
         xy -> q^e yx of ``_SWAPS`` moves y past the whole run x^r that ends
@@ -240,11 +238,9 @@ class OqAlgebra:
         every word of up to six letters.
         """
         if isinstance(words, str):
-            pairs = [(self.ring.one, words)]
-        elif isinstance(words, Mapping):
-            pairs = [(c, w) for w, c in words.items()]
-        else:
-            pairs = words
+            words = {words: self.ring.one}
+        elif not isinstance(words, Mapping):
+            raise TypeError(f"expected a word or a {{word: coefficient}} mapping, got {words!r}")
         # word -> (coefficient, position the scan for a reducible pair resumes from)
         agenda: dict[str, tuple[Scalar, int]] = {}
 
@@ -260,11 +256,10 @@ class OqAlgebra:
             else:
                 del agenda[word]
 
-        for c, w in pairs:
+        for w, c in words.items():
             if any(ch not in _RANK for ch in w):
                 raise ValueError(f"word {w!r} uses unknown generators")
-            if not isinstance(c, Scalar):
-                c = self.ring.from_rational(c)
+            c = exact(self.ring.coerce, c)
             if c:
                 push(w, c, 0)
         q_pow, swap_exponent = self.ring.q_pow, _SWAPS.get

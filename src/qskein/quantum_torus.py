@@ -13,6 +13,10 @@ scalar coefficients.  Weyl-normalised monomials, the balanced sublattice
 exponent-multiplying Frobenius map, and a basis of the balanced lattice
 through the puncture monomials are all provided, together with a degree
 certificate used to rule out central elements in the localized algebra.
+
+Exponents, exchange entries, residues and triangulation data follow
+``linear.integer``, coefficients and the torus parameter
+``ScalarRing.coerce``: floats, strings and bools raise TypeError.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from math import gcd
 from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .linear import SparseCombination, accumulate, integer_solve
+from .linear import SparseCombination, accumulate, exact, integer, integer_solve
 from .scalars import Scalar, ScalarRing
 
 Vector = tuple[int, ...]
@@ -122,10 +126,10 @@ class Triangulation(_TriangulationFields):
     @classmethod
     def from_dict(cls, data: Mapping) -> "Triangulation":
         try:
-            edges = _integer(data["edges"])
-            triangles = tuple(tuple(_integer(e) for e in t) for t in data["triangles"])
+            edges = integer(data["edges"])
+            triangles = tuple(tuple(map(integer, t)) for t in data["triangles"])
             fans = tuple(
-                (str(name), tuple(_integer(e) for e in fan))
+                (str(name), tuple(map(integer, fan)))
                 for name, fan in data["fans"].items()
             )
         except (KeyError, TypeError, AttributeError) as exc:
@@ -160,12 +164,6 @@ class _JSONObject(dict):
 
     def items(self):
         return self._pairs
-
-
-def _integer(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
 
 
 def _edge_pair(x: int, y: int) -> tuple[int, int]:
@@ -432,7 +430,7 @@ class QuantumTorus:
         triangulation: Triangulation | None = None,
     ):
         self.ring = ring
-        sigma = tuple(tuple(int(x) for x in row) for row in sigma)
+        sigma = tuple(tuple(map(integer, row)) for row in sigma)
         n = len(sigma)
         for i, row in enumerate(sigma):
             if len(row) != n:
@@ -446,9 +444,7 @@ class QuantumTorus:
         self._lower = tuple(
             (i, j, sigma[i][j]) for i in range(n) for j in range(i) if sigma[i][j]
         )
-        self.parameter = parameter if parameter is not None else ring.zeta_pow(1)
-        if self.parameter.ring != ring:
-            raise ValueError("parameter from a different scalar ring")
+        self.parameter = ring.zeta_pow(1) if parameter is None else exact(ring.coerce, parameter)
         self._exponent = ring.root_exponent(self.parameter)
         if self._exponent is None:
             raise ValueError("torus parameter must be a power of the root")
@@ -483,14 +479,11 @@ class QuantumTorus:
         return QTElement(self, {(0,) * self.rank: self.ring.one})
 
     def ordered_monomial(self, k: Sequence[int], coeff=None) -> "QTElement":
-        k = tuple(int(e) for e in k)
+        k = tuple(map(integer, k))
         if len(k) != self.rank:
             raise ValueError("exponent vector has wrong length")
-        if coeff is None:
-            coeff = self.ring.one
-        elif not isinstance(coeff, Scalar):
-            coeff = self.ring.from_rational(coeff)
-        if coeff.is_zero():
+        coeff = self.ring.one if coeff is None else exact(self.ring.coerce, coeff)
+        if not coeff:
             return self.zero()
         return QTElement(self, {k: coeff})
 
@@ -503,7 +496,7 @@ class QuantumTorus:
         """Weyl-normalised monomial: parameter^(-sum_{i<j} sigma_ij k_i k_j)
         times the ordered monomial.  Its product rule is
         [Y^k][Y^l] = parameter^(k^T sigma l) [Y^(k+l)]."""
-        k = tuple(int(e) for e in k)
+        k = tuple(map(integer, k))
         return self.ordered_monomial(k, self._twist(self._low(k, k)))
 
     def _low(self, k: Sequence[int], l: Sequence[int]) -> int:
@@ -599,46 +592,38 @@ class CenterFreeCertificate(NamedTuple):
     certified: bool
     combined: tuple[Vector, ...]
     distinct: bool
-    expansion_checked: bool
-    expansion_nonzero: bool | None = None
-    expansion_deg_matches: bool | None = None
+    expansion_checked: bool  # always True: the certificate always expands
+    expansion_nonzero: bool
+    expansion_deg_matches: bool
 
 
 def center_free_certificate(
     order: int,
     x_map: Mapping[Vector, Vector],
     *,
-    target: QuantumTorus | None = None,
-    zbasis: ZBasis | None = None,
-    elements: Mapping[Vector, QTElement] | None = None,
+    target: QuantumTorus,
+    zbasis: ZBasis,
+    elements: Mapping[Vector, QTElement],
 ) -> CenterFreeCertificate:
     """Degree certificate behind the triviality of the localized center.
 
     ``x_map`` sends residue tuples k (length p) to integer grading vectors
     x_k; the certificate asserts the combined vectors order*x_k + k are
-    pairwise distinct.  When concrete balanced elements l_k are supplied
-    (in the source torus of the exponent-multiplying map), the sum
-    sum_k F(l_k) * prod_i (Z_i + Z_i^-1)^(k_i) is expanded and its degree
-    must equal the lex-max combined vector, hence the sum is nonzero.
+    pairwise distinct.  It then expands the sum
+    sum_k F(l_k) * prod_i (Z_i + Z_i^-1)^(k_i) over the balanced elements
+    l_k of ``elements`` (in the source torus of the exponent-multiplying
+    map F into ``target``), whose keys must be keys of ``x_map``; the sum's
+    degree must equal the lex-max combined vector, hence the sum is
+    nonzero.  Residues and grading vectors follow ``linear.integer``.
     """
     combined = {}
     for k, x in x_map.items():
-        k = tuple(int(e) for e in k)
-        x = tuple(int(e) for e in x)
+        k, x = tuple(map(integer, k)), tuple(map(integer, x))
         if len(k) != len(x):
             raise ValueError("residue tuple and grading vector differ in length")
         combined[k] = tuple(order * xi + ki for xi, ki in zip(x, k))
     values = tuple(combined.values())
     distinct = len(set(values)) == len(values)
-    if elements is None:
-        return CenterFreeCertificate(
-            certified=distinct,
-            combined=values,
-            distinct=distinct,
-            expansion_checked=False,
-        )
-    if target is None or zbasis is None:
-        raise ValueError("expansion check needs the target torus and a basis")
     # powers[i][r] is (Z_i + Z_i^-1)^r, grown one product at a time as
     # larger residues occur
     powers = []
@@ -647,7 +632,7 @@ def center_free_certificate(
         powers.append([target.one(), z_half])
     images = []
     for k, elt in elements.items():
-        k = tuple(int(e) for e in k)
+        k = tuple(map(integer, k))
         if k not in combined:
             raise ValueError("element key missing from x_map")
         if elt.is_zero():

@@ -21,7 +21,8 @@ both with exact rational arithmetic (no floats anywhere):
   oracle for the root-mode arithmetic.
 
 Scalars are immutable and tagged with their ring; mixing rings raises.
-Python ints and Fractions coerce into either ring.
+Python ints (not bools) and Fractions coerce into either ring; floats and
+strings do not (``ScalarRing.coerce``).
 """
 
 from __future__ import annotations
@@ -29,11 +30,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Union
 
-from .linear import accumulate, convolve, integer_solve, power, term_text
-
-Rational = Union[int, Fraction]
+from .linear import accumulate, convolve, exact, integer_solve, power, term_text
 
 ROOT_OF_UNITY = "root-of-unity"
 GENERIC = "generic"
@@ -155,22 +153,24 @@ class ScalarRing:
 
     # -- basic constructors -------------------------------------------------
 
-    def from_rational(self, value: Rational) -> "Scalar":
-        if not isinstance(value, (int, Fraction)):
-            value = Fraction(value)
-        if self.mode == ROOT_OF_UNITY:
-            return self._monomial(0, value.numerator, value.denominator)
-        return Scalar(self, ((0, Fraction(value)),) if value else ())
+    def from_rational(self, value: int | Fraction) -> "Scalar":
+        """The scalar of an int (not a bool) or a Fraction; TypeError otherwise."""
+        if isinstance(value, Scalar):
+            raise TypeError(f"expected an int or a Fraction, got {value!r}")
+        return exact(self.coerce, value)
 
     def coerce(self, value) -> "Scalar | None":
-        """``value`` as a scalar of this ring if it is a Scalar, int or Fraction."""
+        """The coefficient rule: a Scalar of this ring, or an int (not a bool) or
+        a Fraction as one; ValueError for another ring's Scalar, else None."""
         if isinstance(value, Scalar):
             if value.ring is not self and value.ring != self:
                 raise ValueError("scalars from different rings")
             return value
-        if isinstance(value, (int, Fraction)):
-            return self.from_rational(value)
-        return None
+        if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+            return None
+        if self.mode == ROOT_OF_UNITY:
+            return self._monomial(0, value.numerator, value.denominator)
+        return Scalar(self, ((0, Fraction(value)),) if value else ())
 
     def from_power_counts(self, counts, step: int) -> "Scalar":
         """The scalar sum_i counts[i] * zeta**(step * i) (v**(step * i) in
@@ -498,10 +498,10 @@ class Scalar:
     # -- comparison / hashing --------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.from_rational(other)
         if not isinstance(other, Scalar):
-            return NotImplemented
+            other = self.ring.coerce(other)
+            if other is None:
+                return NotImplemented
         if self.ring is not other.ring and self.ring != other.ring:
             return False
         ma, mb = self._mono, other._mono

@@ -114,14 +114,9 @@ def _refuse_oversized(suite: str, size: int):
 
 def _random_polynomial(rng: random.Random, degree: int):
     # imported here, so that the runner loads no layer
-    from ..chebyshev import Polynomial
+    from ..chebyshev import from_dense
 
-    coeffs = {}
-    for d in range(degree + 1):
-        if rng.random() < 0.6:
-            c = rng.randint(-6, 6)
-            if c:
-                coeffs[d] = c
-    if not coeffs:
+    coeffs = [rng.randint(-6, 6) if rng.random() < 0.6 else 0 for _ in range(degree + 1)]
+    if not any(coeffs):
         coeffs[degree] = 1
-    return Polynomial(coeffs)
+    return from_dense(coeffs)

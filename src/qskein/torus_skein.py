@@ -57,6 +57,11 @@ def a_basis_build(constant, coeffs: dict[int, int | Fraction]) -> Polynomial:
     )
 
 
+def _check_order(order: int) -> None:
+    if order < 3 or order % 2 == 0:
+        raise ValueError("order must be odd and at least 3")
+
+
 class _S1S2Fields(NamedTuple):
     order: int
     empty_coeff: int | Fraction
@@ -74,8 +79,7 @@ class S1S2Element(_S1S2Fields):
 
     def __new__(cls, order: int, empty_coeff, e_coeffs):
         self = super().__new__(cls, order, empty_coeff, e_coeffs)
-        if self.order < 3 or self.order % 2 == 0:
-            raise ValueError("order must be odd and at least 3")
+        _check_order(order)
         seen = set()
         for i, c in self.e_coeffs:
             if i < 1 or (i + 2) % self.order:
@@ -118,18 +122,17 @@ def s1s2_frobenius_matrix(order: int, kmax: int) -> list[list[int]]:
     the constant 2.  The result is diagonal (2, -2, ..., -2), and the
     determinant is checked to be nonzero before returning.
     """
-    if order < 3 or order % 2 == 0:
-        raise ValueError("order must be odd and at least 3")
+    _check_order(order)
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     size = kmax + 1
     matrix = [[0] * size for _ in range(size)]
+    basis_indices = {row * order - 2 for row in range(1, size)}
     for k in range(size):
         reduced = s1s2_reduce(chebyshev_t(k * order), order)
         matrix[0][k] = reduced.empty_coeff
         for row in range(1, size):
             matrix[row][k] = reduced.coefficient(row * order - 2)
-        basis_indices = {row * order - 2 for row in range(1, size)}
         for i, _ in reduced.e_coeffs:
             if i not in basis_indices:
                 raise ArithmeticError(

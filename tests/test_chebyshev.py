@@ -386,3 +386,15 @@ def test_polynomial_repr_and_hash():
     same = Polynomial({0: Fraction(2, 2), 1: Fraction(4, 2)})
     assert hash(p) == hash(same)
     assert len({p, same, Polynomial.x()}) == 2
+
+
+@pytest.mark.parametrize("value", [0.5, "1/2", True], ids=["float", "string", "bool"])
+def test_polynomial_refuses_inexact_coefficients(value):
+    with pytest.raises(TypeError, match="expected"):
+        Polynomial({1: value})
+
+
+@pytest.mark.parametrize("exponent", [2.0, True], ids=["float", "bool"])
+def test_polynomial_refuses_non_integer_exponents(exponent):
+    with pytest.raises(TypeError, match="expected an integer"):
+        Polynomial({exponent: 1})

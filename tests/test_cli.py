@@ -434,11 +434,32 @@ def run_module(*argv, **kwargs):
     """Run ``python -m qskein`` on the package under test, installed or not."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    kwargs.setdefault("stdout", subprocess.PIPE)
     return subprocess.run(
         [sys.executable, "-m", "qskein", *argv],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": path},
         **kwargs,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "bigon", "--N", "7"),
+        ("dims", "manifold", "--genus", "2", "--markings", "0", "--N", "3", "--pretty"),
+    ],
+    ids=["verify", "dims"],
+)
+def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(argv):
+    """A reader that has gone (``| head``, ``| true``) is no failed check."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = run_module(*argv, stdout=write, timeout=60)
+    finally:
+        os.close(write)
+    assert result.returncode == 0
+    assert result.stderr == ""
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Closed-form dimension and bound calculators."""
 
+from fractions import Fraction
+
 import pytest
 
 from qskein.dimensions import (
@@ -149,3 +151,33 @@ def test_descriptor_validation():
         SurfaceDescriptor(-1, 0, 0)
     with pytest.raises(ValueError):
         Marked3ManifoldDescriptor(0, -2)
+
+
+NON_INTEGERS = pytest.mark.parametrize(
+    "value", [0.5, 3.0, "3", True, Fraction(3)], ids=["float", "integral-float", "string", "bool", "fraction"]
+)
+
+
+@NON_INTEGERS
+def test_dimensions_states_the_integer_rule_of_linear(value):
+    """``dimensions`` imports nothing of the package, so it restates
+    ``linear.integer``; both copies refuse the same inputs."""
+    from qskein import dimensions, linear
+
+    for rule in (dimensions._integer, linear.integer):
+        with pytest.raises(TypeError, match="expected an integer"):
+            rule(value)
+        assert rule(3) == 3
+
+
+@pytest.mark.parametrize("value", [0.5, 3.0, True, Fraction(3)], ids=["float", "integral-float", "bool", "fraction"])
+def test_dimension_inputs_refuse_non_integers(value):
+    for make in (
+        lambda: SurfaceDescriptor(value, 0, 2),
+        lambda: SurfaceDescriptor(0, 0, value),
+        lambda: Marked3ManifoldDescriptor(value, 2),
+        lambda: localized_dimension(BIGON, value),
+        lambda: module_bound(Marked3ManifoldDescriptor(1, 2), value),
+    ):
+        with pytest.raises(TypeError, match="expected an integer"):
+            make()

@@ -68,7 +68,6 @@ def test_normal_form_input_forms():
     alg = OqAlgebra(GENERIC)
     x = alg.normal_form("da")
     assert x == alg.normal_form({"da": 1})
-    assert x == alg.normal_form([(Fraction(1), "da")])
     combined = alg.normal_form({"ab": 2, "ba": -1})
     assert combined == alg.normal_form("ab") * 2 - alg.normal_form("ba")
     with pytest.raises(ValueError):
@@ -174,7 +173,7 @@ def test_structured_product_stores_no_zero_coefficient(ring):
     product = (a - b * q_2) * (d + c)
     assert set(product.terms) == {(0, 0, 0, 0), (1, 0, 0, 1), (0, 1, 1, 0)}
     assert all(product.terms.values())
-    assert product == alg.normal_form([(1, "ad"), (1, "ac"), (-q_2, "bd"), (-q_2, "bc")])
+    assert product == alg.normal_form({"ad": 1, "ac": 1, "bd": -q_2, "bc": -q_2})
     rng = random.Random(3031)
     for _ in range(40):
         x = {random_pbw_index(rng, 2): ring.q_pow(rng.randrange(-3, 4)) * rng.choice([1, -1])
@@ -183,7 +182,10 @@ def test_structured_product_stores_no_zero_coefficient(ring):
              for _ in range(rng.randint(1, 3))}
         product = alg.element(x) * alg.element(y)
         assert all(product.terms.values())
-        words = [(cu * cv, pbw_word(u) + pbw_word(v)) for u, cu in x.items() for v, cv in y.items()]
+        words = {}
+        for u, cu in x.items():
+            for v, cv in y.items():
+                accumulate(words, pbw_word(u) + pbw_word(v), cu * cv)
         assert product == alg.normal_form(words)
 
 
@@ -732,3 +734,42 @@ def test_methods_taking_a_pbw_index_refuse_others_alike(call):
     alg = OqAlgebra(ScalarRing.root_of_unity(3))
     with pytest.raises(ValueError, match=r"^\(1, 1, 0, 0\) is not a PBW index$"):
         call(alg)
+
+
+FOREIGN = ScalarRing.root_of_unity(5).zeta_pow(1)
+BAD_COEFFICIENTS = pytest.mark.parametrize(
+    "value, error",
+    [(0.1, TypeError), ("1", TypeError), (True, TypeError), (FOREIGN, ValueError)],
+    ids=["float", "string", "bool", "foreign-ring"],
+)
+
+
+def _refused(value, error):
+    """pytest.raises for a refused coefficient: coerce's own message for a
+    scalar of another ring."""
+    return pytest.raises(error, match="different rings" if error is ValueError else "expected")
+
+
+@BAD_COEFFICIENTS
+def test_element_refuses_coefficients(value, error):
+    with _refused(value, error):
+        OqAlgebra(ROOT3).element({(0, 0, 0, 0): value})
+
+
+@BAD_COEFFICIENTS
+def test_normal_form_refuses_coefficients(value, error):
+    with _refused(value, error):
+        OqAlgebra(ROOT3).normal_form({"ab": value})
+
+
+def test_normal_form_refuses_a_pair_list():
+    with pytest.raises(TypeError, match="mapping"):
+        OqAlgebra(ROOT3).normal_form([(1, "ab")])
+
+
+def test_bool_exponents_are_not_pbw_indices():
+    assert not is_pbw_index((True, 0, 0, 0))
+    with pytest.raises(ValueError, match="not a PBW index"):
+        OqAlgebra(ROOT3).basis_monomial((True, 0, 0, 0))
+    with pytest.raises(ValueError, match="not a PBW index"):
+        OqAlgebra(ROOT3).element({(0, 0, False, 0): 1})

@@ -701,23 +701,41 @@ def test_qt_deg_additive_random():
 # -- the center-free certificate ----------------------------------------------------
 
 
-def test_center_free_certificate_distinctness_only():
-    cert = center_free_certificate(3, {(0,): (5,), (1,): (-2,), (2,): (0,)})
-    assert cert.certified
+def _graded_elements(x_map):
+    """Once-punctured torus data: for each residue k the Weyl monomial of
+    x_k times the puncture vector, an element of grade x_k."""
+    tri = once_punctured_torus()
+    source, target = _tori_pair(tri)
+    zb = balanced_puncture_basis(tri)
+    z = zb.vectors[0]
+    elements = {k: source.weyl_monomial(tuple(x[0] * e for e in z)) for k, x in x_map.items()}
+    assert all(qt_deg(elements[k], zb) == x for k, x in x_map.items())
+    return dict(target=target, zbasis=zb, elements=elements)
+
+
+def test_center_free_certificate_distinct_combined_vectors():
+    x_map = {(0,): (5,), (1,): (-2,), (2,): (0,)}
+    cert = center_free_certificate(3, x_map, **_graded_elements(x_map))
+    assert cert.combined == ((15,), (-5,), (2,))
     assert cert.distinct
-    assert not cert.expansion_checked
+    assert cert.certified
+    assert cert.expansion_checked
 
 
 def test_center_free_certificate_box_keys_always_distinct():
     rng = random.Random(11)
     for _ in range(50):
         x_map = {(r,): (rng.randint(-10, 10),) for r in range(3)}
-        assert center_free_certificate(3, x_map).certified
+        cert = center_free_certificate(3, x_map, **_graded_elements(x_map))
+        assert cert.distinct
+        assert cert.certified
 
 
 def test_center_free_negative_control():
     """Keys outside the residue box can collide; the certificate must refuse."""
-    cert = center_free_certificate(3, {(0,): (1,), (3,): (0,)})
+    x_map = {(0,): (1,), (3,): (0,)}
+    cert = center_free_certificate(3, x_map, **_graded_elements(x_map))
+    assert cert.combined == ((3,), (3,))
     assert not cert.certified
     assert not cert.distinct
 
@@ -783,3 +801,73 @@ def test_center_free_negative_residue_refused():
         center_free_certificate(
             3, {(-1,): (0,)}, target=target, zbasis=zb, elements={(-1,): source.one()}
         )
+
+
+# -- input rules: integers and coefficients ---------------------------------------
+
+FOREIGN = ScalarRing.root_of_unity(5).zeta_pow(1)
+NON_INTEGERS = pytest.mark.parametrize("value", [1.7, "2", True], ids=["float", "string", "bool"])
+
+
+def _torus():
+    return QuantumTorus.from_triangulation(RING, once_punctured_torus())
+
+
+@NON_INTEGERS
+def test_ordered_monomial_refuses_non_integer_exponents(value):
+    with pytest.raises(TypeError, match="expected an integer"):
+        _torus().ordered_monomial((value, 0, 0))
+
+
+@NON_INTEGERS
+def test_weyl_monomial_refuses_non_integer_exponents(value):
+    with pytest.raises(TypeError, match="expected an integer"):
+        _torus().weyl_monomial((value, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [(0.5, TypeError), ("1", TypeError), (True, TypeError), (FOREIGN, ValueError)],
+    ids=["float", "string", "bool", "foreign-ring"],
+)
+def test_ordered_monomial_refuses_coefficients(value, error):
+    with pytest.raises(error, match="different rings" if error is ValueError else "expected"):
+        _torus().ordered_monomial((1, 0, 0), value)
+
+
+@NON_INTEGERS
+def test_torus_refuses_non_integer_exchange_entries(value):
+    with pytest.raises(TypeError, match="expected an integer"):
+        QuantumTorus(RING, [[0, value], [-1, 0]])
+
+
+@pytest.mark.parametrize(
+    "value, error, message",
+    [
+        (2.0, TypeError, "expected"),
+        ("2", TypeError, "expected"),
+        (True, TypeError, "expected"),
+        (FOREIGN, ValueError, "scalars from different rings"),
+        (2, ValueError, "power of the root"),
+    ],
+    ids=["float", "string", "bool", "foreign-ring", "int"],
+)
+def test_torus_refuses_parameters(value, error, message):
+    with pytest.raises(error, match=message):
+        QuantumTorus(RING, [[0, 1], [-1, 0]], value)
+
+
+@pytest.mark.parametrize("place", ["residue", "grade", "element-key"])
+@NON_INTEGERS
+def test_center_free_certificate_refuses_non_integers(place, value):
+    x_map = {(0,): (0,), (2,): (0,)}
+    data = _graded_elements(x_map)
+    if place == "residue":
+        x_map[(value,)] = (0,)
+        data["elements"][(value,)] = data["elements"][(0,)]
+    elif place == "grade":
+        x_map[(0,)] = (value,)
+    else:
+        data["elements"][(value,)] = data["elements"].pop((2,))
+    with pytest.raises(TypeError, match="expected an integer"):
+        center_free_certificate(3, x_map, **data)

@@ -589,3 +589,14 @@ def test_fold_rows_list_each_nonzero_once_at_four_odd_primes():
     for length in (d, 2 * d - 1, 1155, 3 * 1155):
         coeffs = [rng.choice([0, 1, -1, rng.randint(-10**6, 10**6)]) for _ in range(length)]
         assert ring._reduce(list(coeffs)) == _cascade_reduce(ring, list(coeffs))
+
+
+@pytest.mark.parametrize("value", [0.1, "1/3", True], ids=["float", "string", "bool"])
+@pytest.mark.parametrize(
+    "ring", [ScalarRing.generic(), ScalarRing.root_of_unity(3)], ids=["generic", "N3"]
+)
+def test_from_rational_refuses_inexact_input(ring, value):
+    """Only ints (not bools) and Fractions are rationals: 0.1 is not its
+    binary fraction, and "1/3" is not parsed."""
+    with pytest.raises(TypeError, match="expected"):
+        ring.from_rational(value)
