@@ -30,7 +30,7 @@ from itertools import zip_longest
 from typing import Mapping, NamedTuple, Sequence
 
 from .dimensions import Index
-from .linear import SparseCombination, accumulate, exact
+from .linear import SparseCombination, accumulate, exact, integer
 from .scalars import ROOT_OF_UNITY, Scalar, ScalarRing
 
 _LETTERS = "adbc"  # normal order of generators inside a monomial
@@ -207,8 +207,11 @@ class OqAlgebra:
         return core
 
     def power_product(self, k: Sequence[int]) -> "OqElement":
-        """Expand a^k1 d^k2 b^k3 c^k4 for an arbitrary natural exponent vector."""
-        k1, k2, k3, k4 = k
+        """Expand a^k1 d^k2 b^k3 c^k4 for an arbitrary natural exponent vector.
+
+        Exponents follow ``linear.integer``.
+        """
+        k1, k2, k3, k4 = map(integer, k)
         if min(k1, k2, k3, k4) < 0:
             raise ValueError("exponents must be natural numbers")
         core = self._core(k1, 0, 0, k2)
@@ -226,16 +229,16 @@ class OqAlgebra:
         scalar of this algebra's ring; any other input raises TypeError.
 
         The leftmost reducible pair is rewritten first.  A swap rule
-        xy -> q^e yx of ``_SWAPS`` moves y past the whole run x^r that ends
-        at the pair, in one step, with coefficient q^(e r); the rules
-        xy -> q^e bc + 1 of ``_DIAGONAL`` rewrite the pair alone.  Each
-        agenda word keeps the position its scan resumes from: a rewrite at h
-        leaves the prefix before h, and a run move the prefix before the
-        run, free of reducible pairs, so the scan of the new word starts one
-        letter before that; where two paths reach one word, the smaller
-        position is kept.  This engine shares no code
-        with the structured product; the test suite compares the two on
-        every word of up to six letters.
+        xy -> q^e yx of ``_SWAPS`` moves the whole run y^s that starts at
+        the pair past the whole run x^r that ends there, in one step, with
+        coefficient q^(e r s); the rules xy -> q^e bc + 1 of ``_DIAGONAL``
+        rewrite the pair alone.  Each agenda word keeps the position its
+        scan resumes from: a rewrite at h leaves the prefix before h, and a
+        run move the prefix before the runs, free of reducible pairs, so the
+        scan of the new word starts one letter before that; where two paths
+        reach one word, the smaller position is kept.  This engine shares
+        no code with the structured product; the test suite compares the two
+        on every word of up to six letters.
         """
         if isinstance(words, str):
             words = {words: self.ring.one}
@@ -279,10 +282,11 @@ class OqAlgebra:
             if e is not None:
                 x, y = pair
                 start = len(word[: h + 1].rstrip(x))  # where the run x^r begins
+                stop = len(word) - len(word[h + 1 :].lstrip(y))  # where y^s ends
                 if e:
-                    coeff = coeff * q_pow(e * (h + 1 - start))
-                push(word[:start] + y + word[start : h + 1] + word[h + 2 :], coeff,
-                     start - 1 if start else 0)
+                    coeff = coeff * q_pow(e * (h + 1 - start) * (stop - h - 1))
+                push(word[:start] + word[h + 1 : stop] + word[start : h + 1] + word[stop:],
+                     coeff, start - 1 if start else 0)
                 continue
             head, tail = word[:h], word[h + 2 :]
             resume = h - 1 if h else 0
@@ -298,10 +302,11 @@ class OqAlgebra:
 
         Computes the closed-form answer and independently expands the
         monomial with the structured product, raising if the two disagree.
+        Exponents follow ``linear.integer``, through ``power_product``.
         """
         k = tuple(k)
-        formula = leading_index(k)
         oracle = self.power_product(k).deg()
+        formula = leading_index(k)
         if formula != oracle:
             raise ArithmeticError(
                 f"leading-index formula {formula} disagrees with expansion {oracle} at {k}"

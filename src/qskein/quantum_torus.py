@@ -562,12 +562,13 @@ def is_central(torus: QuantumTorus, x: QTElement) -> bool:
 
 
 def frobenius_map(x: QTElement, target: QuantumTorus, order: int) -> QTElement:
-    """Multiply every exponent vector by ``order``.
+    """Multiply every exponent vector by ``order``, which follows ``linear.integer``.
 
     The source torus parameter must be the target's parameter to the power
     order**2 (same scalar ring, same exchange matrix); on Weyl monomials
     the map sends [Y^k] to [Y^(order k)] and is an algebra embedding.
     """
+    order = integer(order)
     source, ring = x.torus, target.ring
     if (source.ring is not ring and source.ring != ring) or source.sigma != target.sigma:
         raise ValueError("source and target tori are incompatible")
@@ -614,8 +615,10 @@ def center_free_certificate(
     l_k of ``elements`` (in the source torus of the exponent-multiplying
     map F into ``target``), whose keys must be keys of ``x_map``; the sum's
     degree must equal the lex-max combined vector, hence the sum is
-    nonzero.  Residues and grading vectors follow ``linear.integer``.
+    nonzero.  The order, residues and grading vectors follow
+    ``linear.integer``.
     """
+    order = integer(order)
     combined = {}
     for k, x in x_map.items():
         k, x = tuple(map(integer, k)), tuple(map(integer, x))

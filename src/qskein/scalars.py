@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .linear import accumulate, convolve, exact, integer_solve, power, term_text
+from .linear import accumulate, convolve, exact, integer, integer_solve, power, term_text
 
 ROOT_OF_UNITY = "root-of-unity"
 GENERIC = "generic"
@@ -195,9 +195,10 @@ class ScalarRing:
         return Scalar(self, rep) if m is None else self._powers[m]
 
     def zeta_pow(self, m: int) -> "Scalar":
-        """The scalar zeta**m (root mode) or v**m (generic mode)."""
+        """The scalar zeta**m (root mode) or v**m (generic mode); m follows
+        ``linear.integer`` in generic mode."""
         if self.mode == GENERIC:
-            return Scalar(self, ((m, Fraction(1)),))
+            return Scalar(self, ((integer(m), Fraction(1)),))
         return self._powers[m % self.order]
 
     def q_pow(self, m: int) -> "Scalar":

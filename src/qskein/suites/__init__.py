@@ -30,6 +30,12 @@ MAX_EXP = 12
 """Largest ``bigon`` exponent cap, checked before anything is built: the
 word-rewriting check's run time grows steeply in it, and unevenly by seed."""
 
+# rng.choice(seq) picks seq[rng._randbelow(len(seq))], and rng.randint(a, b)
+# and rng.randrange(a, b + 1) return a + rng._randbelow(b - a + 1), so the
+# suites' random draws choose from a tuple of a..b: the same values from the
+# same stream, for less
+_ONE_OR_TWO = (1, 2)
+
 SUITES = {
     "bigon": ("trials", "max_exp"),
     "qtorus": ("trials", "triangulation"),

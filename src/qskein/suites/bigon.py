@@ -11,6 +11,7 @@ from ..oq_sl2 import OqAlgebra, OqElement
 from ..scalars import ScalarRing
 from . import (
     MAX_EXP,
+    _ONE_OR_TWO,
     Check,
     CheckFailure,
     _checked_spanning_count,
@@ -18,12 +19,6 @@ from . import (
     _refuse_oversized,
     _require,
 )
-
-# rng.choice(seq) picks seq[rng._randbelow(len(seq))] and rng.randint(a, b)
-# returns a + rng._randbelow(b - a + 1), so choosing from a tuple of a..b
-# draws what randint(a, b) would, from the same stream, for less
-_ONE_OR_TWO = (1, 2)
-
 
 @lru_cache(maxsize=None)
 def _up_to(cap: int) -> tuple[int, ...]:

@@ -3,7 +3,7 @@
 import random
 from functools import cache, partial
 from itertools import product
-from operator import add, mul
+from operator import add
 from typing import Sequence
 
 from .. import quantum_torus
@@ -24,30 +24,41 @@ from ..quantum_torus import (
     qt_deg,
 )
 from ..scalars import ScalarRing
-from . import Check, _false_fields, _refuse_oversized, _require
+from . import _ONE_OR_TWO, Check, _false_fields, _refuse_oversized, _require
 
 
-def _random_balanced_element(
-    torus: QuantumTorus,
-    tri: Triangulation,
-    basis: Sequence[tuple[int, ...]],
-    rng: random.Random,
-    cap: int = 2,
-):
-    """One or two monomials Y^v, v = sum_c coords_c basis_c with coords in
-    [-cap, cap], coefficients +-1..4; the unit if they cancel."""
-    n = tri.edge_count
-    columns = list(zip(*basis))
-    randrange, from_rational = rng.randrange, torus.ring.from_rational
-    terms: dict = {}
-    for _ in range(randrange(1, 3)):
-        coords = [randrange(-cap, cap + 1) for _ in range(n)]
-        vec = tuple([sum(map(mul, coords, col)) for col in columns])
-        coeff = randrange(1, 5)
-        if rng.random() < 0.5:
-            coeff = -coeff
-        accumulate(terms, vec, from_rational(coeff))
-    return QTElement(torus, terms) if terms else torus.one()
+def _balanced_sampler(torus: QuantumTorus, basis: Sequence[tuple[int, ...]], cap: int = 2):
+    """A function of an ``rng`` giving a random balanced element of ``torus``.
+
+    Each call draws, in this order: the number of terms, 1 or 2; for each
+    term, one coordinate in -cap..cap per row of ``basis``, then c in 1..4,
+    then ``random() < 0.5``, which negates c.  A term is c Y^v with v the
+    sum of coordinate times row; terms that cancel give the unit.  Those are
+    the draws of ``randrange(1, 3)``, ``randrange(-cap, cap + 1)`` and
+    ``randrange(1, 5)``, made with ``choice``.  The rows are kept as their
+    (column, entry) nonzeros and the coefficients as scalars of the torus's
+    own ring object.
+    """
+    n = len(basis)
+    rows = [tuple((j, e) for j, e in enumerate(row) if e) for row in basis]
+    draws = tuple(range(-cap, cap + 1))
+    from_rational = torus.ring.from_rational
+    signed = tuple((from_rational(c), from_rational(-c)) for c in range(1, 5))
+
+    def draw(rng: random.Random):
+        choice, rand = rng.choice, rng.random
+        terms: dict = {}
+        for _ in range(choice(_ONE_OR_TWO)):
+            vec = [0] * n
+            for row in rows:
+                x = choice(draws)
+                if x:
+                    for j, e in row:
+                        vec[j] += x * e
+            accumulate(terms, tuple(vec), choice(signed)[rand() < 0.5])
+        return QTElement(torus, terms) if terms else torus.one()
+
+    return draw
 
 
 def qtorus_suite(
@@ -83,6 +94,8 @@ def _fixture_checks(
     target = QuantumTorus.from_triangulation(ring, tri, mu)
     source = QuantumTorus.from_triangulation(ring, tri, nu)
     lattice = balanced_lattice_basis(tri)
+    draw_source = _balanced_sampler(source, lattice)
+    draw_target = _balanced_sampler(target, lattice)
     # built on first use inside a check, so a failure is that check's error
     zbasis = cache(partial(balanced_puncture_basis, tri))
 
@@ -106,8 +119,7 @@ def _fixture_checks(
 
     def check_frobenius(rng) -> str:
         for t in range(trials):
-            x = _random_balanced_element(source, tri, lattice, rng)
-            y = _random_balanced_element(source, tri, lattice, rng)
+            x, y = draw_source(rng), draw_source(rng)
             lhs = frobenius_map(x * y, target, order)
             rhs = frobenius_map(x, target, order) * frobenius_map(y, target, order)
             _require(lhs == rhs, f"power map is not multiplicative at trial {t}")
@@ -116,8 +128,7 @@ def _fixture_checks(
     def check_deg_additive(rng) -> str:
         zb = zbasis()
         for t in range(trials):
-            x = _random_balanced_element(target, tri, lattice, rng)
-            y = _random_balanced_element(target, tri, lattice, rng)
+            x, y = draw_target(rng), draw_target(rng)
             prod = x * y
             _require(not prod.is_zero(), f"product of nonzero elements vanished at trial {t}")
             _require(qt_deg(prod, zb) == tuple(map(add, qt_deg(x, zb), qt_deg(y, zb))),
@@ -137,7 +148,7 @@ def _fixture_checks(
         zb = zbasis()
         p = len(tri.punctures)
         box = list(product(range(order), repeat=p))
-        elements = {k: _random_balanced_element(source, tri, lattice, rng) for k in box}
+        elements = {k: draw_source(rng) for k in box}
         x_map = {k: qt_deg(l, zb) for k, l in elements.items()}
         cert = center_free_certificate(order, x_map, target=target, zbasis=zb, elements=elements)
         _require(cert.certified, f"certificate refused: {_false_fields(cert)} false")

@@ -767,6 +767,13 @@ def test_normal_form_refuses_a_pair_list():
         OqAlgebra(ROOT3).normal_form([(1, "ab")])
 
 
+@pytest.mark.parametrize("value", [2.0, "2", True], ids=["float", "string", "bool"])
+@pytest.mark.parametrize("method", ["power_product", "monomial_degree"])
+def test_exponent_vectors_refuse_non_integers(method, value):
+    with pytest.raises(TypeError, match="expected an integer"):
+        getattr(OqAlgebra(ROOT3), method)((value, 0, 1, 0))
+
+
 def test_bool_exponents_are_not_pbw_indices():
     assert not is_pbw_index((True, 0, 0, 0))
     with pytest.raises(ValueError, match="not a PBW index"):

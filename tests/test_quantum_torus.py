@@ -857,7 +857,14 @@ def test_torus_refuses_parameters(value, error, message):
         QuantumTorus(RING, [[0, 1], [-1, 0]], value)
 
 
-@pytest.mark.parametrize("place", ["residue", "grade", "element-key"])
+@NON_INTEGERS
+def test_frobenius_map_refuses_non_integer_orders(value):
+    source, target = _tori_pair(once_punctured_torus())
+    with pytest.raises(TypeError, match="expected an integer"):
+        frobenius_map(source.generator(0), target, value)
+
+
+@pytest.mark.parametrize("place", ["order", "residue", "grade", "element-key"])
 @NON_INTEGERS
 def test_center_free_certificate_refuses_non_integers(place, value):
     x_map = {(0,): (0,), (2,): (0,)}
@@ -867,7 +874,7 @@ def test_center_free_certificate_refuses_non_integers(place, value):
         data["elements"][(value,)] = data["elements"][(0,)]
     elif place == "grade":
         x_map[(0,)] = (value,)
-    else:
+    elif place == "element-key":
         data["elements"][(value,)] = data["elements"].pop((2,))
     with pytest.raises(TypeError, match="expected an integer"):
-        center_free_certificate(3, x_map, **data)
+        center_free_certificate(value if place == "order" else 3, x_map, **data)

@@ -600,3 +600,9 @@ def test_from_rational_refuses_inexact_input(ring, value):
     binary fraction, and "1/3" is not parsed."""
     with pytest.raises(TypeError, match="expected"):
         ring.from_rational(value)
+
+
+@pytest.mark.parametrize("value", [0.5, "1", True], ids=["float", "string", "bool"])
+def test_generic_root_powers_refuse_non_integers(value):
+    with pytest.raises(TypeError, match="expected an integer"):
+        ScalarRing.generic().zeta_pow(value)

@@ -4,6 +4,7 @@ spanning count."""
 import inspect
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,13 +12,14 @@ from qskein import suites
 from qskein.oq_sl2 import OqAlgebra
 from qskein.quantum_torus import (
     QuantumTorus,
+    Triangulation,
     balanced_lattice_basis,
     four_punctured_sphere,
     once_punctured_torus,
 )
 from qskein.scalars import ScalarRing
 from qskein.suites.bigon import _random_frobenius_element, _random_pbw_index
-from qskein.suites.qtorus import _random_balanced_element
+from qskein.suites.qtorus import _balanced_sampler
 
 
 def old_random_pbw_index(rng, cap):
@@ -107,15 +109,47 @@ def test_random_balanced_element_matches_the_old_definition(make, order, cap):
     ring = ScalarRing.root_of_unity(order)
     torus = QuantumTorus.from_triangulation(ring, tri, ring.zeta_pow(1) ** (order * order))
     basis = balanced_lattice_basis(tri)
+    draw = _balanced_sampler(torus, basis, cap)
     for seed in range(4):
         new_rng, old_rng = random.Random(seed), random.Random(seed)
         for _ in range(150):
-            new = _random_balanced_element(torus, tri, basis, new_rng, cap)
+            new = draw(new_rng)
             old = old_random_balanced_element(torus, tri, basis, old_rng, cap)
             assert new == old
             assert list(new.terms) == list(old.terms)
             assert repr(new) == repr(old)
             assert new_rng.getstate() == old_rng.getstate()
+
+
+def test_random_balanced_element_matches_the_old_definition_on_150_edges():
+    path = Path(__file__).parent / "data" / "glued-150.json"
+    tri = Triangulation.from_json(path.read_text())
+    ring = ScalarRing.root_of_unity(3)
+    torus = QuantumTorus.from_triangulation(ring, tri, ring.zeta_pow(1))
+    basis = balanced_lattice_basis(tri)
+    draw = _balanced_sampler(torus, basis)
+    new_rng, old_rng = random.Random(150), random.Random(150)
+    for _ in range(6):
+        new = draw(new_rng)
+        old = old_random_balanced_element(torus, tri, basis, old_rng)
+        assert new == old
+        assert list(new.terms) == list(old.terms)
+        assert repr(new) == repr(old)
+        assert new_rng.getstate() == old_rng.getstate()
+
+
+def test_balanced_sampler_keeps_its_own_ring():
+    """Rings compare equal by order, but a sampler over a torus whose ring
+    was built apart gets coefficients of that very ring, not of another."""
+    first, second = ScalarRing.root_of_unity(7), ScalarRing.root_of_unity(7)
+    assert first == second and first is not second
+    tri, rng = four_punctured_sphere(), random.Random(7)
+    basis = balanced_lattice_basis(tri)
+    for ring in (first, second, first):
+        torus = QuantumTorus.from_triangulation(ring, tri, ring.zeta_pow(1))
+        draw = _balanced_sampler(torus, basis)
+        for _ in range(20):
+            assert all(c.ring is ring for c in draw(rng).terms.values())
 
 
 @pytest.mark.parametrize(
