@@ -238,9 +238,9 @@ def chebyshev_reduce(p: Polynomial, order: int) -> ChebyshevForm:
     q = q'*T + r_1, ..., and column j collects the x**j terms of the r_k.
     Each division is synthetic division of a coefficient list, from the
     top degree down, by T_order's terms below x**order; the terms of r_k
-    go straight into the column dicts.
+    go straight into the column dicts.  ``order`` is a positive ``linear.integer``.
     """
-    if order < 1:
+    if integer(order) < 1:
         raise ValueError("order must be positive")
     low = _low_terms(order)
     columns: list[dict] = [{} for _ in range(order)]

@@ -14,7 +14,7 @@ and are never refused.
 The bigon's index sets, the N^3 box and its spanning wing, are enumerated
 here next to the formula that counts them, so that counting them loads no
 algebra layer.  It imports nothing of the package, so it restates
-``linear.integer`` for its counts and orders: ints that are not bools.
+``linear.integer`` for its counts and ``linear.odd_order`` for its orders.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ class SurfaceDescriptor(_SurfaceFields):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked by __new__, as is _replace
 
     def __new__(cls, genus: int, punctures: int, boundary: int):
         if min(map(_integer, (genus, punctures, boundary))) < 0:
@@ -69,6 +70,7 @@ class Marked3ManifoldDescriptor(_ManifoldFields):
     marking consisting of ``markings`` oriented open intervals."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked by __new__, as is _replace
 
     def __new__(cls, genus: int, markings: int):
         if min(_integer(genus), _integer(markings)) < 0:
@@ -88,7 +90,7 @@ def r_of_surface(s: SurfaceDescriptor) -> int:
     return -euler_characteristic(s) + s.boundary
 
 
-def _check_order(order: int):
+def _check_order(order: int):  # linear.odd_order, restated
     if _integer(order) < 1 or order % 2 == 0:
         raise ValueError(f"order must be odd and positive, got {order}")
 

@@ -17,7 +17,8 @@ callers get integer numerators over the determinant, never a ``Fraction``.
 ``repr``.
 
 Input rules, each stated once: ``integer`` takes an int that is not a bool;
-a coefficient is such an int, a ``Fraction`` or a scalar of the ring in use
+``odd_order``, the rule for the order N of zeta, an odd such int >= 1; a
+coefficient is an ``integer``, a ``Fraction`` or a scalar of the ring in use
 (``ScalarRing.coerce``, ``Polynomial._coerce``), and ``exact`` applies that
 rule at an entry point.  Floats, strings and bools raise TypeError.
 """
@@ -47,6 +48,13 @@ def integer(value) -> int:
     """``value`` itself if it is an int and not a bool; TypeError otherwise."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def odd_order(value) -> int:
+    """``value`` itself if it is an odd ``integer`` >= 1; TypeError or ValueError otherwise."""
+    if integer(value) < 1 or value % 2 == 0:
+        raise ValueError(f"order must be odd and positive, got {value}")
     return value
 
 

@@ -31,7 +31,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .dimensions import Index
 from .linear import SparseCombination, accumulate, exact, integer
-from .scalars import ROOT_OF_UNITY, Scalar, ScalarRing
+from .scalars import Scalar, ScalarRing
 
 _LETTERS = "adbc"  # normal order of generators inside a monomial
 _RANK = {letter: i for i, letter in enumerate(_LETTERS)}
@@ -67,6 +67,13 @@ def _pbw(k: Sequence[int]) -> Index:
     return k
 
 
+def _letter_index(letter: str, e: int) -> Index:
+    """The PBW index of letter**e, for a generator letter a, b, c or d."""
+    if letter not in _RANK:
+        raise ValueError(f"unknown generator {letter!r}")
+    return tuple(e if i == _RANK[letter] else 0 for i in range(4))
+
+
 def _check_box_index(v: Index, n: int) -> None:
     """Raise unless ``v`` is a PBW index in the basis box: first entry 0, all below n."""
     if not (is_pbw_index(v) and v[0] == 0 and max(v) < n):
@@ -99,7 +106,7 @@ class OqAlgebra:
 
     @property
     def order(self) -> int:
-        if self.ring.mode != ROOT_OF_UNITY:
+        if self.ring.order is None:
             raise ValueError("this operation needs a root-of-unity scalar ring")
         return self.ring.order
 
@@ -127,11 +134,7 @@ class OqAlgebra:
         return OqElement(self, {_pbw(k): self.ring.one})
 
     def generator(self, letter: str) -> "OqElement":
-        if letter not in _RANK:
-            raise ValueError(f"unknown generator {letter!r}")
-        exp = [0, 0, 0, 0]
-        exp[_RANK[letter]] = 1
-        return self.basis_monomial(tuple(exp))
+        return self.basis_monomial(_letter_index(letter, 1))
 
     # -- structured multiplication ---------------------------------------------
 
@@ -211,7 +214,9 @@ class OqAlgebra:
 
         Exponents follow ``linear.integer``.
         """
-        k1, k2, k3, k4 = map(integer, k)
+        k1, k2, k3, k4 = k
+        if not type(k1) is type(k2) is type(k3) is type(k4) is int:
+            k1, k2, k3, k4 = map(integer, (k1, k2, k3, k4))
         if min(k1, k2, k3, k4) < 0:
             raise ValueError("exponents must be natural numbers")
         core = self._core(k1, 0, 0, k2)
@@ -350,10 +355,7 @@ class OqAlgebra:
 
     def frobenius_generator(self, letter: str) -> "OqElement":
         """The N-th power of a generator (a single PBW monomial)."""
-        n = self.order
-        exp = [0, 0, 0, 0]
-        exp[_RANK[letter]] = n
-        return self.basis_monomial(tuple(exp))
+        return self.basis_monomial(_letter_index(letter, self.order))
 
     def frobenius_monomial(self, u: Sequence[int]) -> "OqElement":
         """Basis monomial of the N-th power subalgebra with PBW index N*u."""

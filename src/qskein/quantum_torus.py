@@ -47,6 +47,7 @@ class Triangulation(_TriangulationFields):
     """Combinatorial ideal triangulation of a punctured surface."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked by __new__, as is _replace
 
     def __new__(cls, edge_count: int, triangles, fans):
         self = super().__new__(cls, edge_count, triangles, fans)
@@ -497,15 +498,11 @@ class QuantumTorus:
         times the ordered monomial.  Its product rule is
         [Y^k][Y^l] = parameter^(k^T sigma l) [Y^(k+l)]."""
         k = tuple(map(integer, k))
-        return self.ordered_monomial(k, self._twist(self._low(k, k)))
+        return self.ordered_monomial(k, self.ring.zeta_pow(self._exponent * self._low(k, k)))
 
     def _low(self, k: Sequence[int], l: Sequence[int]) -> int:
         """The lower-triangular form sum_{i>j} sigma_ij k_i l_j."""
         return sum([s * k[i] * l[j] for i, j, s in self._lower])
-
-    def _twist(self, e: int) -> Scalar:
-        """parameter**e, read from the ring's table of root powers."""
-        return self.ring.zeta_pow(self._exponent * e)
 
 
 class QTElement(SparseCombination):

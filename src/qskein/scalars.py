@@ -1,28 +1,29 @@
 """Exact coefficient arithmetic for a quantum parameter and its square root.
 
 Every computation in this library happens over one of two coefficient rings,
-both with exact rational arithmetic (no floats anywhere):
+both with exact rational arithmetic (no floats anywhere), named by its order:
 
-* root-of-unity mode: the cyclotomic field Q[t]/(Phi_N(t)) for odd N >= 1,
-  where the class of t is a primitive N-th root of unity ``zeta``.  We take
-  ``zeta`` as the square root of the quantum parameter, so q = zeta**2 also
-  has exact order N (N is odd).  A scalar is a tuple of Python int
-  numerators, the coefficients of 1, zeta, ..., zeta**(d-1) (d = deg Phi_N),
-  over one positive int denominator, in lowest terms.  Every scalar is held
-  as a tag c * zeta**k times an optional dense factor: products multiply
-  the tags, and convolve only when both sides have a factor; the
-  numerators are built only when something reads them.  Reduction modulo
-  Phi_N adds c times a stored row, zeta**i reduced, for each nonzero
-  entry c at d <= i < N.
-* generic mode: Laurent polynomials Q[v, 1/v] in a formal square root v,
-  with q = v**2 and ``fractions.Fraction`` coefficients.  Nothing collapses
-  here, which makes this mode useful as a stress test for rewriting
-  identities that should hold before specialisation, and as an exactness
-  oracle for the root-mode arithmetic.
+* root-of-unity mode, order N (``linear.odd_order``): the cyclotomic field
+  Q[t]/(Phi_N(t)), where the class of t is a primitive N-th root of unity
+  ``zeta``.  We take ``zeta`` as the square root of the quantum parameter,
+  so q = zeta**2 also has exact order N (N is odd).  A scalar is a tuple of
+  Python int numerators, the coefficients of 1, zeta, ..., zeta**(d-1)
+  (d = deg Phi_N), over one positive int denominator, in lowest terms.
+  Every scalar is held as a tag c * zeta**k times an optional dense
+  factor: products multiply the tags, and convolve only when both sides
+  have a factor; the numerators are built only when something reads them.
+  Reduction modulo Phi_N adds c times a stored row, zeta**i reduced, for
+  each nonzero entry c at d <= i < N.
+* generic mode, order None: Laurent polynomials Q[v, 1/v] in a formal
+  square root v, with q = v**2 and ``fractions.Fraction`` coefficients.
+  Nothing collapses here, which makes this mode useful as a stress test
+  for rewriting identities that should hold before specialisation, and as
+  an exactness oracle for the root-mode arithmetic.
 
 Scalars are immutable and tagged with their ring; mixing rings raises.
 Python ints (not bools) and Fractions coerce into either ring; floats and
-strings do not (``ScalarRing.coerce``).
+strings do not (``ScalarRing.coerce``); root-power exponents follow
+``linear.integer``.
 """
 
 from __future__ import annotations
@@ -31,10 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .linear import accumulate, convolve, exact, integer, integer_solve, power, term_text
-
-ROOT_OF_UNITY = "root-of-unity"
-GENERIC = "generic"
+from .linear import accumulate, convolve, exact, integer, integer_solve, odd_order, power, term_text
 
 # the identity tag: 1 * zeta**0, carried by one and by every dense scalar
 _ONE = (0, 1, 1)
@@ -86,22 +84,19 @@ def cyclotomic_coefficients(n: int) -> tuple[int, ...]:
 
 
 class ScalarRing:
-    """Handle for one of the two coefficient rings.
+    """Handle for a coefficient ring, named by its order alone (None: generic).
 
     Use :meth:`root_of_unity` or :meth:`generic` to build one.  Two handles
-    with the same mode and order are interchangeable.
+    with the same order are interchangeable.
 
     A root-mode ring builds each zeta**m, m < N, once, as zeta times
     zeta**(m-1) with zeta**d = -sum phi[j] zeta**j substituted: the root-power
     table ``_powers``, whose rows m >= d are the fold table ``_reduce`` reads.
     """
 
-    def __init__(self, mode: str, order: int | None = None):
-        if mode == ROOT_OF_UNITY:
-            if order is None or order < 1 or order % 2 == 0:
-                raise ValueError("root-of-unity mode needs an odd order N >= 1")
-            self.mode = mode
-            self.order = order
+    def __init__(self, order: int | None):
+        self.order = order
+        if order is not None:
             phi = cyclotomic_coefficients(order)
             d = len(phi) - 1
             self._degree = d
@@ -133,23 +128,17 @@ class ScalarRing:
             self._exponents = {s._rep: m for m, s in enumerate(self._powers)}
             self.one = self._powers[0]
             self.zero = Scalar(self, None, (0, 0, 1))
-        elif mode == GENERIC:
-            if order is not None:
-                raise ValueError("generic mode takes no order")
-            self.mode = mode
-            self.order = None
+        else:
             self.one = Scalar(self, ((0, Fraction(1)),))
             self.zero = Scalar(self, ())
-        else:
-            raise ValueError(f"unknown scalar mode {mode!r}")
 
     @classmethod
     def root_of_unity(cls, order: int) -> "ScalarRing":
-        return cls(ROOT_OF_UNITY, order)
+        return cls(odd_order(order))
 
     @classmethod
     def generic(cls) -> "ScalarRing":
-        return cls(GENERIC)
+        return cls(None)
 
     # -- basic constructors -------------------------------------------------
 
@@ -168,9 +157,9 @@ class ScalarRing:
             return value
         if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
             return None
-        if self.mode == ROOT_OF_UNITY:
-            return self._monomial(0, value.numerator, value.denominator)
-        return Scalar(self, ((0, Fraction(value)),) if value else ())
+        if self.order is None:
+            return Scalar(self, ((0, Fraction(value)),) if value else ())
+        return self._monomial(0, value.numerator, value.denominator)
 
     def from_power_counts(self, counts, step: int) -> "Scalar":
         """The scalar sum_i counts[i] * zeta**(step * i) (v**(step * i) in
@@ -180,9 +169,9 @@ class ScalarRing:
         off the counts once they are folded modulo zeta**N = 1, or when it
         reduces to some zeta**m.
         """
-        if self.mode == GENERIC:
-            return Scalar(self, [(step * i, Fraction(c)) for i, c in enumerate(counts) if c])
         n = self.order
+        if n is None:
+            return Scalar(self, [(step * i, Fraction(c)) for i, c in enumerate(counts) if c])
         coeffs = [0] * n
         for i, c in enumerate(counts):
             if c:
@@ -195,14 +184,18 @@ class ScalarRing:
         return Scalar(self, rep) if m is None else self._powers[m]
 
     def zeta_pow(self, m: int) -> "Scalar":
-        """The scalar zeta**m (root mode) or v**m (generic mode); m follows
-        ``linear.integer`` in generic mode."""
-        if self.mode == GENERIC:
-            return Scalar(self, ((integer(m), Fraction(1)),))
+        """The scalar zeta**m (root mode) or v**m (generic mode), for an
+        ``integer`` m."""
+        if type(m) is not int:
+            integer(m)
+        if self.order is None:
+            return Scalar(self, ((m, Fraction(1)),))
         return self._powers[m % self.order]
 
     def q_pow(self, m: int) -> "Scalar":
-        """The scalar q**m where q = zeta**2 (resp. v**2)."""
+        """The scalar q**m where q = zeta**2 (resp. v**2), for an ``integer`` m."""
+        if type(m) is not int:
+            integer(m)
         return self.zeta_pow(2 * m)
 
     # -- root-mode constructors and reduction -----------------------------------
@@ -244,7 +237,7 @@ class ScalarRing:
         """The m with s == zeta**m, 0 <= m < N (v**m in generic mode), or None."""
         if s.ring != self:
             raise ValueError("scalar from a different ring")
-        if self.mode == GENERIC:
+        if self.order is None:
             if len(s._rep) == 1 and s._rep[0][1] == 1:
                 return s._rep[0][0]
             return None
@@ -254,24 +247,20 @@ class ScalarRing:
         """Whether s equals q**m for some integer m."""
         m = self.root_exponent(s)
         # N is odd, so every power of zeta is a power of q = zeta**2
-        return m is not None and (self.mode == ROOT_OF_UNITY or m % 2 == 0)
+        return m is not None and (self.order is not None or m % 2 == 0)
 
     # -- structural equality --------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ScalarRing)
-            and self.mode == other.mode
-            and self.order == other.order
-        )
+        return isinstance(other, ScalarRing) and self.order == other.order
 
     def __hash__(self) -> int:
-        return hash((self.mode, self.order))
+        return hash(("ScalarRing", self.order))
 
     def __repr__(self) -> str:
-        if self.mode == ROOT_OF_UNITY:
-            return f"ScalarRing(root_of_unity, N={self.order})"
-        return "ScalarRing(generic)"
+        if self.order is None:
+            return "ScalarRing(generic)"
+        return f"ScalarRing(root_of_unity, N={self.order})"
 
 
 class Scalar:
@@ -313,7 +302,7 @@ class Scalar:
         """Root mode: ``rep`` alone is a dense scalar; beside a tag it may be None."""
         self.ring = ring
         if mono is None:
-            if ring.mode == GENERIC:
+            if ring.order is None:
                 rep = tuple(sorted((e, c) for e, c in rep if c))
             else:
                 mono, base = _ONE, rep
@@ -514,7 +503,7 @@ class Scalar:
         return hash((self.ring, self._rep))
 
     def __repr__(self) -> str:
-        if self.ring.mode == GENERIC:
+        if self.ring.order is None:
             return " + ".join([term_text(c, "v", e) for e, c in self._rep]) or "0"
         nums, den = self._rep
         terms = [term_text(Fraction(n, den), "z", i) for i, n in enumerate(nums) if n]

@@ -29,7 +29,7 @@ def _up_to(cap: int) -> tuple[int, ...]:
 def _coefficients(ring: ScalarRing, ring_id: int) -> tuple:
     """``[c - 1][den - 1]`` is the pair (c / den, -c / den) of scalars, c <= 5, den <= 3.
 
-    Pass ``id(ring)``: rings compare equal by mode and order, so the id keeps
+    Pass ``id(ring)``: rings compare equal by order, so the id keeps
     an equal ring built apart from reading scalars of another ring object.
     """
     return tuple(

@@ -17,7 +17,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .chebyshev import Polynomial, chebyshev_a, chebyshev_t, dense
-from .linear import integer_solve
+from .linear import integer_solve, odd_order
 
 
 def a_basis_expand(p: Polynomial) -> tuple[int | Fraction, dict[int, int | Fraction]]:
@@ -58,8 +58,8 @@ def a_basis_build(constant, coeffs: dict[int, int | Fraction]) -> Polynomial:
 
 
 def _check_order(order: int) -> None:
-    if order < 3 or order % 2 == 0:
-        raise ValueError("order must be odd and at least 3")
+    if odd_order(order) < 3:
+        raise ValueError(f"order must be at least 3, got {order}")
 
 
 class _S1S2Fields(NamedTuple):
@@ -76,22 +76,20 @@ class S1S2Element(_S1S2Fields):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked by __new__, as is _replace
 
     def __new__(cls, order: int, empty_coeff, e_coeffs):
         self = super().__new__(cls, order, empty_coeff, e_coeffs)
         _check_order(order)
-        seen = set()
         for i, c in self.e_coeffs:
-            if i < 1 or (i + 2) % self.order:
-                raise ValueError(f"index {i} is not admissible at order {self.order}")
-            if i in seen:
-                raise ValueError("duplicate index")
+            if i < 1 or (i + 2) % order:
+                raise ValueError(f"index {i} is not admissible at order {order}")
             if not c:
                 raise ValueError("zero coefficients must be dropped")
-            seen.add(i)
-        if tuple(sorted(i for i, _ in self.e_coeffs)) != tuple(
-            i for i, _ in self.e_coeffs
-        ):
+        indices = [i for i, _ in self.e_coeffs]
+        if len(set(indices)) != len(indices):
+            raise ValueError("duplicate index")
+        if indices != sorted(indices):
             raise ValueError("indices must be sorted")
         return self
 
@@ -107,6 +105,7 @@ class S1S2Element(_S1S2Fields):
 
 def s1s2_reduce(p: Polynomial, order: int) -> S1S2Element:
     """Expand p over the A-basis and apply the kill rule of the quotient."""
+    _check_order(order)
     constant, coeffs = a_basis_expand(p)
     kept = sorted(
         (i, c) for i, c in coeffs.items() if (i + 2) % order == 0 and c

@@ -398,3 +398,9 @@ def test_polynomial_refuses_inexact_coefficients(value):
 def test_polynomial_refuses_non_integer_exponents(exponent):
     with pytest.raises(TypeError, match="expected an integer"):
         Polynomial({exponent: 1})
+
+
+@pytest.mark.parametrize("order", [True, 3.0], ids=["bool", "float"])
+def test_reduce_order_follows_the_integer_rule(order):
+    with pytest.raises(TypeError, match="expected an integer, got"):
+        chebyshev_reduce(Polynomial({4: 1}), order)

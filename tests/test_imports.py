@@ -12,7 +12,7 @@ import pytest
 import qskein
 from qskein import suites
 from qskein.dimensions import Marked3ManifoldDescriptor, SurfaceDescriptor
-from qskein.quantum_torus import Triangulation
+from qskein.quantum_torus import Triangulation, once_punctured_torus
 from qskein.suites import CheckResult
 from qskein.torus_skein import S1S2Element
 
@@ -135,7 +135,7 @@ def test_dir_lists_every_export():
         (lambda: SurfaceDescriptor(-1, 0, 0), "surface data must be nonnegative"),
         (lambda: SurfaceDescriptor(0, 0, -1), "surface data must be nonnegative"),
         (lambda: Marked3ManifoldDescriptor(0, -1), "manifold data must be nonnegative"),
-        (lambda: S1S2Element(4, 1, ()), "order must be odd and at least 3"),
+        (lambda: S1S2Element(4, 1, ()), "order must be odd and positive, got 4"),
         (lambda: S1S2Element(3, 0, ((2, 1),)), "index 2 is not admissible at order 3"),
         (lambda: S1S2Element(3, 0, ((1, 1), (1, 2))), "duplicate index"),
         (lambda: S1S2Element(3, 0, ((1, 0),)), "zero coefficients must be dropped"),
@@ -147,6 +147,40 @@ def test_dir_lists_every_export():
 def test_validated_records_refuse_bad_input(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+@pytest.mark.parametrize(
+    "edit, error, message",
+    [
+        (lambda: SurfaceDescriptor(0, 0, 2)._replace(genus=-5),
+         ValueError, "surface data must be nonnegative"),
+        (lambda: SurfaceDescriptor._make((0, True, 2)), TypeError, "expected an integer"),
+        (lambda: Marked3ManifoldDescriptor(1, 2)._replace(markings=-1),
+         ValueError, "manifold data must be nonnegative"),
+        (lambda: Marked3ManifoldDescriptor._make((1.0, 2)), TypeError, "expected an integer"),
+        (lambda: once_punctured_torus()._replace(edge_count=0), ValueError, "at least one edge"),
+        (lambda: Triangulation._make((1, ((0, 0, 0),), ())), ValueError, "fan lengths"),
+        (lambda: S1S2Element(3, 0, ())._replace(order=4, e_coeffs=((1, 0),)),
+         ValueError, "order must be odd and positive, got 4"),
+        (lambda: S1S2Element._make((3, 0, ((2, 1),))),
+         ValueError, "index 2 is not admissible at order 3"),
+    ],
+    ids=["surface-replace", "surface-make", "manifold-replace", "manifold-make",
+         "triangulation-replace", "triangulation-make", "s1s2-replace", "s1s2-make"],
+)
+def test_record_make_and_replace_validate(edit, error, message):
+    with pytest.raises(error, match=message):
+        edit()
+
+
+def test_record_make_and_replace_keep_valid_records():
+    s = SurfaceDescriptor(0, 0, 2)._replace(genus=1)
+    assert type(s) is SurfaceDescriptor and s == (1, 0, 2)
+    assert Marked3ManifoldDescriptor._make([2, 1]) == Marked3ManifoldDescriptor(2, 1)
+    tri = once_punctured_torus()
+    assert tri._replace(fans=tri.fans) == tri
+    e = S1S2Element(3, 0, ())._replace(e_coeffs=((1, 2),))
+    assert type(e) is S1S2Element and e.coefficient(1) == 2
 
 
 def test_records_keep_keywords_repr_and_immutability():

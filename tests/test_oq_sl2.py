@@ -780,3 +780,17 @@ def test_bool_exponents_are_not_pbw_indices():
         OqAlgebra(ROOT3).basis_monomial((True, 0, 0, 0))
     with pytest.raises(ValueError, match="not a PBW index"):
         OqAlgebra(ROOT3).element({(0, 0, False, 0): 1})
+
+
+@pytest.mark.parametrize("name", ["generator", "frobenius_generator"])
+@pytest.mark.parametrize("letter", ["e", "ab", ""])
+def test_unknown_generator_letters_refused_alike(name, letter):
+    alg = OqAlgebra(ScalarRing.root_of_unity(3))
+    with pytest.raises(ValueError, match=f"unknown generator {letter!r}"):
+        getattr(alg, name)(letter)
+
+
+def test_frobenius_generator_is_the_nth_power():
+    alg = OqAlgebra(ScalarRing.root_of_unity(3))
+    for letter in "abcd":
+        assert alg.frobenius_generator(letter) == alg.generator(letter) ** 3

@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from qskein import quantum_torus
+from qskein.chebyshev import Polynomial
+from qskein.oq_sl2 import OqAlgebra
 from qskein.quantum_torus import (
     QuantumTorus,
     Triangulation,
@@ -878,3 +880,46 @@ def test_center_free_certificate_refuses_non_integers(place, value):
         data["elements"][(value,)] = data["elements"].pop((2,))
     with pytest.raises(TypeError, match="expected an integer"):
         center_free_certificate(value if place == "order" else 3, x_map, **data)
+
+
+def _certificate_with(x_map, elements):
+    """center_free_certificate at order 3 over the once-punctured torus, with
+    ``elements`` a function of one balanced element of grade 0."""
+    data = _graded_elements({(0,): (0,)})
+    data["elements"] = elements(data["elements"][(0,)])
+    return center_free_certificate(3, x_map, **data)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: balanced_puncture_basis(once_punctured_torus()).coordinates((0,)),
+         "vector has wrong length"),
+        (lambda: QuantumTorus(RING, [[0, 1], [-1]]), "exchange matrix must be square"),
+        (lambda: QuantumTorus(RING, [[0, 1], [-1, 0]]).ordered_monomial((1,)),
+         "exponent vector has wrong length"),
+        (lambda: central_puncture_element(
+            QuantumTorus(RING, exchange_matrix(once_punctured_torus())), "v0"),
+         "torus was not built from a triangulation"),
+        (lambda: _certificate_with({(0,): (0, 1)}, lambda l: {}),
+         "residue tuple and grading vector differ in length"),
+        (lambda: _certificate_with({(0,): (0,)}, lambda l: {(1,): l}),
+         "element key missing from x_map"),
+        (lambda: _certificate_with({(0,): (0,)}, lambda l: {(0,): l - l}),
+         "balanced elements must be nonzero"),
+        (lambda: OqAlgebra(RING).in_diagonal_tower(
+            OqAlgebra(ScalarRing.root_of_unity(5)).one(), 1),
+         "element from a different algebra"),
+        (lambda: OqAlgebra(RING).in_diagonal_tower(OqAlgebra(RING).one(), -1),
+         "tower height must be a natural number"),
+        (lambda: OqAlgebra(RING).independence_certificate({}), "empty coefficient map"),
+        (lambda: Polynomial({-1: 1}), "negative exponent"),
+    ],
+    ids=["zbasis-coordinates-length", "sigma-not-square", "ordered-monomial-length",
+         "puncture-without-triangulation", "certificate-length-mismatch",
+         "certificate-missing-key", "certificate-zero-element", "tower-foreign-element",
+         "tower-negative-height", "independence-empty-map", "polynomial-negative-exponent"],
+)
+def test_refusals_of_malformed_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

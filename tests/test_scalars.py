@@ -606,3 +606,36 @@ def test_from_rational_refuses_inexact_input(ring, value):
 def test_generic_root_powers_refuse_non_integers(value):
     with pytest.raises(TypeError, match="expected an integer"):
         ScalarRing.generic().zeta_pow(value)
+
+
+@pytest.mark.parametrize("value", [True, 5.0, "5"], ids=["bool", "float", "string"])
+def test_root_of_unity_order_follows_the_integer_rule(value):
+    with pytest.raises(TypeError, match="expected an integer, got"):
+        ScalarRing.root_of_unity(value)
+
+
+@pytest.mark.parametrize("order", [4, 0, -3])
+def test_root_of_unity_order_is_odd_and_positive(order):
+    with pytest.raises(ValueError, match=f"order must be odd and positive, got {order}"):
+        ScalarRing.root_of_unity(order)
+
+
+@pytest.mark.parametrize("value", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize("name", ["zeta_pow", "q_pow"])
+@pytest.mark.parametrize(
+    "ring", [ScalarRing.generic(), ScalarRing.root_of_unity(5)], ids=["generic", "N5"]
+)
+def test_root_powers_refuse_non_integers_in_either_mode(ring, name, value):
+    """2 * True is 2, so q_pow checks its own argument."""
+    with pytest.raises(TypeError, match="expected an integer, got"):
+        getattr(ring, name)(value)
+
+
+def test_rings_are_named_by_their_order_alone():
+    assert ScalarRing.root_of_unity(5).order == 5
+    assert ScalarRing.generic().order is None
+    assert ScalarRing.generic() == ScalarRing.generic()
+    assert ScalarRing.generic() != ScalarRing.root_of_unity(1)
+    assert not hasattr(ScalarRing.generic(), "mode")
+    assert repr(ScalarRing.root_of_unity(5)) == "ScalarRing(root_of_unity, N=5)"
+    assert repr(ScalarRing.generic()) == "ScalarRing(generic)"

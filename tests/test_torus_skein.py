@@ -167,3 +167,19 @@ def test_coefficient_lookup():
     r = s1s2_reduce(chebyshev_t(6), 3)
     assert r.coefficient(4) == -2
     assert r.coefficient(1) == 0
+
+
+@pytest.mark.parametrize("order", [5.0, True], ids=["float", "bool"])
+def test_reduce_order_follows_the_integer_rule(order):
+    with pytest.raises(TypeError, match="expected an integer, got"):
+        s1s2_reduce(chebyshev_t(6), order)
+
+
+@pytest.mark.parametrize(
+    "order, message",
+    [(4, "order must be odd and positive, got 4"), (0, "order must be odd and positive, got 0"),
+     (1, "order must be at least 3, got 1")],
+)
+def test_reduce_refuses_bad_orders_before_reducing(order, message):
+    with pytest.raises(ValueError, match=message):
+        s1s2_reduce(chebyshev_t(6), order)
