@@ -166,22 +166,22 @@ _A_ROWS: dict[int, tuple] = {1: (1,), 2: (-1, 1)}
 
 
 def _member(rows: dict[int, tuple], n: int, interleaved: bool = False) -> Polynomial:
-    """The family member of index n, from its row."""
-    terms = zip(range(n % 2, n + 1, 2), _row(rows, n, interleaved))
+    """The family member of index n, an ``integer``, from its row."""
+    terms = zip(range(integer(n) % 2, n + 1, 2), _row(rows, n, interleaved))
     return _from_terms({e: v for e, v in terms if v})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def chebyshev_t(n: int) -> Polynomial:
     return _member(_T_ROWS, n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def chebyshev_s(n: int) -> Polynomial:
     return _member(_S_ROWS, n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def chebyshev_a(n: int) -> Polynomial:
     """Monic interleaved family A_n = S_n + A_(n-2); defined for n >= 1 only.
 

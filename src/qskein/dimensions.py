@@ -14,7 +14,8 @@ and are never refused.
 The bigon's index sets, the N^3 box and its spanning wing, are enumerated
 here next to the formula that counts them, so that counting them loads no
 algebra layer.  It imports nothing of the package, so it restates
-``linear.integer`` for its counts and ``linear.odd_order`` for its orders.
+``linear.integer`` for its counts and box sizes and ``linear.odd_order``
+for its orders.
 """
 
 from __future__ import annotations
@@ -124,6 +125,7 @@ def iter_basis_box(n: int) -> Iterator[Index]:
 
     Position p of the enumeration is (0, p // n**2, p // n % n, p % n).
     """
+    _integer(n)
     return (
         (0, k2, k3, k4)
         for k2 in range(n)
@@ -134,6 +136,7 @@ def iter_basis_box(n: int) -> Iterator[Index]:
 
 def iter_spanning_wing(n: int) -> Iterator[Index]:
     """Extra indices with positive a-exponent completing the spanning set."""
+    _integer(n)
     return (
         (n - j, 0, k2, k3)
         for j in range(1, n)

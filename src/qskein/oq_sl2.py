@@ -237,45 +237,26 @@ class OqAlgebra:
         xy -> q^e yx of ``_SWAPS`` moves the whole run y^s that starts at
         the pair past the whole run x^r that ends there, in one step, with
         coefficient q^(e r s); the rules xy -> q^e bc + 1 of ``_DIAGONAL``
-        rewrite the pair alone.  Each agenda word keeps the position its
-        scan resumes from: a rewrite at h leaves the prefix before h, and a
-        run move the prefix before the runs, free of reducible pairs, so the
-        scan of the new word starts one letter before that; where two paths
-        reach one word, the smaller position is kept.  This engine shares
-        no code with the structured product; the test suite compares the two
-        on every word of up to six letters.
+        rewrite the pair alone.  The agenda is one {word: coefficient} dict
+        merged by ``linear.accumulate``.  This engine shares no code with the
+        structured product; the test suite compares the two on every word of
+        up to six letters.
         """
         if isinstance(words, str):
             words = {words: self.ring.one}
         elif not isinstance(words, Mapping):
             raise TypeError(f"expected a word or a {{word: coefficient}} mapping, got {words!r}")
-        # word -> (coefficient, position the scan for a reducible pair resumes from)
-        agenda: dict[str, tuple[Scalar, int]] = {}
-
-        def push(word: str, coeff: Scalar, pos: int):
-            old = agenda.get(word)
-            if old is None:
-                # a nonzero coefficient times a power of q is nonzero
-                agenda[word] = (coeff, pos)
-                return
-            coeff = old[0] + coeff
-            if coeff:
-                agenda[word] = (coeff, min(pos, old[1]))
-            else:
-                del agenda[word]
-
+        agenda: dict[str, Scalar] = {}
         for w, c in words.items():
             if any(ch not in _RANK for ch in w):
                 raise ValueError(f"word {w!r} uses unknown generators")
-            c = exact(self.ring.coerce, c)
-            if c:
-                push(w, c, 0)
+            accumulate(agenda, w, exact(self.ring.coerce, c))
         q_pow, swap_exponent = self.ring.q_pow, _SWAPS.get
         search, pop = _REDUCIBLE.search, agenda.popitem
         out: dict[Index, Scalar] = {}
         while agenda:
-            word, (coeff, pos) = pop()
-            hit = search(word, pos)
+            word, coeff = pop()
+            hit = search(word)
             if hit is None:
                 idx = tuple(word.count(letter) for letter in _LETTERS)
                 assert word == "".join(letter * e for letter, e in zip(_LETTERS, idx))
@@ -290,14 +271,13 @@ class OqAlgebra:
                 stop = len(word) - len(word[h + 1 :].lstrip(y))  # where y^s ends
                 if e:
                     coeff = coeff * q_pow(e * (h + 1 - start) * (stop - h - 1))
-                push(word[:start] + word[h + 1 : stop] + word[start : h + 1] + word[stop:],
-                     coeff, start - 1 if start else 0)
+                swapped = word[:start] + word[h + 1 : stop] + word[start : h + 1] + word[stop:]
+                accumulate(agenda, swapped, coeff)
                 continue
             head, tail = word[:h], word[h + 2 :]
-            resume = h - 1 if h else 0
             e = _DIAGONAL[pair]
-            push(head + "bc" + tail, coeff * q_pow(e) if e else coeff, resume)
-            push(head + tail, coeff, resume)
+            accumulate(agenda, head + "bc" + tail, coeff * q_pow(e) if e else coeff)
+            accumulate(agenda, head + tail, coeff)
         return OqElement(self, out)
 
     # -- degree bookkeeping --------------------------------------------------------
@@ -337,7 +317,7 @@ class OqAlgebra:
         """Whether x = 1 + k_1 bc + ... + k_t (bc)^t, k_t a power of q; x = 1 if t = 0."""
         if x.algebra is not self and x.algebra != self:
             raise ValueError("element from a different algebra")
-        if t < 0:
+        if integer(t) < 0:
             raise ValueError("tower height must be a natural number")
         for (k1, k2, k3, k4) in x.terms:
             if k1 or k2 or k3 != k4 or k3 > t:

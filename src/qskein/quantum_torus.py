@@ -479,16 +479,24 @@ class QuantumTorus:
     def one(self) -> "QTElement":
         return QTElement(self, {(0,) * self.rank: self.ring.one})
 
-    def ordered_monomial(self, k: Sequence[int], coeff=None) -> "QTElement":
+    def _exponents(self, k: Sequence[int]) -> Vector:
+        """``k`` as a tuple of ``integer`` exponents, one per generator."""
         k = tuple(map(integer, k))
         if len(k) != self.rank:
             raise ValueError("exponent vector has wrong length")
+        return k
+
+    def ordered_monomial(self, k: Sequence[int], coeff=None) -> "QTElement":
+        k = self._exponents(k)
         coeff = self.ring.one if coeff is None else exact(self.ring.coerce, coeff)
         if not coeff:
             return self.zero()
         return QTElement(self, {k: coeff})
 
     def generator(self, i: int) -> "QTElement":
+        """Y_i, for an ``integer`` i in 0..rank-1."""
+        if not 0 <= integer(i) < self.rank:
+            raise ValueError(f"generator index {i} is outside 0..{self.rank - 1}")
         k = [0] * self.rank
         k[i] = 1
         return self.ordered_monomial(k)
@@ -497,8 +505,8 @@ class QuantumTorus:
         """Weyl-normalised monomial: parameter^(-sum_{i<j} sigma_ij k_i k_j)
         times the ordered monomial.  Its product rule is
         [Y^k][Y^l] = parameter^(k^T sigma l) [Y^(k+l)]."""
-        k = tuple(map(integer, k))
-        return self.ordered_monomial(k, self.ring.zeta_pow(self._exponent * self._low(k, k)))
+        k = self._exponents(k)
+        return QTElement(self, {k: self.ring.zeta_pow(self._exponent * self._low(k, k))})
 
     def _low(self, k: Sequence[int], l: Sequence[int]) -> int:
         """The lower-triangular form sum_{i>j} sigma_ij k_i l_j."""

@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 from ..dimensions import spanning_count_formula
@@ -20,45 +19,49 @@ from . import (
     _require,
 )
 
-@lru_cache(maxsize=None)
-def _up_to(cap: int) -> tuple[int, ...]:
-    return tuple(range(cap + 1))
 
+def _index_sampler(cap: int):
+    """A function of an ``rng`` giving a random PBW index with entries in 0..cap.
 
-@lru_cache(maxsize=2)
-def _coefficients(ring: ScalarRing, ring_id: int) -> tuple:
-    """``[c - 1][den - 1]`` is the pair (c / den, -c / den) of scalars, c <= 5, den <= 3.
-
-    Pass ``id(ring)``: rings compare equal by order, so the id keeps
-    an equal ring built apart from reading scalars of another ring object.
+    Each call draws randint(0, cap) for k1, for k2 when k1 == 0, then for
+    k3 and k4, made with ``choice``.
     """
-    return tuple(
-        tuple((ring.from_rational(Fraction(c, den)), ring.from_rational(Fraction(-c, den)))
+    draws = tuple(range(cap + 1))
+
+    def draw(rng: random.Random):
+        choice = rng.choice
+        k1 = choice(draws)
+        return (k1, 0 if k1 else choice(draws), choice(draws), choice(draws))
+
+    return draw
+
+
+def _frobenius_sampler(alg: OqAlgebra, cap: int = 2):
+    """A function of an ``rng`` giving one or two random rational multiples
+    of N-th power monomials of ``alg``; the unit if they cancel.
+
+    Each call draws randint(1, 2) terms; each term draws its index, then
+    c = randint(1, 5), den = randint(1, 3) and a sign (random() < 0.5
+    negates c / den).  The pairs (c / den, -c / den) are kept as scalars of
+    the algebra's own ring object.
+    """
+    n, from_rational, index = alg.order, alg.ring.from_rational, _index_sampler(cap)
+    coefficients = tuple(
+        tuple((from_rational(Fraction(c, den)), from_rational(Fraction(-c, den)))
               for den in (1, 2, 3))
         for c in range(1, 6)
     )
 
+    def draw(rng: random.Random):
+        choice, rand = rng.choice, rng.random
+        terms: dict = {}
+        for _ in range(choice(_ONE_OR_TWO)):
+            k1, k2, k3, k4 = index(rng)
+            accumulate(terms, (n * k1, n * k2, n * k3, n * k4),
+                       choice(choice(coefficients))[rand() < 0.5])
+        return OqElement(alg, terms) if terms else alg.one()
 
-def _random_pbw_index(rng: random.Random, cap: int):
-    """The draws of randint(0, cap) for k1, for k2 when k1 == 0, then for k3 and k4."""
-    draws = _up_to(cap)
-    k1 = rng.choice(draws)
-    return (k1, 0 if k1 else rng.choice(draws), rng.choice(draws), rng.choice(draws))
-
-
-def _random_frobenius_element(alg: OqAlgebra, rng: random.Random, cap: int = 2):
-    """One or two random rational multiples of N-th power monomials; one if they cancel.
-
-    It draws randint(1, 2) terms; each draws its index, c = randint(1, 5),
-    den = randint(1, 3) and a sign (random() < 0.5 negates c / den).
-    """
-    n, coefficients, choice = alg.order, _coefficients(alg.ring, id(alg.ring)), rng.choice
-    terms = {}
-    for _ in range(choice(_ONE_OR_TWO)):
-        k1, k2, k3, k4 = _random_pbw_index(rng, cap)
-        coeff = choice(choice(coefficients))[rng.random() < 0.5]
-        accumulate(terms, (n * k1, n * k2, n * k3, n * k4), coeff)
-    return OqElement(alg, terms) if terms else alg.one()
+    return draw
 
 
 def bigon_suite(order: int, trials: int, max_exp: int) -> list[Check]:
@@ -67,11 +70,12 @@ def bigon_suite(order: int, trials: int, max_exp: int) -> list[Check]:
     _refuse_oversized("bigon", order**3 + spanning_count_formula(order))
     ring = ScalarRing.root_of_unity(order)
     alg = OqAlgebra(ring)
+    draw_index, draw_wide = _index_sampler(max_exp), _index_sampler(max_exp + 2)
+    draw_frobenius = _frobenius_sampler(alg)
 
     def check_word_vs_structured(rng: random.Random) -> str:
         for _ in range(trials):
-            u = _random_pbw_index(rng, max_exp)
-            v = _random_pbw_index(rng, max_exp)
+            u, v = draw_index(rng), draw_index(rng)
             word = (
                 "a" * u[0] + "d" * u[1] + "b" * u[2] + "c" * u[3]
                 + "a" * v[0] + "d" * v[1] + "b" * v[2] + "c" * v[3]
@@ -120,7 +124,7 @@ def bigon_suite(order: int, trials: int, max_exp: int) -> list[Check]:
             # the same draws as sampling the list basis_box(order), decoded
             keys = [(0, p // n2, p // order % order, p % order)
                     for p in rng.sample(range(n2 * order), size)]
-            coeff_map = {k: _random_frobenius_element(alg, rng) for k in keys}
+            coeff_map = {k: draw_frobenius(rng) for k in keys}
             cert = alg.independence_certificate(coeff_map)
             _require(
                 cert.certified,
@@ -132,7 +136,7 @@ def bigon_suite(order: int, trials: int, max_exp: int) -> list[Check]:
         def check(rng: random.Random) -> str:
             runs = max(20, trials // 4)
             for _ in range(runs):
-                express(_random_pbw_index(rng, max_exp + 2))
+                express(draw_wide(rng))
             return f"{runs} random monomials {detail}"
         return check
 

@@ -17,7 +17,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .chebyshev import Polynomial, chebyshev_a, chebyshev_t, dense
-from .linear import integer_solve, odd_order
+from .linear import integer, integer_solve, odd_order
 
 
 def a_basis_expand(p: Polynomial) -> tuple[int | Fraction, dict[int, int | Fraction]]:
@@ -122,7 +122,7 @@ def s1s2_frobenius_matrix(order: int, kmax: int) -> list[list[int]]:
     determinant is checked to be nonzero before returning.
     """
     _check_order(order)
-    if kmax < 1:
+    if integer(kmax) < 1:
         raise ValueError("kmax must be at least 1")
     size = kmax + 1
     matrix = [[0] * size for _ in range(size)]

@@ -404,3 +404,13 @@ def test_polynomial_refuses_non_integer_exponents(exponent):
 def test_reduce_order_follows_the_integer_rule(order):
     with pytest.raises(TypeError, match="expected an integer, got"):
         chebyshev_reduce(Polynomial({4: 1}), order)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, "3"], ids=["bool", "float", "string"])
+@pytest.mark.parametrize("family", [chebyshev_t, chebyshev_s, chebyshev_a], ids=["T", "S", "A"])
+def test_family_index_follows_the_integer_rule(family, n):
+    """The families cache by type, so True cannot reach 1's cache entry."""
+    assert family(1) == Polynomial.x()
+    with pytest.raises(TypeError, match="expected an integer, got"):
+        family(n)
+    assert family.cache_parameters()["typed"]

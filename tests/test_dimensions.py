@@ -181,3 +181,16 @@ def test_dimension_inputs_refuse_non_integers(value):
     ):
         with pytest.raises(TypeError, match="expected an integer"):
             make()
+
+
+@pytest.mark.parametrize("value", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize(
+    "name",
+    ["basis_box", "spanning_wing", "spanning_set",
+     "iter_basis_box", "iter_spanning_wing", "iter_spanning_set"],
+)
+def test_box_sizes_follow_the_integer_rule(name, value):
+    from qskein import dimensions
+
+    with pytest.raises(TypeError, match="expected an integer, got"):
+        getattr(dimensions, name)(value)

@@ -109,7 +109,7 @@ def _generator_product(alg, word):
 
 
 def test_word_engine_random_long_words():
-    """Words of 10-24 letters: the resumed leftmost scan agrees with the
+    """Words of 10-24 letters: the leftmost-pair rewriting agrees with the
     structured product of the word's generators."""
     rng = random.Random(2411)
     for ring in (GENERIC, ScalarRing.root_of_unity(5)):
@@ -122,8 +122,8 @@ def test_word_engine_random_long_words():
 @pytest.mark.parametrize("word", ["dda", "cbda", "bcdda"])
 def test_word_engine_pair_straddling_the_rewrite(word):
     """Rewriting a pair can create a reducible pair that starts one letter
-    before it (b + dc in "bcdda", c + bc in "cbda"), which the resumed scan
-    must not skip; "dda" gives "dbc" and "d", which create none."""
+    before it (b + dc in "bcdda", c + bc in "cbda"), which the next scan
+    must find; "dda" gives "dbc" and "d", which create none."""
     for ring in (GENERIC, ScalarRing.root_of_unity(5)):
         alg = OqAlgebra(ring)
         assert alg.normal_form(word) == _generator_product(alg, word)
@@ -765,6 +765,24 @@ def test_normal_form_refuses_coefficients(value, error):
 def test_normal_form_refuses_a_pair_list():
     with pytest.raises(TypeError, match="mapping"):
         OqAlgebra(ROOT3).normal_form([(1, "ab")])
+
+
+@pytest.mark.parametrize("ring", [GENERIC, ScalarRing.root_of_unity(5)], ids=["generic", "N5"])
+def test_normal_form_of_a_cancelling_mapping_is_zero(ring):
+    """ba = q^2 ab, so the rewrites of {ba: 1, ab: -q^2} cancel; a zero
+    coefficient adds nothing to the agenda."""
+    alg = OqAlgebra(ring)
+    assert alg.normal_form({"ba": 1, "ab": -ring.q_pow(2)}).terms == {}
+    assert alg.normal_form({"ab": 0}).terms == {}
+
+
+@pytest.mark.parametrize("t", [True, 1.0], ids=["bool", "float"])
+def test_tower_height_follows_the_integer_rule(t):
+    alg = OqAlgebra(ROOT3)
+    x = alg.power_product((1, 0, 0, 0)) * alg.power_product((0, 1, 0, 0))
+    assert alg.in_diagonal_tower(x, 1)
+    with pytest.raises(TypeError, match="expected an integer, got"):
+        alg.in_diagonal_tower(x, t)
 
 
 @pytest.mark.parametrize("value", [2.0, "2", True], ids=["float", "string", "bool"])

@@ -882,6 +882,23 @@ def test_center_free_certificate_refuses_non_integers(place, value):
         center_free_certificate(value if place == "order" else 3, x_map, **data)
 
 
+@pytest.mark.parametrize("i", [True, 1.0], ids=["bool", "float"])
+def test_generator_index_follows_the_integer_rule(i):
+    with pytest.raises(TypeError, match="expected an integer, got"):
+        _torus().generator(i)
+
+
+@pytest.mark.parametrize("i", [-1, 3])
+def test_generator_refuses_an_index_outside_the_rank(i):
+    with pytest.raises(ValueError, match=rf"generator index {i} is outside 0\.\.2"):
+        _torus().generator(i)
+
+
+def test_weyl_monomial_refuses_a_short_vector():
+    with pytest.raises(ValueError, match="exponent vector has wrong length"):
+        _torus().weyl_monomial((1, 0))
+
+
 def _certificate_with(x_map, elements):
     """center_free_certificate at order 3 over the once-punctured torus, with
     ``elements`` a function of one balanced element of grade 0."""

@@ -18,7 +18,7 @@ from qskein.quantum_torus import (
     once_punctured_torus,
 )
 from qskein.scalars import ScalarRing
-from qskein.suites.bigon import _random_frobenius_element, _random_pbw_index
+from qskein.suites.bigon import _frobenius_sampler, _index_sampler
 from qskein.suites.qtorus import _balanced_sampler
 
 
@@ -31,9 +31,10 @@ def old_random_pbw_index(rng, cap):
 
 @pytest.mark.parametrize("cap", [0, 1, 2, 3, 14, 40])
 def test_random_pbw_index_matches_the_old_definition(cap):
+    draw = _index_sampler(cap)
     new_rng, old_rng = random.Random(cap), random.Random(cap)
     for _ in range(2000):
-        assert _random_pbw_index(new_rng, cap) == old_random_pbw_index(old_rng, cap)
+        assert draw(new_rng) == old_random_pbw_index(old_rng, cap)
         assert new_rng.getstate() == old_rng.getstate()
 
 
@@ -57,10 +58,11 @@ def old_random_frobenius_element(alg, rng, cap=2, fallbacks=None):
 @pytest.mark.parametrize("order, cap", [(3, 2), (7, 2), (21, 2), (5, 0), (3, 4)])
 def test_random_frobenius_element_matches_the_old_definition(order, cap):
     alg = OqAlgebra(ScalarRing.root_of_unity(order))
+    draw = _frobenius_sampler(alg, cap)
     new_rng, old_rng = random.Random(order * 1000 + cap), random.Random(order * 1000 + cap)
     fallbacks = []
     for _ in range(400):
-        new = _random_frobenius_element(alg, new_rng, cap)
+        new = draw(new_rng)
         old = old_random_frobenius_element(alg, old_rng, cap, fallbacks)
         assert new == old
         assert list(new.terms) == list(old.terms)
@@ -77,9 +79,9 @@ def test_random_frobenius_element_keeps_its_own_ring():
     assert first == second and first is not second
     rng = random.Random(7)
     for ring in (first, second, first):
-        alg = OqAlgebra(ring)
+        draw = _frobenius_sampler(OqAlgebra(ring))
         for _ in range(20):
-            element = _random_frobenius_element(alg, rng)
+            element = draw(rng)
             assert all(c.ring is ring for c in element.terms.values())
 
 

@@ -163,6 +163,12 @@ def test_frobenius_matrix_rejects_bad_orders():
         s1s2_frobenius_matrix(3, 0)
 
 
+@pytest.mark.parametrize("kmax", [True, 2.0], ids=["bool", "float"])
+def test_frobenius_matrix_kmax_follows_the_integer_rule(kmax):
+    with pytest.raises(TypeError, match="expected an integer, got"):
+        s1s2_frobenius_matrix(3, kmax)
+
+
 def test_coefficient_lookup():
     r = s1s2_reduce(chebyshev_t(6), 3)
     assert r.coefficient(4) == -2
