@@ -144,15 +144,7 @@ def _cmd_verify(args) -> tuple[int, dict | None]:
         "suite": args.suite,
         "N": args.order,
         "seed": args.seed,
-        "checks": [
-            {
-                "id": r.id,
-                "status": r.status,
-                "detail": r.detail,
-                "elapsed_ms": r.elapsed_ms,
-            }
-            for r in results
-        ],
+        "checks": [r._asdict() for r in results],
         "summary": summary,
     }
     return (0 if summary["fail"] == 0 and summary["error"] == 0 else 1), report

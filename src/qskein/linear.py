@@ -206,9 +206,9 @@ class SparseCombination:
     __rmul__ = __mul__  # only plain scalars reach it, and they commute
 
     def __pow__(self, n: int):
-        """Power by repeated squaring; n must be a natural number."""
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
+        """Power by repeated squaring; n must be a natural ``integer``."""
+        if integer(n) < 0:
+            raise ValueError(f"negative exponent {n}")
         return power(self, n, self._new({self._identity: self._coerce(1)}))
 
     # -- comparison and display ------------------------------------------------------

@@ -10,9 +10,9 @@ write their exponents as 4-tuples and call such tuples PBW indices.  Two
 independent multiplication routes are provided and cross-checked in the
 test suite: a rewriting engine on generator words, which reads these
 relations from two tables (``_SWAPS``, xy = q^e yx, and ``_DIAGONAL``,
-xy = q^e bc + 1), and a structured product that merges a/d exponents by
-one rule (``OqAlgebra._core``) over cached diagonal expansions of a^t d^t
-and d^t a^t.
+xy = q^e bc + 1), and a structured product, ``OqAlgebra._mul_into``, that
+merges a/d exponents by one rule (``_core``) over cached diagonal
+expansions of a^t d^t and d^t a^t.
 
 On top of the arithmetic sit the finite-spanning and independence
 certificates used at odd roots of unity.  They work over the N^3 index box
@@ -138,7 +138,7 @@ class OqAlgebra:
 
     # -- structured multiplication ---------------------------------------------
 
-    def _diag(self, t: int, forward: bool = True) -> dict[int, Scalar]:
+    def _diag(self, t: int, forward: bool) -> dict[int, Scalar]:
         """Expansion of a^t d^t (forward) or d^t a^t as a bc-diagonal dict.
 
         With x = q^-1 (forward) or q, the coefficient of (bc)^g in both is
@@ -185,18 +185,17 @@ class OqAlgebra:
     def _core(self, ma: int, md: int, na: int, nd: int) -> dict[tuple[int, int, int], Scalar]:
         """PBW form of the word a^ma d^md a^na d^nd as {(a, d, bc-diag): scalar}.
 
-        Each factor has a zero a- or d-exponent, so the word is x^m y^n with
-        (x, y) = (a, d), or (d, a) if it reads d^md a^na.  It equals
-        x^(m-t) (x^t y^t) y^(n-t), t = min(m, n), and y^(n-t) moves left past
-        (bc)^g at the cost q^(-4g(n-m)) for y = d and q^(4g(n-m)) for y = a.
-        The result is kept per algebra and shared: callers only read it.
+        Its one caller, ``_mul_into``, passes PBW indices, so the word is
+        x^m y^n with (x, y) = (a, d), or (d, a) if it reads d^md a^na.  It
+        equals x^(m-t) (x^t y^t) y^(n-t), t = min(m, n), and y^(n-t) moves
+        left past (bc)^g at the cost q^(-4g(n-m)) for y = d and q^(4g(n-m))
+        for y = a.  The result is kept per algebra and shared: callers only
+        read it.
         """
         key = (ma, md, na, nd)
         core = self._cores.get(key)
         if core is not None:
             return core
-        if ma and md:
-            raise ValueError("mixed a/d exponents on the left factor")
         forward = not (md and na)
         m, n = (ma + na, md + nd) if forward else (md, na)
         t = min(m, n)
@@ -212,18 +211,15 @@ class OqAlgebra:
     def power_product(self, k: Sequence[int]) -> "OqElement":
         """Expand a^k1 d^k2 b^k3 c^k4 for an arbitrary natural exponent vector.
 
-        Exponents follow ``linear.integer``.
+        Exponents follow ``linear.integer``.  It is O_(k1,0,0,0) O_(0,k2,k3,k4), by ``_mul_into``.
         """
         k1, k2, k3, k4 = k
         if not type(k1) is type(k2) is type(k3) is type(k4) is int:
             k1, k2, k3, k4 = map(integer, (k1, k2, k3, k4))
         if min(k1, k2, k3, k4) < 0:
             raise ValueError("exponents must be natural numbers")
-        core = self._core(k1, 0, 0, k2)
-        return OqElement(
-            self,
-            {(a, d, g + k3, g + k4): s for (a, d, g), s in core.items()},
-        )
+        one = self.ring.one
+        return OqElement(self, self._mul_into({}, {(k1, 0, 0, 0): one}, {(0, k2, k3, k4): one}))
 
     # -- word rewriting engine ---------------------------------------------------
 
@@ -392,27 +388,22 @@ class OqAlgebra:
         Returns the least s in {0, 1} such that multiplying the basis
         monomial O_m by s copies of d^N lands in the span of the basis box
         over the N-th power subalgebra, together with the coefficients.
+        With m1 = uN + v, s = 1 exactly when v > 0; as d^N is central, each
+        term of a^v d^(m2 + N*s) (``power_product``) gives one coefficient.
         The identity is re-expanded and checked before returning.
         """
         n = self.order
         m = _pbw(m)
         k1, k2, k3, k4 = m
         u, v = divmod(k1, n)
+        power = 1 if v else 0
         coeffs: dict[Index, OqElement] = {}
-        if v == 0:
-            power = 0
-            g2, r2 = divmod(k2, n)
-            g3, r3 = divmod(k3, n)
-            g4, r4 = divmod(k4, n)
-            coeffs[(0, r2, r3, r4)] = self.frobenius_monomial((u, g2, g3, g4))
-        else:
-            power = 1
-            # d^N is central, so d^N O_m = a^(uN) (a^v d^N) b^k3 c^k4
-            for (_, rest, g), scal in self._core(v, 0, 0, n).items():
-                g3, r3 = divmod(g + k3, n)
-                g4, r4 = divmod(g + k4, n)
-                term = scal * self.frobenius_monomial((u, 0, g3, g4))
-                accumulate(coeffs, (0, rest, r3, r4), term)
+        for (_, d, g, _), scal in self.power_product((v, k2 + n * power, 0, 0)).terms.items():
+            g2, r2 = divmod(d, n)
+            g3, r3 = divmod(g + k3, n)
+            g4, r4 = divmod(g + k4, n)
+            term = scal * self.frobenius_monomial((u, g2, g3, g4))
+            accumulate(coeffs, (0, r2, r3, r4), term)
         lhs = self.basis_monomial(m)
         if power:
             lhs = self.basis_monomial((0, n, 0, 0)) * lhs
@@ -430,13 +421,13 @@ class OqAlgebra:
         if r3 < j or r4 < j:
             out = {(n - j, 0, r3, r4): self.one()}
         else:
-            diag = self._diag(j)
-            inv_top = diag[j].inverse()
+            diag = self.power_product((j, j, 0, 0)).terms  # keys (0, 0, i, i)
+            inv_top = diag[(0, 0, j, j)].inverse()
             alpha, beta = r3 - j, r4 - j
             out = {
                 (0, j, alpha, beta): inv_top * self.frobenius_monomial((1, 0, 0, 0))
             }
-            for i, e_i in diag.items():
+            for (_, _, i, _), e_i in diag.items():
                 if i == j:
                     continue
                 factor = -(e_i * inv_top)

@@ -126,7 +126,12 @@ class Triangulation(_TriangulationFields):
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Triangulation":
+        """The triangulation of ``to_dict``'s data; a repeated key (``from_json``
+        keeps them all) is refused by name."""
         try:
+            for key, count in Counter(key for key, _ in data.items()).items():
+                if count > 1:
+                    raise ValueError(f"malformed triangulation data: key {key!r} appears twice")
             edges = integer(data["edges"])
             triangles = tuple(tuple(map(integer, t)) for t in data["triangles"])
             fans = tuple(
@@ -157,7 +162,8 @@ class Triangulation(_TriangulationFields):
 
 class _JSONObject(dict):
     """A JSON object whose ``items()`` are all its pairs, a repeated key's
-    too, so a puncture named twice reaches the constructor with both fans."""
+    too, so ``from_dict`` sees a repeated top-level key and a puncture named
+    twice reaches the constructor with both fans."""
 
     def __init__(self, pairs: list):
         super().__init__(pairs)

@@ -22,8 +22,8 @@ both with exact rational arithmetic (no floats anywhere), named by its order:
 
 Scalars are immutable and tagged with their ring; mixing rings raises.
 Python ints (not bools) and Fractions coerce into either ring; floats and
-strings do not (``ScalarRing.coerce``); root-power exponents follow
-``linear.integer``.
+strings do not (``ScalarRing.coerce``); root-power exponents and the
+exponent of ``**`` follow ``linear.integer``.
 """
 
 from __future__ import annotations
@@ -86,8 +86,9 @@ def cyclotomic_coefficients(n: int) -> tuple[int, ...]:
 class ScalarRing:
     """Handle for a coefficient ring, named by its order alone (None: generic).
 
-    Use :meth:`root_of_unity` or :meth:`generic` to build one.  Two handles
-    with the same order are interchangeable.
+    The order follows ``linear.odd_order``; :meth:`root_of_unity` and
+    :meth:`generic` name the two modes.  Two handles with the same order are
+    interchangeable.
 
     A root-mode ring builds each zeta**m, m < N, once, as zeta times
     zeta**(m-1) with zeta**d = -sum phi[j] zeta**j substituted: the root-power
@@ -97,6 +98,7 @@ class ScalarRing:
     def __init__(self, order: int | None):
         self.order = order
         if order is not None:
+            odd_order(order)
             phi = cyclotomic_coefficients(order)
             d = len(phi) - 1
             self._degree = d
@@ -134,7 +136,7 @@ class ScalarRing:
 
     @classmethod
     def root_of_unity(cls, order: int) -> "ScalarRing":
-        return cls(odd_order(order))
+        return cls(order)
 
     @classmethod
     def generic(cls) -> "ScalarRing":
@@ -479,8 +481,9 @@ class Scalar:
         return self * other.inverse()
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
+        """self**n for an ``integer`` n; a negative n goes through ``inverse``."""
+        if type(n) is not int:
+            integer(n)
         if n < 0:
             return self.inverse() ** (-n)
         return power(self, n, self.ring.one)

@@ -406,6 +406,31 @@ def test_reduce_order_follows_the_integer_rule(order):
         chebyshev_reduce(Polynomial({4: 1}), order)
 
 
+def test_reduce_order_is_positive():
+    with pytest.raises(ValueError, match="^order must be positive$"):
+        chebyshev_reduce(Polynomial.x(), 0)
+
+
+@pytest.mark.parametrize("family, n", [(chebyshev_t, -1), (chebyshev_s, -2)], ids=["T", "S"])
+def test_family_index_is_natural(family, n):
+    with pytest.raises(ValueError, match="^index must be a natural number$"):
+        family(n)
+
+
+@pytest.mark.parametrize("n", [True, 2.0], ids=["bool", "float"])
+def test_polynomial_power_follows_the_integer_rule(n):
+    """x ** True is not x: the exponent is read by ``linear.integer``."""
+    x = Polynomial.x()
+    assert x ** 2 == Polynomial({2: 1})
+    with pytest.raises(TypeError, match="expected an integer, got"):
+        x ** n
+
+
+def test_polynomial_power_refuses_a_negative_exponent():
+    with pytest.raises(ValueError, match="^negative exponent -2$"):
+        Polynomial.x() ** -2
+
+
 @pytest.mark.parametrize("n", [True, 2.0, "3"], ids=["bool", "float", "string"])
 @pytest.mark.parametrize("family", [chebyshev_t, chebyshev_s, chebyshev_a], ids=["T", "S", "A"])
 def test_family_index_follows_the_integer_rule(family, n):

@@ -272,6 +272,17 @@ def test_verify_repeated_fan_key_rejected(tmp_path, capsys):
     assert err == f"error: {path}: puncture 'v0' has two fans\n"
 
 
+def test_verify_repeated_top_level_key_rejected(tmp_path, capsys):
+    path = tmp_path / "edges.json"
+    text = four_punctured_sphere().to_json()
+    path.write_text(text.replace('"edges": 6', '"edges": 99, "edges": 6'))
+    code, out, err = run_cli(
+        capsys, ["verify", "qtorus", "--N", "3", "--triangulation", str(path)]
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: malformed triangulation data: key 'edges' appears twice\n"
+
+
 def test_readme_triangulation_example_runs(tmp_path, capsys):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme[readme.index("### Triangulation files"):]

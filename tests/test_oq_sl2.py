@@ -785,6 +785,20 @@ def test_tower_height_follows_the_integer_rule(t):
         alg.in_diagonal_tower(x, t)
 
 
+@pytest.mark.parametrize("n", [True, 2.0], ids=["bool", "float"])
+def test_element_power_follows_the_integer_rule(n):
+    """a ** True is not a: the exponent is read by ``linear.integer``."""
+    a = OqAlgebra(ScalarRing.root_of_unity(5)).generator("a")
+    assert a ** 2 == a * a
+    with pytest.raises(TypeError, match="expected an integer, got"):
+        a ** n
+
+
+def test_element_power_refuses_a_negative_exponent():
+    with pytest.raises(ValueError, match="^negative exponent -1$"):
+        OqAlgebra(ROOT3).generator("a") ** -1
+
+
 @pytest.mark.parametrize("value", [2.0, "2", True], ids=["float", "string", "bool"])
 @pytest.mark.parametrize("method", ["power_product", "monomial_degree"])
 def test_exponent_vectors_refuse_non_integers(method, value):

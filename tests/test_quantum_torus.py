@@ -88,6 +88,15 @@ def test_triangulation_json_repeated_fan_key_refused():
         Triangulation.from_json(text)
 
 
+def test_triangulation_json_repeated_top_level_key_refused():
+    """json.loads alone would keep the last value: 6 edges, not 99."""
+    text = four_punctured_sphere().to_json().replace('"edges": 6', '"edges": 99, "edges": 6')
+    assert text.count('"edges"') == 2
+    message = r"^malformed triangulation data: key 'edges' appears twice$"
+    with pytest.raises(ValueError, match=message):
+        Triangulation.from_json(text)
+
+
 def test_triangulation_validation():
     with pytest.raises(ValueError):
         # an edge with only one end in the fans

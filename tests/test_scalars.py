@@ -620,6 +620,36 @@ def test_root_of_unity_order_is_odd_and_positive(order):
         ScalarRing.root_of_unity(order)
 
 
+@pytest.mark.parametrize("order", [4, -3])
+def test_constructor_order_is_odd_and_positive(order):
+    """ScalarRing(4) would hold a zeta with zeta**4 = 1 and q = zeta**2 = -1,
+    of order 2, not 4."""
+    with pytest.raises(ValueError, match=f"order must be odd and positive, got {order}"):
+        ScalarRing(order)
+
+
+@pytest.mark.parametrize("value", [True, 2.0], ids=["bool", "float"])
+def test_constructor_order_follows_the_integer_rule(value):
+    with pytest.raises(TypeError, match="expected an integer, got"):
+        ScalarRing(value)
+
+
+@pytest.mark.parametrize("n", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize(
+    "ring", [ScalarRing.generic(), ScalarRing.root_of_unity(5)], ids=["generic", "N5"]
+)
+def test_scalar_power_follows_the_integer_rule(ring, n):
+    """zeta ** True is not zeta: the exponent is read by ``linear.integer``."""
+    z = ring.zeta_pow(1)
+    assert z ** -2 == ring.zeta_pow(-2)
+    with pytest.raises(TypeError, match="expected an integer, got"):
+        z ** n
+
+
+def test_scalars_of_different_orders_differ():
+    assert ScalarRing.root_of_unity(5).one != ScalarRing.root_of_unity(7).one
+
+
 @pytest.mark.parametrize("value", [True, 1.0], ids=["bool", "float"])
 @pytest.mark.parametrize("name", ["zeta_pow", "q_pow"])
 @pytest.mark.parametrize(
