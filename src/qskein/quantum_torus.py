@@ -122,16 +122,20 @@ class Triangulation(_TriangulationFields):
                 f"edge count {self.edge_count} != 6g+3p-6 = {expected}"
             )
         if len(self.punctures) != punctures:
-            raise ValueError("puncture count mismatch")
+            raise ValueError(f"puncture count {len(self.punctures)} != {punctures}")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Triangulation":
         """The triangulation of ``to_dict``'s data; a repeated key (``from_json``
-        keeps them all) is refused by name."""
+        keeps them all) and then a key other than those is refused by name."""
         try:
-            for key, count in Counter(key for key, _ in data.items()).items():
+            keys = Counter(key for key, _ in data.items())
+            for key, count in keys.items():
                 if count > 1:
                     raise ValueError(f"malformed triangulation data: key {key!r} appears twice")
+            for key in keys:
+                if key not in ("edges", "triangles", "fans"):
+                    raise ValueError(f"malformed triangulation data: unknown key {key!r}")
             edges = integer(data["edges"])
             triangles = tuple(tuple(map(integer, t)) for t in data["triangles"])
             fans = tuple(
@@ -209,8 +213,9 @@ def exchange_matrix(tri: Triangulation) -> tuple[tuple[int, ...], ...]:
     """Antisymmetric matrix sigma = b - b^T from counterclockwise fans.
 
     b_ij counts how often an end of edge j immediately follows an end of
-    edge i inside some fan (cyclically).  Entries are validated to lie in
-    -2..2.
+    edge i inside some fan (cyclically).  A constructed triangulation gives
+    every edge exactly two fan ends, each followed by exactly one end, so
+    0 <= b_ij <= 2 and every entry lies in -2..2 with no check.
     """
     n = tri.edge_count
     b = [[0] * n for _ in range(n)]
@@ -219,12 +224,7 @@ def exchange_matrix(tri: Triangulation) -> tuple[tuple[int, ...], ...]:
         for a in range(m):
             i, j = fan[a], fan[(a + 1) % m]
             b[i][j] += 1
-    sigma = [[b[i][j] - b[j][i] for j in range(n)] for i in range(n)]
-    for row in sigma:
-        for entry in row:
-            if not -2 <= entry <= 2:
-                raise ValueError("malformed fans: exchange entry out of range")
-    return tuple(tuple(row) for row in sigma)
+    return tuple(tuple(b[i][j] - b[j][i] for j in range(n)) for i in range(n))
 
 
 def balanced_check(tri: Triangulation, k: Sequence[int]) -> bool:
@@ -252,7 +252,7 @@ def central_puncture_exponent(tri: Triangulation, name: str) -> Vector:
 def _gf2_reduce(rows: Iterable[int]) -> dict[int, int]:
     """Reduced echelon form over GF(2) of bit-mask rows (bit j is column j).
 
-    Returns {leading column: row}, the leading column being a row's lowest
+    Returns {leading column: row}, the leading column being a row's highest
     set bit; no row has another row's leading bit set.
     """
     reduced: dict[int, int] = {}
@@ -261,7 +261,7 @@ def _gf2_reduce(rows: Iterable[int]) -> dict[int, int]:
             if row >> c & 1:
                 row ^= other
         if row:
-            lead = (row & -row).bit_length() - 1
+            lead = row.bit_length() - 1
             for c, other in reduced.items():
                 if other >> lead & 1:
                     reduced[c] = other ^ row
@@ -278,67 +278,22 @@ def balanced_lattice_basis(tri: Triangulation) -> list[Vector]:
     """Row Hermite basis of the lattice L of balanced exponent vectors.
 
     L contains 2Z^n, so it is the preimage of its parity space S, the GF(2)
-    solutions of the triangle parities.  Row c is the reduced row of S
-    leading at column c, or 2e_c where none does.  That basis is upper
-    triangular with diagonal entries 1 or 2 and entries above each diagonal
-    entry in [0, it), so it is the unique row Hermite form of L.
+    solutions of the triangle parities.  Each reduced parity row leads at
+    its highest bit and holds no other leading bit, so a free column c
+    (where no row leads) has the solution e_c plus the leads of the rows
+    holding c, all past c; row c is that solution, and row c is 2e_c at a
+    leading column.  That basis is upper triangular with diagonal entries
+    1 or 2 and entries above each diagonal entry in [0, it), so it is the
+    unique row Hermite form of L.
     """
     n = tri.edge_count
     parities = _triangle_parities(tri)
-    # one solution per free column f: e_f plus the pivots whose row has f
-    solutions = _gf2_reduce(
-        (1 << f) | sum(1 << lead for lead, row in parities.items() if row >> f & 1)
-        for f in range(n)
-        if f not in parities
-    )
     return [
-        tuple(solutions[c] >> j & 1 for j in range(n))
-        if c in solutions
-        else tuple(2 * (j == c) for j in range(n))
+        tuple(2 * (j == c) for j in range(n))
+        if c in parities
+        else tuple(int(j == c or parities.get(j, 0) >> c & 1) for j in range(n))
         for c in range(n)
     ]
-
-
-def _complete_unimodular_rows(crows: list[Vector], n: int) -> list[Vector]:
-    """Complete primitive integer rows to an n x n matrix of determinant +-1."""
-    p = len(crows)
-    c_mat = [list(r) for r in crows]
-    r_mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_addmul(i: int, j: int, t: int):
-        for row in c_mat:
-            row[i] += t * row[j]
-        r_mat[j] = [a - t * b for a, b in zip(r_mat[j], r_mat[i])]
-
-    def col_swap(i: int, j: int):
-        for row in c_mat:
-            row[i], row[j] = row[j], row[i]
-        r_mat[i], r_mat[j] = r_mat[j], r_mat[i]
-
-    det = 1
-    for r in range(p):
-        while True:
-            cols = [j for j in range(r, n) if c_mat[r][j]]
-            if not cols:
-                raise ValueError("completion failure: dependent puncture vectors")
-            jmin = min(cols, key=lambda j: abs(c_mat[r][j]))
-            rest = [j for j in cols if j != jmin]
-            if not rest:
-                if jmin != r:
-                    col_swap(jmin, r)
-                break
-            for j in rest:
-                t = c_mat[r][j] // c_mat[r][jmin]
-                if t:
-                    col_addmul(j, jmin, -t)
-        # later steps touch only columns and r_mat rows past r, and rows
-        # before p are not returned, so the pivot's sign needs no fixing
-        det *= abs(c_mat[r][r])
-    if det != 1:
-        raise ValueError(
-            f"completion failure: puncture vectors are not primitive (pivot {det})"
-        )
-    return [tuple(r) for r in crows] + [tuple(r_mat[i]) for i in range(p, n)]
 
 
 class ZBasis:
@@ -392,34 +347,61 @@ class ZBasis:
 def balanced_puncture_basis(tri: Triangulation) -> ZBasis:
     """Basis of the balanced lattice starting with the puncture exponents.
 
-    Raises if the puncture vectors cannot be completed to a basis (they
-    always can for the triangulations treated here; the failure mode is a
-    hard error, never a silent fallback).  ``ZBasis`` checks the completed
-    rows.
+    Euclid on the columns of the exponents' coordinates over
+    ``balanced_lattice_basis`` makes them lower triangular; each column
+    operation is undone on the lattice rows, so coordinates times rows stay
+    the exponents.  With every pivot +-1 the exponents and the rows past p
+    are a basis, which ``ZBasis`` checks.  An exponent outside the lattice,
+    dependent on the ones before it or not primitive beside them is refused
+    by its puncture's name (this never happens for the triangulations
+    treated here; it is a hard error, never a silent fallback).
     """
     n = tri.edge_count
-    basis = balanced_lattice_basis(tri)
+    rows = balanced_lattice_basis(tri)
     exponents = [central_puncture_exponent(tri, name) for name in tri.punctures]
-    # solve sum_c x_c basis_c = h by substitution down the upper triangular
+    # solve sum_c x_c rows_c = h by substitution down the upper triangular
     # basis: x_c is fixed by column c of what rows 0..c-1 leave
     coords = []
-    for h in exponents:
+    for name, h in zip(tri.punctures, exponents):
         rest = list(h)
         x = []
-        for c, b in enumerate(basis):
+        for c, b in enumerate(rows):
             q, r = divmod(rest[c], b[c])
             if r:
-                raise ValueError("target vector is not in the lattice")
+                raise ValueError(f"exponent of puncture {name!r} is not in the lattice")
             rest = [u - q * v for u, v in zip(rest, b)]
             x.append(q)
-        coords.append(tuple(x))
-    completed = _complete_unimodular_rows(coords, n)
-    columns = list(zip(*basis))
-    vectors = [tuple(sum(map(mul, w, col)) for col in columns) for w in completed]
-    for name, z in zip(tri.punctures, vectors):
-        if z != central_puncture_exponent(tri, name):
-            raise ArithmeticError("completion did not preserve puncture rows")
-    return ZBasis(tri, tuple(vectors))
+        coords.append(x)
+    for r, name in enumerate(tri.punctures):
+        w = coords[r]
+        while True:
+            cols = [j for j in range(r, n) if w[j]]
+            if not cols:
+                raise ValueError(
+                    f"completion failure: puncture {name!r} is dependent on the ones before it"
+                )
+            jmin = min(cols, key=lambda j: abs(w[j]))
+            rest = [j for j in cols if j != jmin]
+            if not rest:
+                break
+            # column j -= t column jmin, undone as row jmin += t row j
+            for j in rest:
+                t = w[j] // w[jmin]
+                if t:
+                    for x in coords:
+                        x[j] -= t * x[jmin]
+                    rows[jmin] = [a + t * b for a, b in zip(rows[jmin], rows[j])]
+        if jmin != r:
+            for x in coords:
+                x[r], x[jmin] = x[jmin], x[r]
+            rows[r], rows[jmin] = rows[jmin], rows[r]
+        # later steps touch only columns and rows past r, and rows before p
+        # are not returned, so the pivot's sign needs no fixing
+        if abs(w[r]) != 1:
+            raise ValueError(
+                f"completion failure: puncture {name!r} is not primitive (pivot {abs(w[r])})"
+            )
+    return ZBasis(tri, tuple(exponents) + tuple(map(tuple, rows[len(exponents):])))
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,16 @@ def test_verify_repeated_top_level_key_rejected(tmp_path, capsys):
     assert err == f"error: {path}: malformed triangulation data: key 'edges' appears twice\n"
 
 
+def test_verify_unknown_top_level_key_rejected(tmp_path, capsys):
+    path = tmp_path / "fan.json"
+    path.write_text(once_punctured_torus().to_json()[:-1] + ', "fan": {"v0": [0, 1, 2]}}')
+    code, out, err = run_cli(
+        capsys, ["verify", "qtorus", "--N", "3", "--triangulation", str(path)]
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: malformed triangulation data: unknown key 'fan'\n"
+
+
 def test_readme_triangulation_example_runs(tmp_path, capsys):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme[readme.index("### Triangulation files"):]

@@ -97,6 +97,25 @@ def test_triangulation_json_repeated_top_level_key_refused():
         Triangulation.from_json(text)
 
 
+@pytest.mark.parametrize(
+    "extra, key",
+    [(', "extra": 1', "extra"), (', "fan": {"v0": [0, 1, 2, 0, 1, 2]}', "fan")],
+    ids=["extra", "misspelt-fans"],
+)
+def test_triangulation_json_unknown_top_level_key_refused(extra, key):
+    """A key beside edges, triangles and fans is refused by name, not dropped."""
+    text = once_punctured_torus().to_json()[:-1] + extra + "}"
+    message = rf"^malformed triangulation data: unknown key '{key}'$"
+    with pytest.raises(ValueError, match=message):
+        Triangulation.from_json(text)
+
+
+def test_triangulation_json_repeated_key_refused_before_an_unknown_one():
+    text = once_punctured_torus().to_json().replace('"edges": 3', '"fan": 1, "edges": 3, "edges": 3')
+    with pytest.raises(ValueError, match="key 'edges' appears twice"):
+        Triangulation.from_json(text)
+
+
 def test_triangulation_validation():
     with pytest.raises(ValueError):
         # an edge with only one end in the fans
@@ -120,6 +139,12 @@ def test_triangulation_validation():
     tri = once_punctured_torus()
     with pytest.raises(ValueError):
         tri.check_euler_count(genus=2, punctures=1)
+
+
+def test_euler_count_names_both_puncture_counts():
+    # 6g + 3p - 6 = 6 edges either way, so only the puncture count differs
+    with pytest.raises(ValueError, match=r"^puncture count 4 != 2$"):
+        four_punctured_sphere().check_euler_count(genus=1, punctures=2)
 
 
 @pytest.mark.parametrize(
@@ -287,8 +312,8 @@ def test_balanced_lattice_basis_of_a_large_glued_triangulation():
 @pytest.mark.parametrize(
     "change, message",
     [
-        (lambda h: tuple(2 * e for e in h), "completion failure"),
-        (lambda h: (h[0] + 1,) + h[1:], "not in the lattice"),
+        (lambda h: tuple(2 * e for e in h), "completion failure: puncture 'v0'"),
+        (lambda h: (h[0] + 1,) + h[1:], "puncture 'v0' is not in the lattice"),
     ],
     ids=["doubled", "plus-e0"],
 )
@@ -297,6 +322,27 @@ def test_puncture_basis_refuses_bad_puncture_vectors(monkeypatch, tri, change, m
     exponent = quantum_torus.central_puncture_exponent
     monkeypatch.setattr(
         quantum_torus, "central_puncture_exponent", lambda t, name: change(exponent(t, name))
+    )
+    with pytest.raises(ValueError, match=message):
+        balanced_puncture_basis(tri)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda h, v0: v0, "puncture 'v1' is dependent on the ones before it"),
+        (lambda h, v0: tuple(2 * e for e in h), r"puncture 'v1' is not primitive \(pivot 2\)"),
+    ],
+    ids=["same-as-v0", "doubled"],
+)
+def test_puncture_basis_names_a_later_bad_puncture(monkeypatch, change, message):
+    tri = four_punctured_sphere()
+    exponent = quantum_torus.central_puncture_exponent
+    v0 = exponent(tri, "v0")
+    monkeypatch.setattr(
+        quantum_torus,
+        "central_puncture_exponent",
+        lambda t, name: change(exponent(t, name), v0) if name == "v1" else exponent(t, name),
     )
     with pytest.raises(ValueError, match=message):
         balanced_puncture_basis(tri)
@@ -443,6 +489,16 @@ def test_puncture_monomials_central():
         for name in tri.punctures:
             h = central_puncture_element(torus, name)
             assert is_central(torus, h)
+
+
+def test_a_generator_is_not_central():
+    torus = QuantumTorus.from_triangulation(RING, four_punctured_sphere())
+    assert not is_central(torus, torus.generator(0))
+
+
+def test_ordered_monomial_with_coefficient_zero_is_zero():
+    torus = QuantumTorus.from_triangulation(RING, four_punctured_sphere())
+    assert torus.ordered_monomial((1, 0, 2, 0, 0, 1), 0) == torus.zero()
 
 
 def test_exchange_matrix_must_be_antisymmetric():
@@ -682,6 +738,17 @@ def test_puncture_basis_of_a_large_glued_triangulation():
 def test_glued_triangulation_file_is_the_seed_9_gluing():
     path = Path(__file__).parent / "data" / "glued-150.json"
     assert Triangulation.from_json(path.read_text()) == _glued_triangulation(100, random.Random(9))
+
+
+def test_exchange_matrix_of_the_glued_file_is_antisymmetric_in_range():
+    path = Path(__file__).parent / "data" / "glued-150.json"
+    sigma = exchange_matrix(Triangulation.from_json(path.read_text()))
+    assert len(sigma) == 150
+    for i, row in enumerate(sigma):
+        assert len(row) == 150
+        for j, entry in enumerate(row):
+            assert entry == -sigma[j][i]
+            assert -2 <= entry <= 2
 
 
 def test_qt_deg_monomials_and_lex_max():
