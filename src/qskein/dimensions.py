@@ -165,9 +165,7 @@ def spanning_set(n: int) -> list[Index]:
 def spanning_count_formula(order: int) -> int:
     """2N^3 - N(N+1)(2N+1)/6, the size of the basis-plus-wing spanning set."""
     _check_order(order)
-    square_sum = order * (order + 1) * (2 * order + 1)
-    assert square_sum % 6 == 0
-    return 2 * order**3 - square_sum // 6
+    return 2 * order**3 - order * (order + 1) * (2 * order + 1) // 6
 
 
 def lambda_bounds(s: SurfaceDescriptor, order: int) -> tuple[int, int]:

@@ -185,9 +185,15 @@ class SparseCombination:
         return self._new({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
+        other = self._as_element(other)
+        if other is None:
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        other = self._as_element(other)
+        if other is None:
+            return NotImplemented
         return (-self) + other
 
     # -- products ------------------------------------------------------------------

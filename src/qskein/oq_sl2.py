@@ -236,7 +236,8 @@ class OqAlgebra:
         rewrite the pair alone.  The agenda is one {word: coefficient} dict
         merged by ``linear.accumulate``.  This engine shares no code with the
         structured product; the test suite compares the two on every word of
-        up to six letters.
+        up to six letters.  A word the tables leave irreducible but out of
+        normal order raises ArithmeticError naming it.
         """
         if isinstance(words, str):
             words = {words: self.ring.one}
@@ -255,7 +256,8 @@ class OqAlgebra:
             hit = search(word)
             if hit is None:
                 idx = tuple(word.count(letter) for letter in _LETTERS)
-                assert word == "".join(letter * e for letter, e in zip(_LETTERS, idx))
+                if word != "".join(letter * e for letter, e in zip(_LETTERS, idx)):
+                    raise ArithmeticError(f"word {word!r} is irreducible but not in normal order")
                 accumulate(out, idx, coeff)
                 continue
             h = hit.start()

@@ -30,12 +30,6 @@ MAX_EXP = 12
 """Largest ``bigon`` exponent cap, checked before anything is built: the
 word-rewriting check's run time grows steeply in it, and unevenly by seed."""
 
-# rng.choice(seq) picks seq[rng._randbelow(len(seq))], and rng.randint(a, b)
-# and rng.randrange(a, b + 1) return a + rng._randbelow(b - a + 1), so the
-# suites' random draws choose from a tuple of a..b: the same values from the
-# same stream, for less
-_ONE_OR_TWO = (1, 2)
-
 SUITES = {
     "bigon": ("trials", "max_exp"),
     "qtorus": ("trials", "triangulation"),
@@ -91,9 +85,25 @@ def run_checks(checks: Sequence[Check], seed: int) -> list[CheckResult]:
     return sorted(results, key=lambda r: r.id)
 
 
-def _require(cond: bool, message: str):
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """A random int in 0..n-1 read from ``bits``, an rng's ``getrandbits``.
+
+    It reads n.bit_length() bits, again while the value is >= n, as
+    ``Random._randbelow`` does for ``choice``, ``randint``, ``randrange`` and
+    ``sample``: the value and stream of ``randint(0, n - 1)``, for less.
+    """
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _require(cond: bool, message: str | Callable[[], str]):
+    """Fail unless ``cond``; ``message`` is text or a function giving it,
+    called only on failure, so that a passing check formats nothing."""
     if not cond:
-        raise CheckFailure(message)
+        raise CheckFailure(message if isinstance(message, str) else message())
 
 
 def _checked_spanning_count(order: int) -> int:
@@ -103,7 +113,7 @@ def _checked_spanning_count(order: int) -> int:
 
     got = sum(1 for _ in iter_spanning_set(order))
     want = spanning_count_formula(order)
-    _require(got == want, f"enumeration {got} != formula {want}")
+    _require(got == want, lambda: f"enumeration {got} != formula {want}")
     return got
 
 
@@ -118,11 +128,19 @@ def _refuse_oversized(suite: str, size: int):
         raise ValueError(f"{suite} work size {size} exceeds {MAX_WORK}; refused")
 
 
-def _random_polynomial(rng: random.Random, degree: int):
+def _random_polynomial(rng: random.Random, top: int):
+    """A random nonzero polynomial of degree at most ``top``.
+
+    It draws, in order: the degree, _below(bits, top + 1); then per
+    coefficient ``random() < 0.6`` and, when true, _below(bits, 13) - 6.
+    An all-zero draw becomes x^degree.
+    """
     # imported here, so that the runner loads no layer
     from ..chebyshev import from_dense
 
-    coeffs = [rng.randint(-6, 6) if rng.random() < 0.6 else 0 for _ in range(degree + 1)]
+    bits, rand = rng.getrandbits, rng.random
+    degree = _below(bits, top + 1)
+    coeffs = [_below(bits, 13) - 6 if rand() < 0.6 else 0 for _ in range(degree + 1)]
     if not any(coeffs):
         coeffs[degree] = 1
     return from_dense(coeffs)

@@ -10,9 +10,9 @@ from ..oq_sl2 import OqAlgebra, OqElement
 from ..scalars import ScalarRing
 from . import (
     MAX_EXP,
-    _ONE_OR_TWO,
     Check,
     CheckFailure,
+    _below,
     _checked_spanning_count,
     _false_fields,
     _refuse_oversized,
@@ -23,15 +23,15 @@ from . import (
 def _index_sampler(cap: int):
     """A function of an ``rng`` giving a random PBW index with entries in 0..cap.
 
-    Each call draws randint(0, cap) for k1, for k2 when k1 == 0, then for
-    k3 and k4, made with ``choice``.
+    Each call draws, in order: _below(bits, cap + 1) for k1, for k2 when
+    k1 == 0, then for k3 and k4.
     """
-    draws = tuple(range(cap + 1))
+    n = cap + 1
 
     def draw(rng: random.Random):
-        choice = rng.choice
-        k1 = choice(draws)
-        return (k1, 0 if k1 else choice(draws), choice(draws), choice(draws))
+        bits = rng.getrandbits
+        k1 = _below(bits, n)
+        return (k1, 0 if k1 else _below(bits, n), _below(bits, n), _below(bits, n))
 
     return draw
 
@@ -40,10 +40,11 @@ def _frobenius_sampler(alg: OqAlgebra, cap: int = 2):
     """A function of an ``rng`` giving one or two random rational multiples
     of N-th power monomials of ``alg``; the unit if they cancel.
 
-    Each call draws randint(1, 2) terms; each term draws its index, then
-    c = randint(1, 5), den = randint(1, 3) and a sign (random() < 0.5
-    negates c / den).  The pairs (c / den, -c / den) are kept as scalars of
-    the algebra's own ring object.
+    Each call draws, in order: the number of terms, 1 + _below(bits, 2);
+    for each term, its index, then c = 1 + _below(bits, 5), den =
+    1 + _below(bits, 3) and ``random() < 0.5``, which negates c / den.  The
+    pairs (c / den, -c / den) are kept as scalars of the algebra's own ring
+    object.
     """
     n, from_rational, index = alg.order, alg.ring.from_rational, _index_sampler(cap)
     coefficients = tuple(
@@ -53,13 +54,40 @@ def _frobenius_sampler(alg: OqAlgebra, cap: int = 2):
     )
 
     def draw(rng: random.Random):
-        choice, rand = rng.choice, rng.random
+        bits, rand = rng.getrandbits, rng.random
         terms: dict = {}
-        for _ in range(choice(_ONE_OR_TWO)):
+        for _ in range(1 + _below(bits, 2)):
             k1, k2, k3, k4 = index(rng)
             accumulate(terms, (n * k1, n * k2, n * k3, n * k4),
-                       choice(choice(coefficients))[rand() < 0.5])
+                       coefficients[_below(bits, 5)][_below(bits, 3)][rand() < 0.5])
         return OqElement(alg, terms) if terms else alg.one()
+
+    return draw
+
+
+def _key_sampler(order: int):
+    """A function of an ``rng`` giving 1 to 4 distinct indices (0, j, k, l)
+    of the basis box, j, k, l in 0..N-1.
+
+    Each call draws, in order: the number of keys, 1 + _below(bits, 4); then
+    per key p = _below(bits, N^3), again while p repeats one already drawn,
+    read as (0, p // N^2, p // N % N, p % N).  Those are the draws of
+    ``randint(1, 4)`` and ``sample(range(N^3), size)`` (for N^3 > 21, where
+    ``sample`` keeps a set; at N = 1 both draw _below(bits, 1) once).
+    """
+    n2 = order * order
+    cube = n2 * order
+    most = min(4, cube)
+
+    def draw(rng: random.Random):
+        bits = rng.getrandbits
+        picks: list[int] = []
+        for _ in range(1 + _below(bits, most)):
+            p = _below(bits, cube)
+            while p in picks:
+                p = _below(bits, cube)
+            picks.append(p)
+        return [(0, p // n2, p // order % order, p % order) for p in picks]
 
     return draw
 
@@ -71,7 +99,7 @@ def bigon_suite(order: int, trials: int, max_exp: int) -> list[Check]:
     ring = ScalarRing.root_of_unity(order)
     alg = OqAlgebra(ring)
     draw_index, draw_wide = _index_sampler(max_exp), _index_sampler(max_exp + 2)
-    draw_frobenius = _frobenius_sampler(alg)
+    draw_frobenius, draw_keys = _frobenius_sampler(alg), _key_sampler(order)
 
     def check_word_vs_structured(rng: random.Random) -> str:
         for _ in range(trials):
@@ -82,7 +110,7 @@ def bigon_suite(order: int, trials: int, max_exp: int) -> list[Check]:
             )
             lhs = alg.normal_form(word)
             rhs = alg.power_product(u) * alg.power_product(v)
-            _require(lhs == rhs, f"normal form disagrees on {u} * {v}")
+            _require(lhs == rhs, lambda: f"normal form disagrees on {u} * {v}")
         return f"{trials} random products agree across both engines"
 
     def check_degree_formula(rng: random.Random) -> str:
@@ -103,7 +131,7 @@ def bigon_suite(order: int, trials: int, max_exp: int) -> list[Check]:
             x = alg.power_product((t, 0, 0, 0)) * alg.power_product((0, t, 0, 0))
             _require(
                 alg.in_diagonal_tower(x, t),
-                f"a^{t} d^{t} escapes the diagonal tower",
+                lambda: f"a^{t} d^{t} escapes the diagonal tower",
             )
         return f"a^t d^t lies in the tower for t <= {top}"
 
@@ -113,22 +141,18 @@ def bigon_suite(order: int, trials: int, max_exp: int) -> list[Check]:
             for j in range(i + 1, 4):
                 _require(
                     gens[i] * gens[j] == gens[j] * gens[i],
-                    f"generators {i} and {j} of the power subalgebra do not commute",
+                    lambda: f"generators {i} and {j} of the power subalgebra do not commute",
                 )
         return "N-th powers of the generators pairwise commute"
 
     def check_independence(rng: random.Random) -> str:
-        n2 = order * order
         for _ in range(trials):
-            size = rng.randint(1, min(4, n2 * order))
-            # the same draws as sampling the list basis_box(order), decoded
-            keys = [(0, p // n2, p // order % order, p % order)
-                    for p in rng.sample(range(n2 * order), size)]
-            coeff_map = {k: draw_frobenius(rng) for k in keys}
+            coeff_map = {k: draw_frobenius(rng) for k in draw_keys(rng)}
             cert = alg.independence_certificate(coeff_map)
             _require(
                 cert.certified,
-                f"certificate refused on keys {sorted(keys)}: {_false_fields(cert)} false",
+                lambda: f"certificate refused on keys {sorted(coeff_map)}: "
+                f"{_false_fields(cert)} false",
             )
         return f"{trials} random coefficient maps certified independent"
 

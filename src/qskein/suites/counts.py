@@ -14,7 +14,7 @@ def counts_suite(order: int) -> list[Check]:
 
     def check_box(rng: random.Random) -> str:
         got = sum(1 for _ in iter_basis_box(order))
-        _require(got == order**3, f"box has {got} elements, wanted {order ** 3}")
+        _require(got == order**3, lambda: f"box has {got} elements, wanted {order ** 3}")
         return f"basis box has exactly {got} elements"
 
     return [

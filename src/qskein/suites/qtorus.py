@@ -24,38 +24,35 @@ from ..quantum_torus import (
     qt_deg,
 )
 from ..scalars import ScalarRing
-from . import _ONE_OR_TWO, Check, _false_fields, _refuse_oversized, _require
+from . import Check, _below, _false_fields, _refuse_oversized, _require
 
 
 def _balanced_sampler(torus: QuantumTorus, basis: Sequence[tuple[int, ...]], cap: int = 2):
     """A function of an ``rng`` giving a random balanced element of ``torus``.
 
-    Each call draws, in this order: the number of terms, 1 or 2; for each
-    term, one coordinate in -cap..cap per row of ``basis``, then c in 1..4,
-    then ``random() < 0.5``, which negates c.  A term is c Y^v with v the
-    sum of coordinate times row; terms that cancel give the unit.  Those are
-    the draws of ``randrange(1, 3)``, ``randrange(-cap, cap + 1)`` and
-    ``randrange(1, 5)``, made with ``choice``.  The rows are kept as their
-    (column, entry) nonzeros and the coefficients as scalars of the torus's
-    own ring object.
+    Each call draws, in order: the number of terms, 1 + _below(bits, 2); for
+    each term, one coordinate _below(bits, 2 cap + 1) - cap per row of
+    ``basis``, then c = 1 + _below(bits, 4), then ``random() < 0.5``, which
+    negates c.  A term is c Y^v with v the sum of coordinate times row; terms
+    that cancel give the unit.  The rows are kept as their (column, entry)
+    nonzeros and the coefficients as scalars of the torus's own ring object.
     """
-    n = len(basis)
+    n, width = len(basis), 2 * cap + 1
     rows = [tuple((j, e) for j, e in enumerate(row) if e) for row in basis]
-    draws = tuple(range(-cap, cap + 1))
     from_rational = torus.ring.from_rational
     signed = tuple((from_rational(c), from_rational(-c)) for c in range(1, 5))
 
     def draw(rng: random.Random):
-        choice, rand = rng.choice, rng.random
+        bits, rand = rng.getrandbits, rng.random
         terms: dict = {}
-        for _ in range(choice(_ONE_OR_TWO)):
+        for _ in range(1 + _below(bits, 2)):
             vec = [0] * n
             for row in rows:
-                x = choice(draws)
+                x = _below(bits, width) - cap
                 if x:
                     for j, e in row:
                         vec[j] += x * e
-            accumulate(terms, tuple(vec), choice(signed)[rand() < 0.5])
+            accumulate(terms, tuple(vec), signed[_below(bits, 4)][rand() < 0.5])
         return QTElement(torus, terms) if terms else torus.one()
 
     return draw
@@ -104,17 +101,16 @@ def _fixture_checks(
         n = len(sigma)
         for i in range(n):
             for j in range(n):
-                where = f"({i}, {j})"
-                _require(sigma[i][j] == -sigma[j][i], f"not antisymmetric at {where}")
-                _require(-2 <= sigma[i][j] <= 2, f"entry {where} is out of range")
+                _require(sigma[i][j] == -sigma[j][i], lambda: f"not antisymmetric at ({i}, {j})")
+                _require(-2 <= sigma[i][j] <= 2, lambda: f"entry ({i}, {j}) is out of range")
         return f"{n}x{n} exchange matrix is antisymmetric with entries in -2..2"
 
     def check_central(rng) -> str:
         for name in tri.punctures:
             h = central_puncture_element(target, name)
-            _require(is_central(target, h), f"puncture element {name} not central")
+            _require(is_central(target, h), lambda: f"puncture element {name} not central")
             _require(balanced_check(tri, next(iter(h.terms))),
-                     f"puncture exponent at {name} is not balanced")
+                     lambda: f"puncture exponent at {name} is not balanced")
         return f"{len(tri.punctures)} puncture monomials are central and balanced"
 
     def check_frobenius(rng) -> str:
@@ -122,7 +118,7 @@ def _fixture_checks(
             x, y = draw_source(rng), draw_source(rng)
             lhs = frobenius_map(x * y, target, order)
             rhs = frobenius_map(x, target, order) * frobenius_map(y, target, order)
-            _require(lhs == rhs, f"power map is not multiplicative at trial {t}")
+            _require(lhs == rhs, lambda: f"power map is not multiplicative at trial {t}")
         return f"{trials} random balanced pairs map multiplicatively"
 
     def check_deg_additive(rng) -> str:
@@ -130,16 +126,17 @@ def _fixture_checks(
         for t in range(trials):
             x, y = draw_target(rng), draw_target(rng)
             prod = x * y
-            _require(not prod.is_zero(), f"product of nonzero elements vanished at trial {t}")
+            _require(not prod.is_zero(),
+                     lambda: f"product of nonzero elements vanished at trial {t}")
             _require(qt_deg(prod, zb) == tuple(map(add, qt_deg(x, zb), qt_deg(y, zb))),
-                     f"degree is not additive at trial {t}")
+                     lambda: f"degree is not additive at trial {t}")
         return f"degree additive on {trials} random pairs"
 
     def check_basis(rng) -> str:
         zb = zbasis()
         for name, z in zip(tri.punctures, zb.vectors):
             want = quantum_torus.central_puncture_exponent(tri, name)
-            _require(z == want, f"row for {name} is not the puncture exponent")
+            _require(z == want, lambda: f"row for {name} is not the puncture exponent")
         for z in zb.vectors:
             _require(balanced_check(tri, z), "basis vector is not balanced")
         return f"unimodular balanced basis of rank {len(zb.vectors)}"
@@ -151,7 +148,7 @@ def _fixture_checks(
         elements = {k: draw_source(rng) for k in box}
         x_map = {k: qt_deg(l, zb) for k, l in elements.items()}
         cert = center_free_certificate(order, x_map, target=target, zbasis=zb, elements=elements)
-        _require(cert.certified, f"certificate refused: {_false_fields(cert)} false")
+        _require(cert.certified, lambda: f"certificate refused: {_false_fields(cert)} false")
         return f"certified over the full residue box of size {len(box)}"
 
     checks = [

@@ -1,11 +1,18 @@
 """Exact kernels of ``linear``: fraction-free integer elimination, checked
 against Gauss-Jordan over Fraction, and convolution, checked against the
-schoolbook double loop."""
+schoolbook double loop; and the operand rule of ``SparseCombination``
+subtraction in each layer."""
 
 import random
 from fractions import Fraction
 
+import pytest
+
+from qskein.chebyshev import Polynomial
 from qskein.linear import convolve, integer_solve
+from qskein.oq_sl2 import OqAlgebra
+from qskein.quantum_torus import QuantumTorus, once_punctured_torus
+from qskein.scalars import ScalarRing
 
 
 def _fraction_solve(a, b):
@@ -86,3 +93,46 @@ def test_convolve_matches_the_schoolbook_product():
     assert convolve([0, 0], [1, 2, 3]) == [0, 0, 0, 0]
     for a, b in (([], []), ([], [1, 2]), ((3,), ()), ((), (0,))):
         assert convolve(a, b) == []
+
+
+def _bigon_generator():
+    return OqAlgebra(ScalarRing.root_of_unity(5)).generator("a")
+
+
+def _torus_generator():
+    return QuantumTorus.from_triangulation(
+        ScalarRing.root_of_unity(5), once_punctured_torus()
+    ).generator(0)
+
+
+def _polynomial():
+    return Polynomial({1: 1})
+
+
+_ELEMENTS = pytest.mark.parametrize(
+    "make", [_bigon_generator, _torus_generator, _polynomial],
+    ids=["OqElement", "QTElement", "Polynomial"],
+)
+
+
+@_ELEMENTS
+@pytest.mark.parametrize("foreign", [1.5, "x"], ids=["float", "str"])
+def test_subtracting_a_foreign_operand_names_the_minus_operator(make, foreign):
+    """``x - y`` and ``y - x`` with y neither an element nor a coefficient
+    return NotImplemented, so Python's TypeError names "-" and both types."""
+    x = make()
+    name, other = type(x).__name__, type(foreign).__name__
+    unsupported = r"^unsupported operand type\(s\) for -: '{}' and '{}'$"
+    with pytest.raises(TypeError, match=unsupported.format(name, other)):
+        x - foreign
+    with pytest.raises(TypeError, match=unsupported.format(other, name)):
+        foreign - x
+
+
+@_ELEMENTS
+def test_subtraction_still_takes_elements_and_coefficients(make):
+    x = make()
+    assert x - x == 0
+    assert (x - 2) + 2 == x
+    assert 2 - x == -(x - 2)
+    assert Fraction(1, 3) - x == -(x - Fraction(1, 3))

@@ -159,6 +159,18 @@ def test_word_engine_reads_swap_exponents_from_the_rules(monkeypatch, pair, wron
         assert alg.normal_form(word) != _generator_product(alg, word)
 
 
+def test_word_engine_refuses_a_word_the_tables_leave_out_of_order(monkeypatch):
+    """Without the rule ba = q^2 ab the word ba is irreducible but not in
+    normal order: the engine names it rather than reading it as ab."""
+    swaps = {pair: e for pair, e in oq_sl2._SWAPS.items() if pair != "ba"}
+    monkeypatch.setattr(oq_sl2, "_SWAPS", swaps)
+    monkeypatch.setattr(oq_sl2, "_REDUCIBLE", re.compile("|".join([*swaps, *oq_sl2._DIAGONAL])))
+    alg = OqAlgebra(ScalarRing.root_of_unity(5))
+    assert alg.normal_form("ab") == alg.basis_monomial((1, 0, 1, 0))
+    with pytest.raises(ArithmeticError, match=r"^word 'ba' is irreducible but not in normal order$"):
+        alg.normal_form("ba")
+
+
 @pytest.mark.parametrize(
     "ring", [GENERIC, ROOT3, ScalarRing.root_of_unity(5)], ids=["generic", "N3", "N5"]
 )
@@ -826,3 +838,13 @@ def test_frobenius_generator_is_the_nth_power():
     alg = OqAlgebra(ScalarRing.root_of_unity(3))
     for letter in "abcd":
         assert alg.frobenius_generator(letter) == alg.generator(letter) ** 3
+
+
+def test_elements_of_two_algebras_do_not_mix():
+    """Algebras over equal rings mix; over rings of different order they do not."""
+    a5 = OqAlgebra(ScalarRing.root_of_unity(5)).generator("a")
+    assert a5 + OqAlgebra(ScalarRing.root_of_unity(5)).generator("a") == a5 * 2
+    a7 = OqAlgebra(ScalarRing.root_of_unity(7)).generator("a")
+    for combine in (lambda x, y: x + y, lambda x, y: x * y):
+        with pytest.raises(ValueError, match=r"^elements from different algebras$"):
+            combine(a5, a7)

@@ -669,3 +669,20 @@ def test_rings_are_named_by_their_order_alone():
     assert not hasattr(ScalarRing.generic(), "mode")
     assert repr(ScalarRing.root_of_unity(5)) == "ScalarRing(root_of_unity, N=5)"
     assert repr(ScalarRing.generic()) == "ScalarRing(generic)"
+
+
+def test_root_exponent_refuses_another_rings_scalar():
+    with pytest.raises(ValueError, match=r"^scalar from a different ring$"):
+        ScalarRing.root_of_unity(5).root_exponent(ScalarRing.root_of_unity(7).zeta_pow(1))
+
+
+def test_from_rational_refuses_a_scalar():
+    """A Scalar is not a rational, not even one of the very ring."""
+    ring = ScalarRing.root_of_unity(5)
+    with pytest.raises(TypeError, match=r"^expected an int or a Fraction, got "):
+        ring.from_rational(ring.one)
+
+
+def test_cyclotomic_index_zero_is_refused():
+    with pytest.raises(ValueError, match=r"^cyclotomic index must be positive$"):
+        cyclotomic_coefficients(0)

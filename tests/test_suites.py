@@ -1,5 +1,5 @@
-"""Suite internals: the bigon and qtorus suites' random draws and the shared
-spanning count."""
+"""Suite internals: the suites' random draws, the deferred failure text and
+the shared spanning count."""
 
 import inspect
 import random
@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from qskein import suites
+from qskein.chebyshev import Polynomial
 from qskein.oq_sl2 import OqAlgebra
 from qskein.quantum_torus import (
     QuantumTorus,
@@ -18,8 +19,72 @@ from qskein.quantum_torus import (
     once_punctured_torus,
 )
 from qskein.scalars import ScalarRing
-from qskein.suites.bigon import _frobenius_sampler, _index_sampler
+from qskein.suites import _below, _random_polynomial, _require
+from qskein.suites.bigon import _frobenius_sampler, _index_sampler, _key_sampler
 from qskein.suites.qtorus import _balanced_sampler
+
+
+@pytest.mark.parametrize("seed", [0, 1, 31])
+def test_below_matches_randint(seed):
+    """The same values and the same stream as randint(0, n - 1); n = 1 still
+    reads one bit."""
+    new_rng, old_rng = random.Random(seed), random.Random(seed)
+    for n in range(1, 71):
+        for _ in range(20):
+            assert _below(new_rng.getrandbits, n) == old_rng.randint(0, n - 1)
+            assert new_rng.getstate() == old_rng.getstate()
+    before = new_rng.getstate()
+    _below(new_rng.getrandbits, 1)
+    assert new_rng.getstate() != before
+
+
+def old_random_polynomial(rng, top):
+    """The earlier definition: the degree by randint, then the coefficients."""
+    degree = rng.randint(0, top)
+    coeffs = [rng.randint(-6, 6) if rng.random() < 0.6 else 0 for _ in range(degree + 1)]
+    if not any(coeffs):
+        coeffs[degree] = 1
+    return Polynomial(dict(enumerate(coeffs)))
+
+
+@pytest.mark.parametrize("top", [0, 20, 35, 105])
+def test_random_polynomial_matches_the_old_definition(top):
+    new_rng, old_rng = random.Random(top), random.Random(top)
+    for _ in range(300):
+        new, old = _random_polynomial(new_rng, top), old_random_polynomial(old_rng, top)
+        assert new == old
+        assert repr(new) == repr(old)
+        assert new_rng.getstate() == old_rng.getstate()
+
+
+@pytest.mark.parametrize("order", [1, 3, 7, 21])
+def test_certificate_keys_match_the_old_definition(order):
+    """randint(1, 4) keys, then sample(range(N^3), size), decoded."""
+    draw = _key_sampler(order)
+    n2 = order * order
+    new_rng, old_rng = random.Random(order), random.Random(order)
+    for _ in range(2000):
+        size = old_rng.randint(1, min(4, n2 * order))
+        old = [(0, p // n2, p // order % order, p % order)
+               for p in old_rng.sample(range(n2 * order), size)]
+        assert draw(new_rng) == old
+        assert new_rng.getstate() == old_rng.getstate()
+
+
+def test_require_builds_its_message_only_on_failure():
+    calls = []
+
+    def message():
+        calls.append(1)
+        return "it failed"
+
+    _require(True, message)
+    assert calls == []
+    with pytest.raises(suites.CheckFailure, match=r"^it failed$"):
+        _require(False, message)
+    assert calls == [1]
+    with pytest.raises(suites.CheckFailure, match=r"^plain text$"):
+        _require(False, "plain text")
 
 
 def old_random_pbw_index(rng, cap):
