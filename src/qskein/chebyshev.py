@@ -88,6 +88,8 @@ class Polynomial(SparseCombination):
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """Substitute ``inner`` for the variable, exactly (Horner's rule)."""
+        if not isinstance(inner, Polynomial):
+            raise TypeError(f"expected a Polynomial, got {type(inner).__name__} {inner!r}")
         inner_coeffs = dense(inner)
         out: list = []
         for c in reversed(dense(self)):

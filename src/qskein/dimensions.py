@@ -120,12 +120,19 @@ def localized_dimension(s: SurfaceDescriptor, order: int) -> int:
 Index = tuple[int, int, int, int]
 
 
+def _size(n: int) -> int:
+    """``n`` if it is a natural ``_integer``, the side of the basis box."""
+    if _integer(n) < 0:
+        raise ValueError(f"box size must be a natural number, got {n}")
+    return n
+
+
 def iter_basis_box(n: int) -> Iterator[Index]:
     """The n**3 PBW indices with first entry 0 and the rest below n.
 
     Position p of the enumeration is (0, p // n**2, p // n % n, p % n).
     """
-    _integer(n)
+    _size(n)
     return (
         (0, k2, k3, k4)
         for k2 in range(n)
@@ -136,7 +143,7 @@ def iter_basis_box(n: int) -> Iterator[Index]:
 
 def iter_spanning_wing(n: int) -> Iterator[Index]:
     """Extra indices with positive a-exponent completing the spanning set."""
-    _integer(n)
+    _size(n)
     return (
         (n - j, 0, k2, k3)
         for j in range(1, n)

@@ -10,9 +10,9 @@ write their exponents as 4-tuples and call such tuples PBW indices.  Two
 independent multiplication routes are provided and cross-checked in the
 test suite: a rewriting engine on generator words, which reads these
 relations from two tables (``_SWAPS``, xy = q^e yx, and ``_DIAGONAL``,
-xy = q^e bc + 1), and a structured product, ``OqAlgebra._mul_into``, that
-merges a/d exponents by one rule (``_core``) over cached diagonal
-expansions of a^t d^t and d^t a^t.
+xy = q^e bc + 1), and a structured product, ``OqAlgebra._mul_into``, over
+one table, ``_core``, of the expansions of the words x^m y^n, (x, y) = (a, d)
+or (d, a), keyed (forward, m, n); the row x^t y^t is (forward, t, t).
 
 On top of the arithmetic sit the finite-spanning and independence
 certificates used at odd roots of unity.  They work over the N^3 index box
@@ -67,6 +67,11 @@ def _pbw(k: Sequence[int]) -> Index:
     return k
 
 
+def pbw_word(k: Sequence[int]) -> str:
+    """The word a^k1 d^k2 b^k3 c^k4, its letters in normal order."""
+    return "".join(letter * e for letter, e in zip(_LETTERS, k))
+
+
 def _letter_index(letter: str, e: int) -> Index:
     """The PBW index of letter**e, for a generator letter a, b, c or d."""
     if letter not in _RANK:
@@ -83,11 +88,13 @@ def _check_box_index(v: Index, n: int) -> None:
 def leading_index(k: Sequence[int]) -> Index:
     """Lex-leading PBW index of the expansion of a^k1 d^k2 b^k3 c^k4.
 
-    Defined for arbitrary natural exponent vectors, not only PBW indices:
-    a^t d^t with t = min(k1, k2) leads with (bc)^t.
+    Defined for arbitrary natural exponent vectors (``linear.integer``), not
+    only PBW indices: a^t d^t with t = min(k1, k2) leads with (bc)^t.
     """
     k1, k2, k3, k4 = k
-    if min(k) < 0:
+    if not type(k1) is type(k2) is type(k3) is type(k4) is int:
+        k1, k2, k3, k4 = map(integer, (k1, k2, k3, k4))
+    if min(k1, k2, k3, k4) < 0:
         raise ValueError("exponents must be natural numbers")
     t = min(k1, k2)
     return (k1 - t, k2 - t, k3 + t, k4 + t)
@@ -100,8 +107,7 @@ class OqAlgebra:
         self.ring = ring
         # row t of both a^t d^t and d^t a^t as integer counts: see _diag
         self._diag_counts: list[list[list[int]]] = [[[1] + [0] * ((ring.order or 1) - 1)]]
-        self._diag_rows: dict[tuple[int, bool], dict[int, Scalar]] = {}
-        self._cores: dict[Index, dict[tuple[int, int, int], Scalar]] = {}
+        self._cores: dict[tuple[bool, int, int], dict[tuple[int, int, int], Scalar]] = {}
         self._wing_cache: dict[tuple[int, int, int], dict[Index, "OqElement"]] = {}
 
     @property
@@ -138,73 +144,63 @@ class OqAlgebra:
 
     # -- structured multiplication ---------------------------------------------
 
-    def _diag(self, t: int, forward: bool) -> dict[int, Scalar]:
-        """Expansion of a^t d^t (forward) or d^t a^t as a bc-diagonal dict.
+    def _diag(self, t: int) -> list[list[int]]:
+        """Integer counts of row t, shared by a^t d^t and d^t a^t.
 
-        With x = q^-1 (forward) or q, the coefficient of (bc)^g in both is
-        sum_i counts[i] x^i for the same integer counts, and the rows obey
+        With x = q^-1 or q respectively, the coefficient of (bc)^g in both is
+        sum_i counts[g][i] x^i, and the rows obey
 
             C(t+1, g) = x^(4g) C(t, g) + x^(4g-2) C(t, g-1).
 
         The recurrence runs on the counts, indexed modulo N in root mode,
         where x^N = 1.  For N > 1 the N-th roots of unity sum to 0, so each
         new list has its minimum subtracted: the value stays, and the counts
-        stay far below the raw ones, which grow like 2^t / N.  A row becomes
-        scalars on its first request in each direction, without the entries
-        that vanish, and is kept.
+        stay far below the raw ones, which grow like 2^t / N.  All rows are kept.
         """
-        rows = self._diag_rows
-        row = rows.get((t, forward))
-        if row is not None:
-            return row
         counts, n = self._diag_counts, self.ring.order
         level = (n or 0) > 1
         while len(counts) <= t:
             prev = counts[-1]
             nxt = [prev[0]]
             for g in range(1, len(prev)):
-                c = [
-                    u + v for u, v in zip_longest(
-                        _shift(prev[g], 4 * g, n), _shift(prev[g - 1], 4 * g - 2, n), fillvalue=0
-                    )
-                ]
+                pair = _shift(prev[g], 4 * g, n), _shift(prev[g - 1], 4 * g - 2, n)
+                c = [u + v for u, v in zip_longest(*pair, fillvalue=0)]
                 low = min(c) if level else 0
                 nxt.append([u - low for u in c] if low else c)
             # the first list is prev's and the last a rotation: both levelled
             nxt.append(_shift(prev[-1], 4 * len(prev) - 2, n))
             counts.append(nxt)
-        convert, step = self.ring.from_power_counts, -2 if forward else 2
-        row = {}
-        for g, c in enumerate(counts[t]):
-            s = convert(c, step)
-            if s:
-                row[g] = s
-        rows[(t, forward)] = row
-        return row
+        return counts[t]
 
-    def _core(self, ma: int, md: int, na: int, nd: int) -> dict[tuple[int, int, int], Scalar]:
-        """PBW form of the word a^ma d^md a^na d^nd as {(a, d, bc-diag): scalar}.
+    def _core(self, forward: bool, m: int, n: int) -> dict[tuple[int, int, int], Scalar]:
+        """PBW form of the word x^m y^n as {(a, d, bc-diag): scalar}, kept per
+        algebra under (forward, m, n), (x, y) = (a, d) if forward, else (d, a).
 
-        Its one caller, ``_mul_into``, passes PBW indices, so the word is
-        x^m y^n with (x, y) = (a, d), or (d, a) if it reads d^md a^na.  It
-        equals x^(m-t) (x^t y^t) y^(n-t), t = min(m, n), and y^(n-t) moves
-        left past (bc)^g at the cost q^(-4g(n-m)) for y = d and q^(4g(n-m))
-        for y = a.  The result is kept per algebra and shared: callers only
-        read it.
+        The row x^t y^t is the entry (forward, t, t), converted once from the
+        counts of ``_diag`` without its vanishing entries.  The word equals
+        x^(m-t) (x^t y^t) y^(n-t), t = min(m, n), and y^(n-t) moves left past
+        (bc)^g at the cost q^(-4g(n-m)) for y = d and q^(4g(n-m)) for y = a.
+        Callers only read the entries.
         """
-        key = (ma, md, na, nd)
-        core = self._cores.get(key)
+        cores = self._cores
+        core = cores.get((forward, m, n))
         if core is not None:
             return core
-        forward = not (md and na)
-        m, n = (ma + na, md + nd) if forward else (md, na)
         t = min(m, n)
+        row = cores.get((forward, t, t))
+        if row is None:
+            convert, step = self.ring.from_power_counts, -2 if forward else 2
+            row = cores[(forward, t, t)] = {
+                (0, 0, g): s for g, c in enumerate(self._diag(t)) if (s := convert(c, step))
+            }
+            if m == n:
+                return row
         slots = (m - t, n - t) if forward else (n - t, m - t)
         step = (-4 if forward else 4) * (n - t)
         q_pow = self.ring.q_pow
-        core = self._cores[key] = {
+        core = cores[(forward, m, n)] = {
             slots + (g,): s * q_pow(step * g) if step * g else s
-            for g, s in self._diag(t, forward).items()
+            for (_, _, g), s in row.items()
         }
         return core
 
@@ -256,7 +252,7 @@ class OqAlgebra:
             hit = search(word)
             if hit is None:
                 idx = tuple(word.count(letter) for letter in _LETTERS)
-                if word != "".join(letter * e for letter, e in zip(_LETTERS, idx)):
+                if word != pbw_word(idx):
                     raise ArithmeticError(f"word {word!r} is irreducible but not in normal order")
                 accumulate(out, idx, coeff)
                 continue
@@ -478,12 +474,13 @@ class OqAlgebra:
         """Add the product of two term dicts to ``acc``.
 
         Each pair of terms c_u O_u, c_v O_v adds c_u c_v q^e times the core
-        of a^u1 d^u2 a^v1 d^v2, shifted by b^(u3 + v3) c^(u4 + v4), where
-        e = 2 (u3 + u4) (v1 - v2) is the cost of moving b^u3 c^u4 right past
-        a^v1 d^v2.  A new key is stored without a zero test and a merged one
-        is tested.  Only a sum can vanish: the terms of an element and of a
-        core are nonzero, and so is their product, as both scalar rings are
-        integral domains.
+        of the word a^u1 d^u2 a^v1 d^v2 (key (False, u2, v1) when d^u2 meets
+        a^v1, else (True, u1 + v1, u2 + v2)), shifted by b^(u3 + v3)
+        c^(u4 + v4), where e = 2 (u3 + u4) (v1 - v2) is the cost of moving
+        b^u3 c^u4 right past a^v1 d^v2.  A new key is stored without a zero
+        test and a merged one is tested.  Only a sum can vanish: the terms of
+        an element and of a core are nonzero, and so is their product, as
+        both scalar rings are integral domains.
         """
         ring = self.ring
         one, q_pow, n, core = ring.one, ring.q_pow, ring.order, self._core
@@ -494,7 +491,8 @@ class OqAlgebra:
                 if n is None or e % n:  # q has order N in root mode
                     factor = factor * q_pow(e)
                 b0, c0 = u3 + v3, u4 + v4
-                for (alpha, beta, g), s in core(u1, u2, v1, v2).items():
+                word = core(False, u2, v1) if u2 and v1 else core(True, u1 + v1, u2 + v2)
+                for (alpha, beta, g), s in word.items():
                     key = (alpha, beta, g + b0, g + c0)
                     term = factor if s is one else factor * s
                     if key in acc:

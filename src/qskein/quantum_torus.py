@@ -228,9 +228,10 @@ def exchange_matrix(tri: Triangulation) -> tuple[tuple[int, ...], ...]:
 
 
 def balanced_check(tri: Triangulation, k: Sequence[int]) -> bool:
-    """Whether the exponent vector has even sum over every triangle."""
+    """Whether the exponent vector (``linear.integer``) has even sum over every triangle."""
     if len(k) != tri.edge_count:
         raise ValueError("exponent vector has wrong length")
+    k = tuple(map(integer, k))
     for t in tri.triangles:
         if sum(k[e] for e in t) % 2:
             return False

@@ -147,7 +147,7 @@ class ScalarRing:
     def from_rational(self, value: int | Fraction) -> "Scalar":
         """The scalar of an int (not a bool) or a Fraction; TypeError otherwise."""
         if isinstance(value, Scalar):
-            raise TypeError(f"expected an int or a Fraction, got {value!r}")
+            raise TypeError(f"expected an int or a Fraction, got a Scalar, {value!r}")
         return exact(self.coerce, value)
 
     def coerce(self, value) -> "Scalar | None":

@@ -6,7 +6,7 @@ from itertools import product
 
 from ..dimensions import spanning_count_formula
 from ..linear import accumulate
-from ..oq_sl2 import OqAlgebra, OqElement
+from ..oq_sl2 import OqAlgebra, OqElement, pbw_word
 from ..scalars import ScalarRing
 from . import (
     MAX_EXP,
@@ -104,11 +104,7 @@ def bigon_suite(order: int, trials: int, max_exp: int) -> list[Check]:
     def check_word_vs_structured(rng: random.Random) -> str:
         for _ in range(trials):
             u, v = draw_index(rng), draw_index(rng)
-            word = (
-                "a" * u[0] + "d" * u[1] + "b" * u[2] + "c" * u[3]
-                + "a" * v[0] + "d" * v[1] + "b" * v[2] + "c" * v[3]
-            )
-            lhs = alg.normal_form(word)
+            lhs = alg.normal_form(pbw_word(u) + pbw_word(v))
             rhs = alg.power_product(u) * alg.power_product(v)
             _require(lhs == rhs, lambda: f"normal form disagrees on {u} * {v}")
         return f"{trials} random products agree across both engines"

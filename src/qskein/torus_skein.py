@@ -17,7 +17,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .chebyshev import Polynomial, chebyshev_a, chebyshev_t, dense
-from .linear import integer, integer_solve, odd_order
+from .linear import exact, integer, integer_solve, odd_order
 
 
 def a_basis_expand(p: Polynomial) -> tuple[int | Fraction, dict[int, int | Fraction]]:
@@ -73,6 +73,7 @@ class S1S2Element(_S1S2Fields):
 
     Coefficients sit on the empty class and on classes e_i whose index
     satisfies order | i + 2; anything else was killed by the reduction.
+    Indices follow ``linear.integer`` and coefficients ``Polynomial._coerce``.
     """
 
     __slots__ = ()
@@ -81,10 +82,11 @@ class S1S2Element(_S1S2Fields):
     def __new__(cls, order: int, empty_coeff, e_coeffs):
         self = super().__new__(cls, order, empty_coeff, e_coeffs)
         _check_order(order)
+        exact(Polynomial._coerce, empty_coeff)
         for i, c in self.e_coeffs:
-            if i < 1 or (i + 2) % order:
+            if integer(i) < 1 or (i + 2) % order:
                 raise ValueError(f"index {i} is not admissible at order {order}")
-            if not c:
+            if not exact(Polynomial._coerce, c):
                 raise ValueError("zero coefficients must be dropped")
         indices = [i for i, _ in self.e_coeffs]
         if len(set(indices)) != len(indices):

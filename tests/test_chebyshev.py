@@ -363,6 +363,13 @@ def test_substitute_edge_forms():
     assert form.substitute() == t2 * t2 * Fraction(1, 3) + Polynomial({1: 5})
 
 
+@pytest.mark.parametrize("inner", [3, Fraction(1, 2)], ids=["int", "fraction"])
+def test_compose_refuses_a_non_polynomial(inner):
+    """A constant is composed as Polynomial.constant(c), never as a bare number."""
+    with pytest.raises(TypeError, match=f"^expected a Polynomial, got {type(inner).__name__} "):
+        Polynomial({1: 1}).compose(inner)
+
+
 def test_compose_edge_cases():
     p = Polynomial({0: 3, 2: Fraction(1, 2), 5: -1})
     assert ZERO.compose(p) == ZERO

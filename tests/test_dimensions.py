@@ -194,3 +194,17 @@ def test_box_sizes_follow_the_integer_rule(name, value):
 
     with pytest.raises(TypeError, match="expected an integer, got"):
         getattr(dimensions, name)(value)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["basis_box", "spanning_wing", "spanning_set",
+     "iter_basis_box", "iter_spanning_wing", "iter_spanning_set"],
+)
+def test_box_sizes_are_natural_numbers(name):
+    """A negative size is refused, not read as an empty box."""
+    from qskein import dimensions
+
+    assert list(getattr(dimensions, name)(0)) == []
+    with pytest.raises(ValueError, match="^box size must be a natural number, got -1$"):
+        getattr(dimensions, name)(-1)

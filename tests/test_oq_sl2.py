@@ -297,6 +297,14 @@ def test_leading_index_cases():
         leading_index((-1, 0, 0, 0))
 
 
+@pytest.mark.parametrize("k", [(1.0, 2.0, 0, 0), (True, True, 0, 0), (0, 0, "1", 0)],
+                         ids=["float", "bool", "string"])
+def test_leading_index_follows_the_integer_rule(k):
+    """Floats are not read as (0.0, 1.0, 1.0, 1.0), nor bools as (0, 0, 1, 1)."""
+    with pytest.raises(TypeError, match="expected an integer, got"):
+        leading_index(k)
+
+
 def test_leading_index_fixed_by_pbw():
     rng = random.Random(55)
     for _ in range(50):
@@ -397,6 +405,15 @@ def _scalar_diag_rows(ring, top, forward):
     return rows
 
 
+def _diagonal_row(alg, t, forward):
+    """{g: coefficient of (bc)^g} of a^t d^t (forward) or d^t a^t, read
+    through the product, whose keys are all (0, 0, g, g)."""
+    a, d = alg.basis_monomial((t, 0, 0, 0)), alg.basis_monomial((0, t, 0, 0))
+    product = a * d if forward else d * a
+    assert all(k == (0, 0, k[2], k[2]) for k in product.terms), product
+    return {k[2]: s for k, s in product.terms.items()}
+
+
 @pytest.mark.parametrize(
     "ring",
     [ScalarRing.root_of_unity(n) for n in (3, 5, 7, 21)] + [GENERIC],
@@ -413,7 +430,7 @@ def test_diagonal_rows_match_the_scalar_recurrence(ring):
     random.Random(top).shuffle(requests)
     alg = OqAlgebra(ring)
     for t, forward in requests:
-        row = alg._diag(t, forward)
+        row = _diagonal_row(alg, t, forward)
         assert row == want[forward][t], (t, forward)
         assert all(row.values())
         if ring.order is not None:
@@ -421,7 +438,8 @@ def test_diagonal_rows_match_the_scalar_recurrence(ring):
             assert t not in row or row[t]._base is None
             for s in row.values():
                 assert s._base is None or ring.root_exponent(s) is None, (t, forward, s)
-        assert alg._diag(t, forward) is row
+        kept = {(0, 0, g): s for g, s in row.items()}
+        assert alg._core(forward, t, t) is alg._core(forward, t, t) == kept
 
 
 def _raw_diag_counts(n, top):
@@ -456,7 +474,8 @@ def test_levelled_diagonal_counts_convert_like_the_raw_ones(order):
         step = -2 if forward else 2
         for t in range(top + 1):
             want = {g: ring.from_power_counts(c, step) for g, c in enumerate(raw[t])}
-            assert alg._diag(t, forward) == {g: s for g, s in want.items() if s}, (t, forward)
+            got = _diagonal_row(alg, t, forward)
+            assert got == {g: s for g, s in want.items() if s}, (t, forward)
     kept = alg._diag_counts
     assert len(kept) == top + 1
     for t, (levelled, counts) in enumerate(zip(kept, raw)):
@@ -472,9 +491,30 @@ def test_diagonal_row_collapses_at_the_order():
     ring = ScalarRing.root_of_unity(5)
     alg = OqAlgebra(ring)
     for forward in (True, False):
-        row = alg._diag(5, forward)
+        row = _diagonal_row(alg, 5, forward)
         assert row == {0: ring.one, 5: ring.one}
         assert all(s._base is None for s in row.values())
+
+
+def test_one_core_per_word():
+    """The table keeps one entry per word x^m y^n, however the product
+    reaches it: a^2 (a d^3) and a^3 d^3 share the entry of a^3 d^3, and
+    a^2 a, a a^2 and a^3 1 share that of a^3."""
+    ring = ScalarRing.root_of_unity(5)
+    alg = OqAlgebra(ring)
+    one = ring.one
+    a3d3 = alg._mul_into({}, {(2, 0, 0, 0): one}, {(1, 3, 0, 0): one})
+    assert alg._mul_into({}, {(3, 0, 0, 0): one}, {(0, 3, 0, 0): one}) == a3d3
+    assert alg.element(a3d3) == alg.normal_form("aaaddd")
+    assert list(alg._cores) == [(True, 3, 3)]
+    a = [alg.basis_monomial((i, 0, 0, 0)) for i in range(4)]
+    assert a[2] * a[1] == a[1] * a[2] == a[3] * a[0] == a[3]
+    assert a[0] * a[0] == alg.one()
+    words = {(True, 3, 3), (True, 3, 0), (True, 0, 0)}  # a^3 d^3, a^3 and 1
+    assert set(alg._cores) == words and len(alg._cores) == len(words)
+    # d^2 a^4 reads the row d^2 a^2, which no product has asked for: both are kept
+    alg.basis_monomial((0, 2, 0, 0)) * alg.basis_monomial((4, 0, 0, 0))
+    assert set(alg._cores) == words | {(False, 2, 4), (False, 2, 2)}
 
 
 def test_diagonal_power_membership():

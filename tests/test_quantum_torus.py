@@ -190,6 +190,14 @@ def test_balanced_check_basics():
         balanced_check(tri, (1, 0))
 
 
+@pytest.mark.parametrize("k", [(1.0, 1.0, 0.0), (True, True, False), (2, 0, "0")],
+                         ids=["float", "bool", "string"])
+def test_balanced_check_follows_the_integer_rule(k):
+    """(1.0, 1.0, 0.0) and (True, True, False) are not read as balanced vectors."""
+    with pytest.raises(TypeError, match="expected an integer, got"):
+        balanced_check(once_punctured_torus(), k)
+
+
 def test_balanced_vectors_closed_under_addition():
     rng = random.Random(12)
     tri = four_punctured_sphere()

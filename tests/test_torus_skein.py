@@ -93,6 +93,23 @@ def test_s1s2_element_validation():
         S1S2Element(3, Fraction(0), ((4, Fraction(1)), (1, Fraction(1))))
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((3, 1.5, ()), "expected an exact coefficient, got 1.5"),
+        ((3, 0, ((1, 2.0),)), "expected an exact coefficient, got 2.0"),
+        ((3, 0, ((1, True),)), "expected an exact coefficient, got True"),
+        ((3, 0, ((True, 1),)), "expected an integer, got True"),
+        ((3, 0, ((1.0, 1),)), "expected an integer, got 1.0"),
+    ],
+    ids=["float-empty", "float-e", "bool-e", "bool-index", "float-index"],
+)
+def test_s1s2_element_follows_the_input_rules(fields, message):
+    """Indices follow ``linear.integer`` and coefficients ``Polynomial._coerce``."""
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        S1S2Element(*fields)
+
+
 def test_reduce_pins():
     r = s1s2_reduce(Polynomial({2: Fraction(1)}), 3)
     assert r.empty_coeff == 1 and r.e_coeffs == ()
