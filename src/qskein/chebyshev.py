@@ -37,7 +37,7 @@ from functools import lru_cache
 from operator import sub
 from typing import NamedTuple
 
-from .linear import SparseCombination, accumulate, convolve, exact, integer, term_text
+from .linear import SparseCombination, accumulate, convolve, exact, instance, integer, term_text
 
 
 class Polynomial(SparseCombination):
@@ -88,9 +88,7 @@ class Polynomial(SparseCombination):
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """Substitute ``inner`` for the variable, exactly (Horner's rule)."""
-        if not isinstance(inner, Polynomial):
-            raise TypeError(f"expected a Polynomial, got {type(inner).__name__} {inner!r}")
-        inner_coeffs = dense(inner)
+        inner_coeffs = dense(instance(inner, Polynomial))
         out: list = []
         for c in reversed(dense(self)):
             out = convolve(out, inner_coeffs) or [0]
@@ -199,14 +197,31 @@ def _low_terms(order: int) -> tuple[tuple[int, int], ...]:
     return tuple(zip(range(order % 2, order, 2), _row(_T_ROWS, order)))
 
 
-class ChebyshevForm(NamedTuple):
+class _ChebyshevFormFields(NamedTuple):
+    order: int
+    columns: tuple[Polynomial, ...]
+
+
+class ChebyshevForm(_ChebyshevFormFields):
     """Canonical form p(x) = sum_{j<N} columns[j](T_N(x)) * x**j.
 
     ``columns[j]`` is a polynomial in one variable standing for T_N(x).
+    The order N is a positive ``linear.integer`` and there are exactly N
+    columns, each a ``Polynomial``.
     """
 
-    order: int
-    columns: tuple[Polynomial, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked by __new__, as is _replace
+
+    def __new__(cls, order: int, columns):
+        self = super().__new__(cls, order, columns)
+        if integer(order) < 1:
+            raise ValueError("order must be positive")
+        for col in self.columns:
+            instance(col, Polynomial)
+        if len(self.columns) != order:
+            raise ValueError(f"order {order} needs {order} columns, got {len(self.columns)}")
+        return self
 
     def substitute(self) -> Polynomial:
         """Expand back to a plain polynomial (round-trip oracle).
@@ -244,9 +259,9 @@ def chebyshev_reduce(p: Polynomial, order: int) -> ChebyshevForm:
     """
     if integer(order) < 1:
         raise ValueError("order must be positive")
+    rest = dense(instance(p, Polynomial))
     low = _low_terms(order)
     columns: list[dict] = [{} for _ in range(order)]
-    rest = dense(p)
     k = 0
     while rest:
         for m in range(len(rest) - 1, order - 1, -1):
@@ -260,4 +275,5 @@ def chebyshev_reduce(p: Polynomial, order: int) -> ChebyshevForm:
                 columns[j][k] = v
         rest = rest[order:]  # the quotient: each rest[m] above was its digit
         k += 1
-    return ChebyshevForm(order, tuple(map(_from_terms, columns)))
+    # the form is valid by construction; build it without re-checking it
+    return tuple.__new__(ChebyshevForm, (order, tuple(map(_from_terms, columns))))

@@ -17,10 +17,12 @@ callers get integer numerators over the determinant, never a ``Fraction``.
 ``repr``.
 
 Input rules, each stated once: ``integer`` takes an int that is not a bool;
-``odd_order``, the rule for the order N of zeta, an odd such int >= 1; a
-coefficient is an ``integer``, a ``Fraction`` or a scalar of the ring in use
-(``ScalarRing.coerce``, ``Polynomial._coerce``), and ``exact`` applies that
-rule at an entry point.  Floats, strings and bools raise TypeError.
+``instance`` takes an object of a named class (a ``Polynomial``, a
+``Scalar``, an element); ``odd_order``, the rule for the order N of zeta,
+an odd such int >= 1; a coefficient is an ``integer``, a ``Fraction`` or a
+scalar of the ring in use (``ScalarRing.coerce``, ``Polynomial._coerce``),
+and ``exact`` applies that rule at an entry point.  Floats, strings and bools raise TypeError, and so
+does an object of another class where ``instance`` applies.
 """
 
 from __future__ import annotations
@@ -48,6 +50,15 @@ def integer(value) -> int:
     """``value`` itself if it is an int and not a bool; TypeError otherwise."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def instance(value, cls: type):
+    """``value`` itself if it is an instance of ``cls``; TypeError naming both otherwise."""
+    if not isinstance(value, cls):
+        name = cls.__name__
+        article = "an" if name[0] in "AEIOU" else "a"
+        raise TypeError(f"expected {article} {name}, got {type(value).__name__} {value!r}")
     return value
 
 

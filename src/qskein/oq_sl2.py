@@ -30,7 +30,7 @@ from itertools import zip_longest
 from typing import Mapping, NamedTuple, Sequence
 
 from .dimensions import Index
-from .linear import SparseCombination, accumulate, exact, integer
+from .linear import SparseCombination, accumulate, exact, instance, integer
 from .scalars import Scalar, ScalarRing
 
 _LETTERS = "adbc"  # normal order of generators inside a monomial
@@ -309,7 +309,7 @@ class OqAlgebra:
 
     def in_diagonal_tower(self, x: "OqElement", t: int) -> bool:
         """Whether x = 1 + k_1 bc + ... + k_t (bc)^t, k_t a power of q; x = 1 if t = 0."""
-        if x.algebra is not self and x.algebra != self:
+        if instance(x, OqElement).algebra is not self and x.algebra != self:
             raise ValueError("element from a different algebra")
         if integer(t) < 0:
             raise ValueError("tower height must be a natural number")
@@ -361,7 +361,7 @@ class OqAlgebra:
         for v, coeff in coeff_map.items():
             v = tuple(v)
             _check_box_index(v, n)
-            if coeff.is_zero():
+            if instance(coeff, OqElement).is_zero():
                 raise ValueError("coefficients must be nonzero")
             _, v2, v3, v4 = v
             for w1, w2, w3, w4 in coeff.terms:

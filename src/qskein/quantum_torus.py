@@ -12,11 +12,13 @@ scalar coefficients.  Weyl-normalised monomials, the balanced sublattice
 (triangle-wise even exponent sums), central puncture monomials, the
 exponent-multiplying Frobenius map, and a basis of the balanced lattice
 through the puncture monomials are all provided, together with a degree
-certificate used to rule out central elements in the localized algebra.
+certificate used to rule out central elements in the localized algebra;
+the certificate grades its elements itself, by ``qt_deg`` over that basis.
 
 Exponents, exchange entries, residues and triangulation data follow
 ``linear.integer``, coefficients and the torus parameter
-``ScalarRing.coerce``: floats, strings and bools raise TypeError.
+``ScalarRing.coerce``: floats, strings and bools raise TypeError.  An
+element argument follows ``linear.instance``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from math import gcd
 from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .linear import SparseCombination, accumulate, exact, integer, integer_solve
+from .linear import SparseCombination, accumulate, exact, instance, integer, integer_solve
 from .scalars import Scalar, ScalarRing
 
 Vector = tuple[int, ...]
@@ -308,7 +310,6 @@ class ZBasis:
     """
 
     def __init__(self, tri: Triangulation, vectors: tuple[Vector, ...]):
-        self.triangulation = tri
         self.vectors = vectors
         self.p = len(tri.punctures)
         n = tri.edge_count
@@ -563,7 +564,7 @@ def frobenius_map(x: QTElement, target: QuantumTorus, order: int) -> QTElement:
     the map sends [Y^k] to [Y^(order k)] and is an algebra embedding.
     """
     order = integer(order)
-    source, ring = x.torus, target.ring
+    source, ring = instance(x, QTElement).torus, target.ring
     if (source.ring is not ring and source.ring != ring) or source.sigma != target.sigma:
         raise ValueError("source and target tori are incompatible")
     # both parameters are root powers: compare exponents, modulo N in root mode
@@ -578,7 +579,7 @@ def frobenius_map(x: QTElement, target: QuantumTorus, order: int) -> QTElement:
 
 def qt_deg(x: QTElement, zbasis: ZBasis) -> Vector:
     """Lex-largest grading vector (first p coordinates) over the support."""
-    if x.is_zero():
+    if instance(x, QTElement).is_zero():
         raise ValueError("degree of the zero element is undefined")
     return max(map(zbasis.grading, x.terms))
 
@@ -587,14 +588,12 @@ class CenterFreeCertificate(NamedTuple):
     certified: bool
     combined: tuple[Vector, ...]
     distinct: bool
-    expansion_checked: bool  # always True: the certificate always expands
     expansion_nonzero: bool
     expansion_deg_matches: bool
 
 
 def center_free_certificate(
     order: int,
-    x_map: Mapping[Vector, Vector],
     *,
     target: QuantumTorus,
     zbasis: ZBasis,
@@ -602,40 +601,33 @@ def center_free_certificate(
 ) -> CenterFreeCertificate:
     """Degree certificate behind the triviality of the localized center.
 
-    ``x_map`` sends residue tuples k (length p) to integer grading vectors
-    x_k; the certificate asserts the combined vectors order*x_k + k are
-    pairwise distinct.  It then expands the sum
-    sum_k F(l_k) * prod_i (Z_i + Z_i^-1)^(k_i) over the balanced elements
-    l_k of ``elements`` (in the source torus of the exponent-multiplying
-    map F into ``target``), whose keys must be keys of ``x_map``; the sum's
-    degree must equal the lex-max combined vector, hence the sum is
-    nonzero.  The order, residues and grading vectors follow
+    ``elements`` sends residue tuples k (length p, natural) to nonzero
+    balanced elements l_k of the source torus of the exponent-multiplying
+    map F into ``target``.  With x_k = ``qt_deg(l_k, zbasis)``, the
+    certificate asserts the combined vectors order*x_k + k are pairwise
+    distinct.  It then expands the sum sum_k F(l_k) * prod_i (Z_i +
+    Z_i^-1)^(k_i), whose degree must equal the lex-max combined vector,
+    hence the sum is nonzero.  The order and residues follow
     ``linear.integer``.
     """
     order = integer(order)
-    combined = {}
-    for k, x in x_map.items():
-        k, x = tuple(map(integer, k)), tuple(map(integer, x))
-        if len(k) != len(x):
-            raise ValueError("residue tuple and grading vector differ in length")
-        combined[k] = tuple(order * xi + ki for xi, ki in zip(x, k))
-    values = tuple(combined.values())
-    distinct = len(set(values)) == len(values)
     # powers[i][r] is (Z_i + Z_i^-1)^r, grown one product at a time as
     # larger residues occur
     powers = []
     for z in zbasis.vectors[: zbasis.p]:
         z_half = target.weyl_monomial(z) + target.weyl_monomial(tuple(-e for e in z))
         powers.append([target.one(), z_half])
+    combined = []
     images = []
     for k, elt in elements.items():
         k = tuple(map(integer, k))
-        if k not in combined:
-            raise ValueError("element key missing from x_map")
-        if elt.is_zero():
+        if len(k) != zbasis.p:
+            raise ValueError("residue tuple has wrong length")
+        if instance(elt, QTElement).is_zero():
             raise ValueError("balanced elements must be nonzero")
         if min(k, default=0) < 0:
             raise ValueError("residues must be non-negative")
+        combined.append(tuple(order * xi + ki for xi, ki in zip(qt_deg(elt, zbasis), k)))
         image = frobenius_map(elt, target, order)
         for i, ki in enumerate(k):
             row = powers[i]
@@ -643,16 +635,14 @@ def center_free_certificate(
                 row.append(row[-1] * row[1])
             image = image * row[ki]
         images.append(image)
+    distinct = len(set(combined)) == len(combined)
     total = target.zero().add_all(images)
     nonzero = not total.is_zero()
-    deg_matches = nonzero and qt_deg(total, zbasis) == max(
-        combined[k] for k in elements
-    )
+    deg_matches = nonzero and qt_deg(total, zbasis) == max(combined)
     return CenterFreeCertificate(
         certified=distinct and nonzero and deg_matches,
-        combined=values,
+        combined=tuple(combined),
         distinct=distinct,
-        expansion_checked=True,
         expansion_nonzero=nonzero,
         expansion_deg_matches=deg_matches,
     )

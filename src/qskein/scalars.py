@@ -32,7 +32,17 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .linear import accumulate, convolve, exact, integer, integer_solve, odd_order, power, term_text
+from .linear import (
+    accumulate,
+    convolve,
+    exact,
+    instance,
+    integer,
+    integer_solve,
+    odd_order,
+    power,
+    term_text,
+)
 
 # the identity tag: 1 * zeta**0, carried by one and by every dense scalar
 _ONE = (0, 1, 1)
@@ -237,7 +247,7 @@ class ScalarRing:
 
     def root_exponent(self, s: "Scalar") -> int | None:
         """The m with s == zeta**m, 0 <= m < N (v**m in generic mode), or None."""
-        if s.ring != self:
+        if instance(s, Scalar).ring != self:
             raise ValueError("scalar from a different ring")
         if self.order is None:
             if len(s._rep) == 1 and s._rep[0][1] == 1:

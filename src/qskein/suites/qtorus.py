@@ -146,8 +146,7 @@ def _fixture_checks(
         p = len(tri.punctures)
         box = list(product(range(order), repeat=p))
         elements = {k: draw_source(rng) for k in box}
-        x_map = {k: qt_deg(l, zb) for k, l in elements.items()}
-        cert = center_free_certificate(order, x_map, target=target, zbasis=zb, elements=elements)
+        cert = center_free_certificate(order, target=target, zbasis=zb, elements=elements)
         _require(cert.certified, lambda: f"certificate refused: {_false_fields(cert)} false")
         return f"certified over the full residue box of size {len(box)}"
 

@@ -17,7 +17,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .chebyshev import Polynomial, chebyshev_a, chebyshev_t, dense
-from .linear import exact, integer, integer_solve, odd_order
+from .linear import exact, instance, integer, integer_solve, odd_order
 
 
 def a_basis_expand(p: Polynomial) -> tuple[int | Fraction, dict[int, int | Fraction]]:
@@ -28,7 +28,7 @@ def a_basis_expand(p: Polynomial) -> tuple[int | Fraction, dict[int, int | Fract
     leading-term subtraction on the coefficient list, from the top degree
     down, ends with a constant.
     """
-    work = dense(p)
+    work = dense(instance(p, Polynomial))
     coeffs: dict[int, int | Fraction] = {}
     for d in range(len(work) - 1, 0, -1):
         c = work[d]

@@ -363,6 +363,24 @@ def test_substitute_edge_forms():
     assert form.substitute() == t2 * t2 * Fraction(1, 3) + Polynomial({1: 5})
 
 
+@pytest.mark.parametrize(
+    "fields, error, message",
+    [
+        ((2, (1,)), TypeError, "expected a Polynomial, got int 1"),
+        ((2.0, (Polynomial.x(), Polynomial.x())), TypeError, "expected an integer, got 2.0"),
+        ((True, (Polynomial.x(),)), TypeError, "expected an integer, got True"),
+        ((0, ()), ValueError, "order must be positive"),
+        ((3, (Polynomial.x(),) * 5), ValueError, "order 3 needs 3 columns, got 5"),
+    ],
+    ids=["int-column", "float-order", "bool-order", "zero-order", "column-count"],
+)
+def test_chebyshev_form_checks_its_fields(fields, error, message):
+    """The order follows ``linear.integer`` and is positive, every column is a
+    ``Polynomial`` and there is one per power of x below x**order."""
+    with pytest.raises(error, match=f"^{message}$"):
+        ChebyshevForm(*fields)
+
+
 @pytest.mark.parametrize("inner", [3, Fraction(1, 2)], ids=["int", "fraction"])
 def test_compose_refuses_a_non_polynomial(inner):
     """A constant is composed as Polynomial.constant(c), never as a bare number."""

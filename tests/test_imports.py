@@ -11,6 +11,7 @@ import pytest
 
 import qskein
 from qskein import suites
+from qskein.chebyshev import ChebyshevForm, Polynomial
 from qskein.dimensions import Marked3ManifoldDescriptor, SurfaceDescriptor
 from qskein.quantum_torus import Triangulation, once_punctured_torus
 from qskein.suites import CheckResult
@@ -164,9 +165,14 @@ def test_validated_records_refuse_bad_input(make, message):
          ValueError, "order must be odd and positive, got 4"),
         (lambda: S1S2Element._make((3, 0, ((2, 1),))),
          ValueError, "index 2 is not admissible at order 3"),
+        (lambda: ChebyshevForm(1, (Polynomial.x(),))._replace(order=2),
+         ValueError, "order 2 needs 2 columns, got 1"),
+        (lambda: ChebyshevForm._make((2, (Polynomial.x(), 1))),
+         TypeError, "expected a Polynomial, got int 1"),
     ],
     ids=["surface-replace", "surface-make", "manifold-replace", "manifold-make",
-         "triangulation-replace", "triangulation-make", "s1s2-replace", "s1s2-make"],
+         "triangulation-replace", "triangulation-make", "s1s2-replace", "s1s2-make",
+         "chebyshev-form-replace", "chebyshev-form-make"],
 )
 def test_record_make_and_replace_validate(edit, error, message):
     with pytest.raises(error, match=message):

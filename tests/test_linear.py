@@ -1,18 +1,27 @@
 """Exact kernels of ``linear``: fraction-free integer elimination, checked
 against Gauss-Jordan over Fraction, and convolution, checked against the
-schoolbook double loop; and the operand rule of ``SparseCombination``
-subtraction in each layer."""
+schoolbook double loop; the operand rule of ``SparseCombination``
+subtraction in each layer; and the type rule ``instance`` of the public
+functions that take an element or a scalar."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from qskein.chebyshev import Polynomial
+from qskein.chebyshev import Polynomial, chebyshev_reduce
 from qskein.linear import convolve, integer_solve
 from qskein.oq_sl2 import OqAlgebra
-from qskein.quantum_torus import QuantumTorus, once_punctured_torus
+from qskein.quantum_torus import (
+    QuantumTorus,
+    balanced_puncture_basis,
+    center_free_certificate,
+    frobenius_map,
+    once_punctured_torus,
+    qt_deg,
+)
 from qskein.scalars import ScalarRing
+from qskein.torus_skein import a_basis_expand, s1s2_reduce
 
 
 def _fraction_solve(a, b):
@@ -136,3 +145,35 @@ def test_subtraction_still_takes_elements_and_coefficients(make):
     assert (x - 2) + 2 == x
     assert 2 - x == -(x - 2)
     assert Fraction(1, 3) - x == -(x - Fraction(1, 3))
+
+
+def _torus():
+    return QuantumTorus.from_triangulation(ScalarRing(5), once_punctured_torus())
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: ScalarRing(5).root_exponent(1), "a Scalar"),
+        (lambda: ScalarRing(5).is_q_power(1), "a Scalar"),
+        (lambda: OqAlgebra(ScalarRing(5)).in_diagonal_tower(1, 0), "an OqElement"),
+        (lambda: OqAlgebra(ScalarRing(5)).independence_certificate({(0, 0, 0, 0): 1}),
+         "an OqElement"),
+        (lambda: chebyshev_reduce(1, 3), "a Polynomial"),
+        (lambda: a_basis_expand(1), "a Polynomial"),
+        (lambda: s1s2_reduce(1, 3), "a Polynomial"),
+        (lambda: frobenius_map(1, _torus(), 5), "a QTElement"),
+        (lambda: qt_deg(1, balanced_puncture_basis(once_punctured_torus())), "a QTElement"),
+        (lambda: center_free_certificate(
+            3, target=_torus(), zbasis=balanced_puncture_basis(once_punctured_torus()),
+            elements={(0,): 1}), "a QTElement"),
+    ],
+    ids=["root-exponent", "is-q-power", "diagonal-tower", "independence-certificate",
+         "chebyshev-reduce", "a-basis-expand", "s1s2-reduce", "frobenius-map", "qt-deg",
+         "center-free-certificate"],
+)
+def test_element_arguments_follow_the_type_rule(call, expected):
+    """A number where an element or a scalar belongs raises a TypeError naming
+    the expected class, never an AttributeError from inside the layer."""
+    with pytest.raises(TypeError, match=f"^expected {expected}, got int 1$"):
+        call()

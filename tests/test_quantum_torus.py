@@ -801,18 +801,17 @@ def _graded_elements(x_map):
 
 def test_center_free_certificate_distinct_combined_vectors():
     x_map = {(0,): (5,), (1,): (-2,), (2,): (0,)}
-    cert = center_free_certificate(3, x_map, **_graded_elements(x_map))
+    cert = center_free_certificate(3, **_graded_elements(x_map))
     assert cert.combined == ((15,), (-5,), (2,))
     assert cert.distinct
     assert cert.certified
-    assert cert.expansion_checked
 
 
 def test_center_free_certificate_box_keys_always_distinct():
     rng = random.Random(11)
     for _ in range(50):
         x_map = {(r,): (rng.randint(-10, 10),) for r in range(3)}
-        cert = center_free_certificate(3, x_map, **_graded_elements(x_map))
+        cert = center_free_certificate(3, **_graded_elements(x_map))
         assert cert.distinct
         assert cert.certified
 
@@ -820,7 +819,7 @@ def test_center_free_certificate_box_keys_always_distinct():
 def test_center_free_negative_control():
     """Keys outside the residue box can collide; the certificate must refuse."""
     x_map = {(0,): (1,), (3,): (0,)}
-    cert = center_free_certificate(3, x_map, **_graded_elements(x_map))
+    cert = center_free_certificate(3, **_graded_elements(x_map))
     assert cert.combined == ((3,), (3,))
     assert not cert.certified
     assert not cert.distinct
@@ -833,17 +832,9 @@ def test_center_free_with_expansion():
     zb = balanced_puncture_basis(tri)
     lattice = balanced_lattice_basis(tri)
     for _ in range(10):
-        x_map = {}
-        elements = {}
-        for r in range(3):
-            l = random_balanced(source, tri, lattice, rng)
-            elements[(r,)] = l
-            x_map[(r,)] = qt_deg(l, zb)
-        cert = center_free_certificate(
-            3, x_map, target=target, zbasis=zb, elements=elements
-        )
+        elements = {(r,): random_balanced(source, tri, lattice, rng) for r in range(3)}
+        cert = center_free_certificate(3, target=target, zbasis=zb, elements=elements)
         assert cert.certified
-        assert cert.expansion_checked
         assert cert.expansion_nonzero
         assert cert.expansion_deg_matches
 
@@ -856,13 +847,11 @@ def test_center_free_power_table_matches_powers():
     zb = balanced_puncture_basis(tri)
     lattice = balanced_lattice_basis(tri)
     assert zb.p >= 2
-    x_map = {}
-    elements = {}
-    for k in itertools.product(range(3), repeat=zb.p):
-        l = random_balanced(source, tri, lattice, rng)
-        elements[k] = l
-        x_map[k] = qt_deg(l, zb)
-    cert = center_free_certificate(3, x_map, target=target, zbasis=zb, elements=elements)
+    elements = {
+        k: random_balanced(source, tri, lattice, rng)
+        for k in itertools.product(range(3), repeat=zb.p)
+    }
+    cert = center_free_certificate(3, target=target, zbasis=zb, elements=elements)
     z_half = [
         target.weyl_monomial(z) + target.weyl_monomial(tuple(-e for e in z))
         for z in zb.vectors[: zb.p]
@@ -873,8 +862,7 @@ def test_center_free_power_table_matches_powers():
         for zh, ki in zip(z_half, k):
             image = image * zh**ki
         total = total + image
-    top = max(tuple(3 * x + r for x, r in zip(x_map[k], k)) for k in elements)
-    assert cert.expansion_checked
+    top = max(tuple(3 * x + r for x, r in zip(qt_deg(l, zb), k)) for k, l in elements.items())
     assert cert.expansion_nonzero == (not total.is_zero())
     assert cert.expansion_deg_matches == (not total.is_zero() and qt_deg(total, zb) == top)
 
@@ -884,9 +872,7 @@ def test_center_free_negative_residue_refused():
     source, target = _tori_pair(tri)
     zb = balanced_puncture_basis(tri)
     with pytest.raises(ValueError, match="non-negative"):
-        center_free_certificate(
-            3, {(-1,): (0,)}, target=target, zbasis=zb, elements={(-1,): source.one()}
-        )
+        center_free_certificate(3, target=target, zbasis=zb, elements={(-1,): source.one()})
 
 
 # -- input rules: integers and coefficients ---------------------------------------
@@ -950,20 +936,14 @@ def test_frobenius_map_refuses_non_integer_orders(value):
         frobenius_map(source.generator(0), target, value)
 
 
-@pytest.mark.parametrize("place", ["order", "residue", "grade", "element-key"])
+@pytest.mark.parametrize("place", ["order", "residue"])
 @NON_INTEGERS
 def test_center_free_certificate_refuses_non_integers(place, value):
-    x_map = {(0,): (0,), (2,): (0,)}
-    data = _graded_elements(x_map)
+    data = _graded_elements({(0,): (0,), (2,): (0,)})
     if place == "residue":
-        x_map[(value,)] = (0,)
         data["elements"][(value,)] = data["elements"][(0,)]
-    elif place == "grade":
-        x_map[(0,)] = (value,)
-    elif place == "element-key":
-        data["elements"][(value,)] = data["elements"].pop((2,))
     with pytest.raises(TypeError, match="expected an integer"):
-        center_free_certificate(value if place == "order" else 3, x_map, **data)
+        center_free_certificate(value if place == "order" else 3, **data)
 
 
 @pytest.mark.parametrize("i", [True, 1.0], ids=["bool", "float"])
@@ -983,12 +963,12 @@ def test_weyl_monomial_refuses_a_short_vector():
         _torus().weyl_monomial((1, 0))
 
 
-def _certificate_with(x_map, elements):
+def _certificate_with(elements):
     """center_free_certificate at order 3 over the once-punctured torus, with
     ``elements`` a function of one balanced element of grade 0."""
     data = _graded_elements({(0,): (0,)})
     data["elements"] = elements(data["elements"][(0,)])
-    return center_free_certificate(3, x_map, **data)
+    return center_free_certificate(3, **data)
 
 
 @pytest.mark.parametrize(
@@ -1002,12 +982,8 @@ def _certificate_with(x_map, elements):
         (lambda: central_puncture_element(
             QuantumTorus(RING, exchange_matrix(once_punctured_torus())), "v0"),
          "torus was not built from a triangulation"),
-        (lambda: _certificate_with({(0,): (0, 1)}, lambda l: {}),
-         "residue tuple and grading vector differ in length"),
-        (lambda: _certificate_with({(0,): (0,)}, lambda l: {(1,): l}),
-         "element key missing from x_map"),
-        (lambda: _certificate_with({(0,): (0,)}, lambda l: {(0,): l - l}),
-         "balanced elements must be nonzero"),
+        (lambda: _certificate_with(lambda l: {(0, 1): l}), "residue tuple has wrong length"),
+        (lambda: _certificate_with(lambda l: {(0,): l - l}), "balanced elements must be nonzero"),
         (lambda: OqAlgebra(RING).in_diagonal_tower(
             OqAlgebra(ScalarRing.root_of_unity(5)).one(), 1),
          "element from a different algebra"),
@@ -1017,8 +993,8 @@ def _certificate_with(x_map, elements):
         (lambda: Polynomial({-1: 1}), "negative exponent"),
     ],
     ids=["zbasis-coordinates-length", "sigma-not-square", "ordered-monomial-length",
-         "puncture-without-triangulation", "certificate-length-mismatch",
-         "certificate-missing-key", "certificate-zero-element", "tower-foreign-element",
+         "puncture-without-triangulation", "certificate-residue-length",
+         "certificate-zero-element", "tower-foreign-element",
          "tower-negative-height", "independence-empty-map", "polynomial-negative-exponent"],
 )
 def test_refusals_of_malformed_input(call, message):
