@@ -1,7 +1,10 @@
 """Exact-arithmetic calculators for quantum algebras at odd roots of unity.
 
-The package has five mathematical layers and a command line on top:
+The package has five mathematical layers over a shared helper module, and a
+command line on top:
 
+- linear: the exact helpers the layers share: the input rules, sparse
+  linear combinations, dense convolution and integer elimination.
 - scalars: the cyclotomic field of an odd root of unity, plus a generic
   Laurent-polynomial mode for statements that hold before specialising.
 - chebyshev: integer Chebyshev-style recurrences and reduction of
@@ -18,87 +21,8 @@ The package has five mathematical layers and a command line on top:
 The command line (cli) runs the checks of the suites package, one module
 per suite.
 
-The names below are re-exported from their layers and load on first use:
-``import qskein`` imports no layer, and ``from qskein import OqAlgebra``
-imports ``qskein.oq_sl2`` (with what it needs) and nothing else.
+A name is imported from the module that defines it, for example
+``from qskein.oq_sl2 import OqAlgebra``; ``import qskein`` loads no layer.
 """
 
-import importlib
-
-_EXPORTS = {
-    "chebyshev": (
-        "ChebyshevForm",
-        "Polynomial",
-        "chebyshev_a",
-        "chebyshev_reduce",
-        "chebyshev_s",
-        "chebyshev_t",
-    ),
-    "dimensions": (
-        "Marked3ManifoldDescriptor",
-        "SurfaceDescriptor",
-        "basis_box",
-        "euler_characteristic",
-        "iter_basis_box",
-        "iter_spanning_set",
-        "iter_spanning_wing",
-        "lambda_bounds",
-        "localized_dimension",
-        "module_bound",
-        "r_of_surface",
-        "spanning_count_formula",
-        "spanning_set",
-        "spanning_wing",
-    ),
-    "oq_sl2": (
-        "OqAlgebra",
-        "OqElement",
-        "is_pbw_index",
-        "leading_index",
-    ),
-    "quantum_torus": (
-        "QTElement",
-        "QuantumTorus",
-        "Triangulation",
-        "ZBasis",
-        "balanced_check",
-        "balanced_lattice_basis",
-        "balanced_puncture_basis",
-        "center_free_certificate",
-        "central_puncture_element",
-        "central_puncture_exponent",
-        "exchange_matrix",
-        "four_punctured_sphere",
-        "frobenius_map",
-        "is_central",
-        "once_punctured_torus",
-        "qt_deg",
-    ),
-    "scalars": ("Scalar", "ScalarRing"),
-    "torus_skein": (
-        "S1S2Element",
-        "a_basis_build",
-        "a_basis_expand",
-        "s1s2_frobenius_matrix",
-        "s1s2_reduce",
-    ),
-}
-"""Layer module -> the public names it defines."""
-
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = list(_MODULE_OF)
-
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    """Look a re-exported name up in its layer, importing the layer on first use."""
-    module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))

@@ -137,9 +137,7 @@ def _row(rows: dict[int, tuple], n: int, interleaved: bool = False) -> tuple:
     coefficients of x**e for e = i % 2, i % 2 + 2, ..., i.  Row i is
     x*P_(i-1) - P_(i-2), plus x for odd i and -1 for even i in the
     interleaved (A) family; x*P_(i-1) is row i-1 itself for odd i and row
-    i-1 after a 0 for even i.  Rows are stored with ``dict.setdefault``
-    under their index, so threads that grow one table at once all keep the
-    first row stored for each index, and every stored row is right.
+    i-1 after a 0 for even i.
     """
     row = rows.get(n)
     if row is None:
@@ -153,7 +151,7 @@ def _row(rows: dict[int, tuple], n: int, interleaved: bool = False) -> tuple:
             new = [*map(sub, shifted, rows[i - 2]), shifted[-1]]
             if interleaved:
                 new[0] += 1 if i % 2 else -1
-            rows.setdefault(i, tuple(new))
+            rows[i] = tuple(new)
         row = rows[n]
     return row
 

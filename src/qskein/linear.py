@@ -18,10 +18,11 @@ callers get integer numerators over the determinant, never a ``Fraction``.
 
 Input rules, each stated once: ``integer`` takes an int that is not a bool;
 ``instance`` takes an object of a named class (a ``Polynomial``, a
-``Scalar``, an element); ``odd_order``, the rule for the order N of zeta,
-an odd such int >= 1; a coefficient is an ``integer``, a ``Fraction`` or a
-scalar of the ring in use (``ScalarRing.coerce``, ``Polynomial._coerce``),
-and ``exact`` applies that rule at an entry point.  Floats, strings and bools raise TypeError, and so
+``Scalar``, an element, a ring, a torus, a basis); ``odd_order``, the rule
+for the order N of zeta, an odd such int >= 1; a coefficient is an
+``integer``, a ``Fraction`` or a scalar of the ring in use
+(``ScalarRing.coerce``, ``Polynomial._coerce``), and ``exact`` applies that
+rule at an entry point.  Floats, strings and bools raise TypeError, and so
 does an object of another class where ``instance`` applies.
 """
 

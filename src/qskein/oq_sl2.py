@@ -104,7 +104,7 @@ class OqAlgebra:
     """The quantum SL(2) coordinate ring over a chosen scalar ring."""
 
     def __init__(self, ring: ScalarRing):
-        self.ring = ring
+        self.ring = ring = instance(ring, ScalarRing)
         # row t of both a^t d^t and d^t a^t as integer counts: see _diag
         self._diag_counts: list[list[list[int]]] = [[[1] + [0] * ((ring.order or 1) - 1)]]
         self._cores: dict[tuple[bool, int, int], dict[tuple[int, int, int], Scalar]] = {}

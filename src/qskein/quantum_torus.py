@@ -18,7 +18,8 @@ the certificate grades its elements itself, by ``qt_deg`` over that basis.
 Exponents, exchange entries, residues and triangulation data follow
 ``linear.integer``, coefficients and the torus parameter
 ``ScalarRing.coerce``: floats, strings and bools raise TypeError.  An
-element argument follows ``linear.instance``.
+element, the ring, a target torus and a ``ZBasis`` follow
+``linear.instance``.
 """
 
 from __future__ import annotations
@@ -420,7 +421,7 @@ class QuantumTorus:
         parameter: Scalar | None = None,
         triangulation: Triangulation | None = None,
     ):
-        self.ring = ring
+        self.ring = ring = instance(ring, ScalarRing)
         sigma = tuple(tuple(map(integer, row)) for row in sigma)
         n = len(sigma)
         for i, row in enumerate(sigma):
@@ -564,7 +565,7 @@ def frobenius_map(x: QTElement, target: QuantumTorus, order: int) -> QTElement:
     the map sends [Y^k] to [Y^(order k)] and is an algebra embedding.
     """
     order = integer(order)
-    source, ring = instance(x, QTElement).torus, target.ring
+    source, ring = instance(x, QTElement).torus, instance(target, QuantumTorus).ring
     if (source.ring is not ring and source.ring != ring) or source.sigma != target.sigma:
         raise ValueError("source and target tori are incompatible")
     # both parameters are root powers: compare exponents, modulo N in root mode
@@ -581,7 +582,7 @@ def qt_deg(x: QTElement, zbasis: ZBasis) -> Vector:
     """Lex-largest grading vector (first p coordinates) over the support."""
     if instance(x, QTElement).is_zero():
         raise ValueError("degree of the zero element is undefined")
-    return max(map(zbasis.grading, x.terms))
+    return max(map(instance(zbasis, ZBasis).grading, x.terms))
 
 
 class CenterFreeCertificate(NamedTuple):
@@ -611,6 +612,7 @@ def center_free_certificate(
     ``linear.integer``.
     """
     order = integer(order)
+    target, zbasis = instance(target, QuantumTorus), instance(zbasis, ZBasis)
     # powers[i][r] is (Z_i + Z_i^-1)^r, grown one product at a time as
     # larger residues occur
     powers = []

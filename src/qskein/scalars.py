@@ -290,8 +290,7 @@ class Scalar:
     products test for the tag by identity.  ``_rep`` is a property over
     the slot ``_nums``, which holds None until it is built: every other
     scalar builds ``_rep`` on first read from its tag and factor, and keeps
-    all three.  Tag and factor never change once set, so products reading
-    them in any thread see one value.
+    all three.  Tag and factor never change once set.
 
     Products multiply the tags, and the factors only when both sides have
     one, so a chain of monomial products keeps one factor.  Truth values,

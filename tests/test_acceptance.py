@@ -13,37 +13,35 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from qskein import (
+from qskein.chebyshev import Polynomial, chebyshev_reduce, chebyshev_s, chebyshev_t
+from qskein.dimensions import (
     Marked3ManifoldDescriptor,
-    OqAlgebra,
-    Polynomial,
-    QuantumTorus,
-    ScalarRing,
     SurfaceDescriptor,
+    basis_box,
+    lambda_bounds,
+    localized_dimension,
+    module_bound,
+    spanning_count_formula,
+    spanning_set,
+)
+from qskein.oq_sl2 import OqAlgebra
+from qskein.quantum_torus import (
+    QuantumTorus,
     balanced_check,
     balanced_lattice_basis,
     balanced_puncture_basis,
-    basis_box,
     center_free_certificate,
     central_puncture_element,
     central_puncture_exponent,
-    chebyshev_reduce,
-    chebyshev_s,
-    chebyshev_t,
     exchange_matrix,
     four_punctured_sphere,
     frobenius_map,
     is_central,
-    lambda_bounds,
-    localized_dimension,
-    module_bound,
     once_punctured_torus,
     qt_deg,
-    s1s2_frobenius_matrix,
-    s1s2_reduce,
-    spanning_count_formula,
-    spanning_set,
 )
+from qskein.scalars import ScalarRing
+from qskein.torus_skein import s1s2_frobenius_matrix, s1s2_reduce
 
 
 @contextmanager

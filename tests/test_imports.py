@@ -1,4 +1,4 @@
-"""What the package loads: lazy re-exports and the modules each command imports."""
+"""What the package loads: no layer of its own, and the modules each command imports."""
 
 import importlib
 import json
@@ -99,32 +99,17 @@ def test_builders_resolve_to_their_suite_modules():
         suites.no_such_suite
 
 
-# -- lazy re-exports -------------------------------------------------------------
-
-
-@pytest.mark.parametrize("name", qskein.__all__)
-def test_export_is_the_object_its_layer_defines(name):
-    obj = getattr(qskein, name)
-    assert obj.__module__.startswith("qskein.")
-    assert getattr(sys.modules[obj.__module__], name) is obj
-
-
-def test_star_import_binds_every_export():
-    namespace = {}
-    exec("from qskein import *", namespace)
-    assert set(qskein.__all__) <= set(namespace)
-    assert all(namespace[name] is getattr(qskein, name) for name in qskein.__all__)
+# -- the package itself ------------------------------------------------------------
 
 
 def test_unknown_name_is_refused_by_name():
+    """The package holds no layer's names: each is imported from its layer."""
     with pytest.raises(AttributeError, match="no_such_name"):
         qskein.no_such_name
     with pytest.raises(ImportError, match="no_such_name"):
         exec("from qskein import no_such_name", {})
-
-
-def test_dir_lists_every_export():
-    assert set(qskein.__all__) <= set(dir(qskein))
+    with pytest.raises(ImportError, match="OqAlgebra"):
+        exec("from qskein import OqAlgebra", {})
 
 
 # -- records -----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 against Gauss-Jordan over Fraction, and convolution, checked against the
 schoolbook double loop; the operand rule of ``SparseCombination``
 subtraction in each layer; and the type rule ``instance`` of the public
-functions that take an element or a scalar."""
+functions that take an element, a scalar, a ring, a torus or a basis."""
 
 import random
 from fractions import Fraction
@@ -167,13 +167,26 @@ def _torus():
         (lambda: center_free_certificate(
             3, target=_torus(), zbasis=balanced_puncture_basis(once_punctured_torus()),
             elements={(0,): 1}), "a QTElement"),
+        (lambda: OqAlgebra(1), "a ScalarRing"),
+        (lambda: QuantumTorus(1, [[0]]), "a ScalarRing"),
+        (lambda: frobenius_map(_torus().generator(0), 1, 3), "a QuantumTorus"),
+        (lambda: qt_deg(_torus().generator(0), 1), "a ZBasis"),
+        (lambda: center_free_certificate(
+            3, target=1, zbasis=balanced_puncture_basis(once_punctured_torus()),
+            elements={(0,): _torus().generator(0)}), "a QuantumTorus"),
+        (lambda: center_free_certificate(
+            3, target=_torus(), zbasis=1, elements={(0,): _torus().generator(0)}),
+         "a ZBasis"),
     ],
     ids=["root-exponent", "is-q-power", "diagonal-tower", "independence-certificate",
          "chebyshev-reduce", "a-basis-expand", "s1s2-reduce", "frobenius-map", "qt-deg",
-         "center-free-certificate"],
+         "center-free-certificate", "oq-algebra-ring", "quantum-torus-ring",
+         "frobenius-map-target", "qt-deg-zbasis", "center-free-certificate-target",
+         "center-free-certificate-zbasis"],
 )
 def test_element_arguments_follow_the_type_rule(call, expected):
-    """A number where an element or a scalar belongs raises a TypeError naming
-    the expected class, never an AttributeError from inside the layer."""
+    """A number where an element, a scalar or a structure (a ring, a torus, a
+    basis) belongs raises a TypeError naming the expected class, never an
+    AttributeError from inside the layer."""
     with pytest.raises(TypeError, match=f"^expected {expected}, got int 1$"):
         call()
