@@ -104,9 +104,9 @@ def _cmd_dims(args) -> tuple[int, dict | None]:
 
 
 def _load_suite(args) -> list:
-    order = args.order
-    if order % 2 == 0 or order < 1:  # linear.odd_order, restated: verify counts loads no layer
-        raise ValueError(f"N must be odd and positive, got {order}")
+    from .linear import odd_order
+
+    order = odd_order(args.order)
     if order < 3 and args.suite != "counts":
         raise ValueError("N must be an odd number >= 3 for this suite")
     knobs = {"--trials": args.trials, "--max-exp": args.max_exp, "--kmax": args.kmax}

@@ -13,9 +13,8 @@ and are never refused.
 
 The bigon's index sets, the N^3 box and its spanning wing, are enumerated
 here next to the formula that counts them, so that counting them loads no
-algebra layer.  It imports nothing of the package, so it restates
-``linear.integer`` for its counts and box sizes and ``linear.odd_order``
-for its orders.
+algebra layer.  Counts and box sizes follow ``linear.integer``, orders
+``linear.odd_order``.
 """
 
 from __future__ import annotations
@@ -23,15 +22,11 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterator, NamedTuple
 
+from .linear import integer, odd_order
+
 MAX_RESULT_BITS = 1 << 22
 """Largest bit length a count may have: about 1.26 million decimal digits,
 computed in well under a second."""
-
-
-def _integer(value) -> int:  # linear.integer, restated
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
 
 
 class _SurfaceFields(NamedTuple):
@@ -56,7 +51,7 @@ class SurfaceDescriptor(_SurfaceFields):
     _make = classmethod(lambda cls, fields: cls(*fields))  # checked by __new__, as is _replace
 
     def __new__(cls, genus: int, punctures: int, boundary: int):
-        if min(map(_integer, (genus, punctures, boundary))) < 0:
+        if min(map(integer, (genus, punctures, boundary))) < 0:
             raise ValueError("surface data must be nonnegative")
         return super().__new__(cls, genus, punctures, boundary)
 
@@ -74,7 +69,7 @@ class Marked3ManifoldDescriptor(_ManifoldFields):
     _make = classmethod(lambda cls, fields: cls(*fields))  # checked by __new__, as is _replace
 
     def __new__(cls, genus: int, markings: int):
-        if min(_integer(genus), _integer(markings)) < 0:
+        if min(integer(genus), integer(markings)) < 0:
             raise ValueError("manifold data must be nonnegative")
         return super().__new__(cls, genus, markings)
 
@@ -89,11 +84,6 @@ def euler_characteristic(s: SurfaceDescriptor) -> int:
 def r_of_surface(s: SurfaceDescriptor) -> int:
     """The invariant r = -chi + (number of boundary components)."""
     return -euler_characteristic(s) + s.boundary
-
-
-def _check_order(order: int):  # linear.odd_order, restated
-    if _integer(order) < 1 or order % 2 == 0:
-        raise ValueError(f"order must be odd and positive, got {order}")
 
 
 def _power(base: int, exponent: int) -> int:
@@ -111,7 +101,7 @@ def localized_dimension(s: SurfaceDescriptor, order: int) -> int:
     Requires odd order; closed surfaces (no boundary) must have negative
     Euler characteristic.
     """
-    _check_order(order)
+    odd_order(order)
     if s.boundary == 0 and euler_characteristic(s) >= 0:
         raise ValueError("closed surface needs negative Euler characteristic")
     return _power(order, 3 * r_of_surface(s))
@@ -121,8 +111,8 @@ Index = tuple[int, int, int, int]
 
 
 def _size(n: int) -> int:
-    """``n`` if it is a natural ``_integer``, the side of the basis box."""
-    if _integer(n) < 0:
+    """``n`` if it is a natural ``integer``, the side of the basis box."""
+    if integer(n) < 0:
         raise ValueError(f"box size must be a natural number, got {n}")
     return n
 
@@ -157,21 +147,9 @@ def iter_spanning_set(n: int) -> Iterator[Index]:
     return chain(iter_basis_box(n), iter_spanning_wing(n))
 
 
-def basis_box(n: int) -> list[Index]:
-    return list(iter_basis_box(n))
-
-
-def spanning_wing(n: int) -> list[Index]:
-    return list(iter_spanning_wing(n))
-
-
-def spanning_set(n: int) -> list[Index]:
-    return list(iter_spanning_set(n))
-
-
 def spanning_count_formula(order: int) -> int:
     """2N^3 - N(N+1)(2N+1)/6, the size of the basis-plus-wing spanning set."""
-    _check_order(order)
+    odd_order(order)
     return 2 * order**3 - order * (order + 1) * (2 * order + 1) // 6
 
 
@@ -182,7 +160,7 @@ def lambda_bounds(s: SurfaceDescriptor, order: int) -> tuple[int, int]:
     punctures and chi < 0: (N^(6g-6+3p), N^(2^(2g+p-1)-1)).  Closed
     without punctures and chi < 0: (N^(6g-6), N^(2^(2g)-1)).
     """
-    _check_order(order)
+    odd_order(order)
     g, p, b = s.genus, s.punctures, s.boundary
     if b > 0:
         r = r_of_surface(s)
@@ -201,7 +179,7 @@ def module_bound(m: Marked3ManifoldDescriptor, order: int) -> int:
 
     No markings: N^(2^g - 1).  With markings: spanning_count^(2g+k-1).
     """
-    _check_order(order)
+    odd_order(order)
     g, k = m.genus, m.markings
     if k == 0:
         return _power(order, _power(2, g) - 1)

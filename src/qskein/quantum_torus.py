@@ -220,7 +220,7 @@ def exchange_matrix(tri: Triangulation) -> tuple[tuple[int, ...], ...]:
     every edge exactly two fan ends, each followed by exactly one end, so
     0 <= b_ij <= 2 and every entry lies in -2..2 with no check.
     """
-    n = tri.edge_count
+    n = instance(tri, Triangulation).edge_count
     b = [[0] * n for _ in range(n)]
     for _, fan in tri.fans:
         m = len(fan)
@@ -232,7 +232,7 @@ def exchange_matrix(tri: Triangulation) -> tuple[tuple[int, ...], ...]:
 
 def balanced_check(tri: Triangulation, k: Sequence[int]) -> bool:
     """Whether the exponent vector (``linear.integer``) has even sum over every triangle."""
-    if len(k) != tri.edge_count:
+    if len(k) != instance(tri, Triangulation).edge_count:
         raise ValueError("exponent vector has wrong length")
     k = tuple(map(integer, k))
     for t in tri.triangles:
@@ -243,7 +243,7 @@ def balanced_check(tri: Triangulation, k: Sequence[int]) -> bool:
 
 def central_puncture_exponent(tri: Triangulation, name: str) -> Vector:
     """Counts of edge ends at the puncture (always a balanced vector)."""
-    counts = [0] * tri.edge_count
+    counts = [0] * instance(tri, Triangulation).edge_count
     for e in tri.fan(name):
         counts[e] += 1
     return tuple(counts)
@@ -290,7 +290,7 @@ def balanced_lattice_basis(tri: Triangulation) -> list[Vector]:
     1 or 2 and entries above each diagonal entry in [0, it), so it is the
     unique row Hermite form of L.
     """
-    n = tri.edge_count
+    n = instance(tri, Triangulation).edge_count
     parities = _triangle_parities(tri)
     return [
         tuple(2 * (j == c) for j in range(n))
@@ -312,7 +312,7 @@ class ZBasis:
 
     def __init__(self, tri: Triangulation, vectors: tuple[Vector, ...]):
         self.vectors = vectors
-        self.p = len(tri.punctures)
+        self.p = len(instance(tri, Triangulation).punctures)
         n = tri.edge_count
         if len(vectors) != n or not all(balanced_check(tri, v) for v in vectors):
             raise ValueError("basis rows must be one balanced vector per edge")
@@ -359,7 +359,7 @@ def balanced_puncture_basis(tri: Triangulation) -> ZBasis:
     by its puncture's name (this never happens for the triangulations
     treated here; it is a hard error, never a silent fallback).
     """
-    n = tri.edge_count
+    n = instance(tri, Triangulation).edge_count
     rows = balanced_lattice_basis(tri)
     exponents = [central_puncture_exponent(tri, name) for name in tri.punctures]
     # solve sum_c x_c rows_c = h by substitution down the upper triangular
@@ -558,13 +558,14 @@ def is_central(torus: QuantumTorus, x: QTElement) -> bool:
 
 
 def frobenius_map(x: QTElement, target: QuantumTorus, order: int) -> QTElement:
-    """Multiply every exponent vector by ``order``, which follows ``linear.integer``.
+    """Multiply every exponent vector by ``order``, a nonzero ``linear.integer``.
 
     The source torus parameter must be the target's parameter to the power
     order**2 (same scalar ring, same exchange matrix); on Weyl monomials
     the map sends [Y^k] to [Y^(order k)] and is an algebra embedding.
     """
-    order = integer(order)
+    if integer(order) == 0:
+        raise ValueError("order 0 would send every exponent vector to 0")
     source, ring = instance(x, QTElement).torus, instance(target, QuantumTorus).ring
     if (source.ring is not ring and source.ring != ring) or source.sigma != target.sigma:
         raise ValueError("source and target tori are incompatible")

@@ -171,16 +171,20 @@ def test_verify_refuses_bad_knobs_for_every_suite(capsys, argv, message):
         ["verify", "bigon", "--N", "-3"],
         ["dims", "surface", "--genus", "0", "--punctures", "0", "--boundary", "2", "--N", "-3"],
         ["dims", "manifold", "--genus", "1", "--markings", "0", "--N", "-3"],
+        ["verify", "counts", "--N", "4"],
+        ["verify", "bigon", "--N", "4"],
+        ["dims", "surface", "--genus", "0", "--punctures", "0", "--boundary", "2", "--N", "4"],
     ],
-    ids=["verify-counts", "verify-bigon", "dims-surface", "dims-manifold"],
+    ids=["verify-counts", "verify-bigon", "dims-surface", "dims-manifold",
+         "verify-counts-even", "verify-bigon-even", "dims-surface-even"],
 )
 def test_negative_odd_order_refused_by_value(capsys, argv):
-    """-3 is odd, so the refusal must say positive too, and name the value."""
+    """-3 is odd, so the refusal must say positive too, and name the value;
+    verify and dims refuse a bad N in the same words, those of linear.odd_order."""
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "must be odd and positive, got -3" in err
+    assert err == f"error: order must be odd and positive, got {argv[-1]}\n"
 
 
 @pytest.mark.parametrize("suite", ["bigon", "qtorus", "torus-skein", "chebyshev"])

@@ -73,9 +73,10 @@ def test_cli_import_loads_no_layer_and_no_dataclasses():
          {"oq_sl2", "chebyshev"}),
         (["verify", "torus-skein", "--N", "3"], {"torus_skein", "chebyshev"},
          {"scalars", "oq_sl2", "quantum_torus"}),
-        (["verify", "counts", "--N", "3"], {"dimensions"}, set(LAYERS) - {"dimensions"}),
+        (["verify", "counts", "--N", "3"], {"dimensions", "linear"},
+         set(LAYERS) - {"dimensions", "linear"}),
         (["dims", "surface", "--genus", "1", "--punctures", "1", "--boundary", "0",
-          "--N", "5"], {"dimensions"}, set(LAYERS) - {"dimensions"}),
+          "--N", "5"], {"dimensions", "linear"}, set(LAYERS) - {"dimensions", "linear"}),
     ],
     ids=["chebyshev", "bigon", "qtorus", "torus-skein", "counts", "dims"],
 )

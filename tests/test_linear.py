@@ -1,8 +1,9 @@
 """Exact kernels of ``linear``: fraction-free integer elimination, checked
 against Gauss-Jordan over Fraction, and convolution, checked against the
-schoolbook double loop; the operand rule of ``SparseCombination``
-subtraction in each layer; and the type rule ``instance`` of the public
-functions that take an element, a scalar, a ring, a torus or a basis."""
+schoolbook double loop; the integer rule ``integer``; the operand rule of
+``SparseCombination`` subtraction in each layer; and the type rule
+``instance`` of the public functions that take an element, a scalar, a ring,
+a torus, a basis or a triangulation."""
 
 import random
 from fractions import Fraction
@@ -10,18 +11,33 @@ from fractions import Fraction
 import pytest
 
 from qskein.chebyshev import Polynomial, chebyshev_reduce
-from qskein.linear import convolve, integer_solve
+from qskein.linear import convolve, integer, integer_solve
 from qskein.oq_sl2 import OqAlgebra
 from qskein.quantum_torus import (
     QuantumTorus,
+    ZBasis,
+    balanced_check,
+    balanced_lattice_basis,
     balanced_puncture_basis,
     center_free_certificate,
+    central_puncture_exponent,
+    exchange_matrix,
     frobenius_map,
     once_punctured_torus,
     qt_deg,
 )
 from qskein.scalars import ScalarRing
 from qskein.torus_skein import a_basis_expand, s1s2_reduce
+
+
+@pytest.mark.parametrize(
+    "value", [0.5, 3.0, "3", True, Fraction(3)], ids=["float", "integral-float", "string", "bool", "fraction"]
+)
+def test_integer_refuses_non_integers(value):
+    """An int that is not a bool passes; everything else raises TypeError."""
+    with pytest.raises(TypeError, match="expected an integer"):
+        integer(value)
+    assert integer(3) == 3
 
 
 def _fraction_solve(a, b):
@@ -177,16 +193,26 @@ def _torus():
         (lambda: center_free_certificate(
             3, target=_torus(), zbasis=1, elements={(0,): _torus().generator(0)}),
          "a ZBasis"),
+        (lambda: exchange_matrix(1), "a Triangulation"),
+        (lambda: balanced_check(1, (0, 0, 0)), "a Triangulation"),
+        (lambda: central_puncture_exponent(1, "v0"), "a Triangulation"),
+        (lambda: balanced_lattice_basis(1), "a Triangulation"),
+        (lambda: balanced_puncture_basis(1), "a Triangulation"),
+        (lambda: ZBasis(1, tuple(balanced_lattice_basis(once_punctured_torus()))),
+         "a Triangulation"),
     ],
     ids=["root-exponent", "is-q-power", "diagonal-tower", "independence-certificate",
          "chebyshev-reduce", "a-basis-expand", "s1s2-reduce", "frobenius-map", "qt-deg",
          "center-free-certificate", "oq-algebra-ring", "quantum-torus-ring",
          "frobenius-map-target", "qt-deg-zbasis", "center-free-certificate-target",
-         "center-free-certificate-zbasis"],
+         "center-free-certificate-zbasis", "exchange-matrix-triangulation",
+         "balanced-check-triangulation", "puncture-exponent-triangulation",
+         "lattice-basis-triangulation", "puncture-basis-triangulation",
+         "zbasis-triangulation"],
 )
 def test_element_arguments_follow_the_type_rule(call, expected):
     """A number where an element, a scalar or a structure (a ring, a torus, a
-    basis) belongs raises a TypeError naming the expected class, never an
-    AttributeError from inside the layer."""
+    basis, a triangulation) belongs raises a TypeError naming the expected
+    class, never an AttributeError from inside the layer."""
     with pytest.raises(TypeError, match=f"^expected {expected}, got int 1$"):
         call()

@@ -9,7 +9,7 @@ import pytest
 
 from qskein import oq_sl2
 from qskein.linear import accumulate
-from qskein.dimensions import basis_box, spanning_set, spanning_wing
+from qskein.dimensions import iter_basis_box, iter_spanning_set, iter_spanning_wing
 from qskein.oq_sl2 import OqAlgebra, is_pbw_index, leading_index
 from qskein.scalars import ScalarRing
 
@@ -262,22 +262,22 @@ def test_pbw_index_predicate():
 
 @pytest.mark.parametrize("order", [1, 3, 5, 7, 9])
 def test_box_and_wing_counts(order):
-    box = basis_box(order)
-    wing = spanning_wing(order)
+    box = list(iter_basis_box(order))
+    wing = list(iter_spanning_wing(order))
     assert len(box) == order ** 3
     assert len(set(box)) == len(box)
     assert set(box).isdisjoint(wing)
-    full = spanning_set(order)
+    full = list(iter_spanning_set(order))
     assert set(full) == set(box) | set(wing)
     assert len(full) == 2 * order ** 3 - order * (order + 1) * (2 * order + 1) // 6
 
 
 def test_box_and_wing_membership_shape():
     order = 5
-    for k in basis_box(order):
+    for k in iter_basis_box(order):
         assert k[0] == 0
         assert all(0 <= e < order for e in k)
-    for k in spanning_wing(order):
+    for k in iter_spanning_wing(order):
         j = order - k[0]
         assert 1 <= j <= order - 1
         assert k[1] == 0
@@ -371,7 +371,7 @@ def test_lifted_leading_index_injective(order):
     ]
     seen = {}
     for u in us:
-        for v in basis_box(order):
+        for v in iter_basis_box(order):
             idx = alg.lifted_leading_index(u, v)
             assert idx not in seen, (u, v, seen[idx])
             seen[idx] = (u, v)
@@ -625,7 +625,7 @@ def random_frobenius_coeff(alg, rng, cap=2):
 def test_independence_certificate_random():
     rng = random.Random(60093)
     alg = OqAlgebra(ROOT3)
-    box = basis_box(3)
+    box = list(iter_basis_box(3))
     for _ in range(50):
         keys = rng.sample(box, rng.randint(1, 5))
         cmap = {k: random_frobenius_coeff(alg, rng) for k in keys}
@@ -658,7 +658,7 @@ def test_combine_matches_the_generic_product(ring):
     rng = random.Random(7019)
     alg = OqAlgebra(ring)
     order = ring.order or 5
-    keys = spanning_set(order)
+    keys = list(iter_spanning_set(order))
     for _ in range(40):
         cmap = {}
         for v in rng.sample(keys, rng.randint(1, 4)):
@@ -703,7 +703,7 @@ def test_localized_expression_identity():
             lhs = d_cubed * lhs
         rhs = alg.zero()
         for v, coeff in expr.coefficients.items():
-            assert v in set(basis_box(3))
+            assert v in set(iter_basis_box(3))
             assert alg.is_frobenius_element(coeff)
             rhs = rhs + coeff * alg.basis_monomial(v)
         assert lhs == rhs
@@ -720,7 +720,7 @@ def test_localized_power_zero_when_multiple_of_order():
 def test_spanning_expression_identity():
     rng = random.Random(1444)
     alg = OqAlgebra(ROOT3)
-    allowed = set(spanning_set(3))
+    allowed = set(iter_spanning_set(3))
     for _ in range(40):
         m = random_pbw_index(rng, 6)
         expr = alg.express_in_spanning(m)

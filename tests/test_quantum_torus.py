@@ -963,6 +963,15 @@ def test_weyl_monomial_refuses_a_short_vector():
         _torus().weyl_monomial((1, 0))
 
 
+def _frobenius_at_order_zero():
+    """Y^(2,0,0) + 3 Y^(0,2,0) at N = 5 under the map of order 0, which passes
+    the parameter check since the source parameter is zeta^0 = 1."""
+    ring, tri = ScalarRing.root_of_unity(5), once_punctured_torus()
+    source = QuantumTorus.from_triangulation(ring, tri, ring.zeta_pow(0))
+    x = source.weyl_monomial((2, 0, 0)) + 3 * source.weyl_monomial((0, 2, 0))
+    return frobenius_map(x, QuantumTorus.from_triangulation(ring, tri), 0)
+
+
 def _certificate_with(elements):
     """center_free_certificate at order 3 over the once-punctured torus, with
     ``elements`` a function of one balanced element of grade 0."""
@@ -991,11 +1000,13 @@ def _certificate_with(elements):
          "tower height must be a natural number"),
         (lambda: OqAlgebra(RING).independence_certificate({}), "empty coefficient map"),
         (lambda: Polynomial({-1: 1}), "negative exponent"),
+        (_frobenius_at_order_zero, "order 0"),
     ],
     ids=["zbasis-coordinates-length", "sigma-not-square", "ordered-monomial-length",
          "puncture-without-triangulation", "certificate-residue-length",
          "certificate-zero-element", "tower-foreign-element",
-         "tower-negative-height", "independence-empty-map", "polynomial-negative-exponent"],
+         "tower-negative-height", "independence-empty-map", "polynomial-negative-exponent",
+         "frobenius-order-zero"],
 )
 def test_refusals_of_malformed_input(call, message):
     with pytest.raises(ValueError, match=message):
